@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/linsolve.hpp"
 #include "common/reorder.hpp"
 #include "obs/hw_counters.hpp"
 #include "obs/obs.hpp"
@@ -16,36 +17,6 @@
 namespace relkit {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// max_i |(pi Q)_i| from the transposed generator (same helper as the SOR
-/// kernel; row-chunked when a pool is given, chunk maxima fold in
-/// chunk-index order so the value is jobs-independent).
-double steady_residual(const SparseMatrix& qt, const std::vector<double>& diag,
-                       const std::vector<double>& v,
-                       parallel::ThreadPool* pool) {
-  const std::size_t n = qt.rows();
-  auto worst_in = [&](std::size_t begin, std::size_t end) {
-    double worst = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      double acc = diag[i] * v[i];
-      for (std::size_t k = qt.row_begin(i); k < qt.row_end(i); ++k) {
-        acc += qt.value(k) * v[qt.col(k)];
-      }
-      worst = std::max(worst, std::abs(acc));
-    }
-    return worst;
-  };
-  if (pool == nullptr || pool->jobs() <= 1) return worst_in(0, n);
-  return parallel::reduce_chunks<double>(
-      *pool, n, parallel::default_chunk(n), 0.0, worst_in,
-      [](double& acc, double part) { acc = std::max(acc, part); });
-}
 
 /// ILU0 factors of a CSR matrix, stored in place on the matrix's own
 /// pattern: strictly-lower entries are L (unit diagonal implied), the
@@ -164,10 +135,7 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
   report.note_attempt("bicgstab");
 
   if (n == 1) {
-    report.method = "bicgstab";
-    report.converged = true;
-    report.note_attempt_result("bicgstab", 0, 0.0, true);
-    robust::record_last_report(report);
+    report.finish("bicgstab", 0, 0.0, true, start);
     return {{1.0}, 0, 0.0, report};
   }
 
@@ -288,42 +256,30 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
   double best_res = std::numeric_limits<double>::infinity();
   if (normalized_candidate(x, candidate)) {
     best = candidate;
-    best_res = steady_residual(qt, diag, candidate, lease.get());
+    best_res = steady_state_residual(qt, diag, candidate, lease.get());
   }
 
   auto give_up = [&](const std::string& why,
                      std::size_t it) -> robust::ConvergenceError {
-    report.iterations = it;
-    report.residual = best_res;
-    report.wall_seconds = seconds_since(start);
-    report.note_attempt_result("bicgstab", it, best_res, false);
+    report.finish("bicgstab", it, best_res, false, start);
     span.set("iterations", it);
     span.set("residual", best_res);
     span.set("converged", false);
-    robust::record_last_report(report);
     std::vector<double> partial =
         best.empty() ? std::vector<double>(n, 1.0 / static_cast<double>(n))
                      : best;
     return robust::ConvergenceError(why, std::move(partial), report);
   };
 
-  auto finish = [&](std::size_t it, double res) -> BicgstabResult {
-    BicgstabResult out;
-    out.pi = best;
-    out.iterations = it;
-    out.residual = res;
-    report.method = "bicgstab";
-    report.iterations = it;
-    report.residual = res;
-    report.converged = true;
-    report.wall_seconds = seconds_since(start);
-    report.note_attempt_result("bicgstab", it, res, true);
+  // Called once a candidate met tol. The returned iterate is `best`, which
+  // can be an earlier candidate than the one that met tol, so the reported
+  // residual is best_res.
+  auto finish = [&](std::size_t it) -> BicgstabResult {
+    report.finish("bicgstab", it, best_res, true, start);
     span.set("iterations", it);
-    span.set("residual", res);
+    span.set("residual", best_res);
     span.set("converged", true);
-    out.report = report;
-    robust::record_last_report(out.report);
-    return out;
+    return {best, it, best_res, report};
   };
 
   const double kBreakdown = 1e-300;
@@ -393,15 +349,15 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
       // a tridiagonal chain IS the full LU). Verify the candidate before
       // declaring breakdown, or an exact solve would be thrown away.
       if (normalized_candidate(x, candidate)) {
-        const double res =
-            injector.tap("bicgstab.residual",
-                         steady_residual(qt, diag, candidate, lease.get()));
+        const double res = injector.tap(
+            "bicgstab.residual",
+            steady_state_residual(qt, diag, candidate, lease.get()));
         report.convergence.record(it, res);
         if (std::isfinite(res) && res < best_res) {
           best = candidate;
           best_res = res;
         }
-        if (res < opts.tol) return finish(it, res);
+        if (res < opts.tol) return finish(it);
       }
       report.warn("stabilizer omega collapsed at iteration " +
                   std::to_string(it));
@@ -416,15 +372,15 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
     // deadline abort always carries a populated ConvergenceTrace.
     if (it % 8 == 0 || it <= 4 || rnorm <= opts.tol) {
       if (normalized_candidate(x, candidate)) {
-        const double res =
-            injector.tap("bicgstab.residual",
-                         steady_residual(qt, diag, candidate, lease.get()));
+        const double res = injector.tap(
+            "bicgstab.residual",
+            steady_state_residual(qt, diag, candidate, lease.get()));
         report.convergence.record(it, res);
         if (std::isfinite(res) && res < best_res) {
           best = candidate;
           best_res = res;
         }
-        if (res < opts.tol) return finish(it, res);
+        if (res < opts.tol) return finish(it);
       }
       if (opts.budget.deadline.expired()) {
         report.warn("deadline expired after " + std::to_string(it) +
@@ -441,13 +397,13 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
   // Loop ended without meeting tol: one final verified check (the exact-
   // solve break lands here), then give up with the best iterate.
   if (normalized_candidate(x, candidate)) {
-    const double res = steady_residual(qt, diag, candidate, lease.get());
+    const double res = steady_state_residual(qt, diag, candidate, lease.get());
     report.convergence.record(report.iterations + 1, res);
     if (std::isfinite(res) && res < best_res) {
       best = candidate;
       best_res = res;
     }
-    if (res < opts.tol) return finish(max_iters, res);
+    if (res < opts.tol) return finish(max_iters);
   }
   report.warn("iteration budget exhausted");
   throw give_up("bicgstab_steady_state: no convergence after " +

@@ -11,28 +11,19 @@
 
 namespace relkit {
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-/// max_i |(pi Q)_i| from the transposed generator, row-chunked when a pool
-/// is given. Each row's accumulation stays in sequential order and the
-/// chunk maxima fold in chunk-index order, so the value is independent of
-/// the worker count.
-double steady_residual(const SparseMatrix& qt, const std::vector<double>& diag,
-                       const std::vector<double>& v,
-                       parallel::ThreadPool* pool) {
+double steady_state_residual(const SparseMatrix& qt,
+                             const std::vector<double>& diag,
+                             const std::vector<double>& pi,
+                             parallel::ThreadPool* pool) {
   const std::size_t n = qt.rows();
+  detail::require(diag.size() == n && pi.size() == n,
+                  "steady_state_residual: size mismatch");
   auto worst_in = [&](std::size_t begin, std::size_t end) {
     double worst = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
-      double acc = diag[i] * v[i];
+      double acc = diag[i] * pi[i];
       for (std::size_t k = qt.row_begin(i); k < qt.row_end(i); ++k) {
-        acc += qt.value(k) * v[qt.col(k)];
+        acc += qt.value(k) * pi[qt.col(k)];
       }
       worst = std::max(worst, std::abs(acc));
     }
@@ -43,8 +34,6 @@ double steady_residual(const SparseMatrix& qt, const std::vector<double>& diag,
       *pool, n, parallel::default_chunk(n), 0.0, worst_in,
       [](double& acc, double part) { acc = std::max(acc, part); });
 }
-
-}  // namespace
 
 std::vector<double> gth_steady_state(Matrix q) {
   const std::size_t n = q.rows();
@@ -132,31 +121,22 @@ SorResult sor_steady_state(const SparseMatrix& qt,
   double omega = opts.omega;
   double omega_cap = 1.6;  // halves toward 1.0 whenever SOR diverges
 
-  // r_i = sum_j v_j Q_ji = (Q^T v)_i ; includes the diagonal term. The
-  // sweep mutates pi in place (Gauss-Seidel), but the residual reads a
-  // fixed vector — a Jacobi-style pass — so it chunks across the pool.
-  auto residual_of = [&](const std::vector<double>& v) {
-    return steady_residual(qt, diag, v, lease.get());
-  };
-
   // Best (lowest-residual) iterate so far, so non-convergence can still hand
-  // back the most trustworthy partial result.
+  // back the most trustworthy partial result. The sweep mutates pi in place
+  // (Gauss-Seidel), but the residual reads a fixed vector — a Jacobi-style
+  // pass — so it chunks across the pool.
   std::vector<double> best = pi;
-  double best_res = residual_of(pi);
+  double best_res = steady_state_residual(qt, diag, pi, lease.get());
   double prev_res = best_res;
 
   auto give_up = [&](const std::string& why) -> robust::ConvergenceError {
-    report.residual = best_res;
-    report.wall_seconds = seconds_since(start);
-    report.note_attempt_result("sor", report.iterations, best_res, false);
+    report.finish("sor", report.iterations, best_res, false, start);
     span.set("iterations", report.iterations);
     span.set("residual", best_res);
     span.set("converged", false);
-    robust::record_last_report(report);
     return robust::ConvergenceError(why, best, report);
   };
 
-  SorResult out;
   for (std::size_t it = 1; it <= max_iters; ++it) {
     sweeps_counter.add();
     // One SOR sweep: pi_i <- (1-w) pi_i + w * (sum_{j != i} pi_j Q_ji)/(-Q_ii).
@@ -199,7 +179,7 @@ SorResult sor_steady_state(const SparseMatrix& qt,
                       std::to_string(it) + " sweeps (best residual " +
                       std::to_string(best_res) + ")");
       }
-      const double res = residual_of(pi);
+      const double res = steady_state_residual(qt, diag, pi, lease.get());
       residual_hist.observe(res);
       report.convergence.record(it, res);
       if (std::isfinite(res) && res < best_res) {
@@ -207,22 +187,12 @@ SorResult sor_steady_state(const SparseMatrix& qt,
         best_res = res;
       }
       if (res < opts.tol) {
-        out.pi = std::move(pi);
-        out.iterations = it;
-        out.residual = res;
-        report.method = "sor";
-        report.iterations = it;
-        report.residual = res;
-        report.converged = true;
-        report.wall_seconds = seconds_since(start);
-        report.note_attempt_result("sor", it, res, true);
+        report.finish("sor", it, res, true, start);
         span.set("iterations", it);
         span.set("residual", res);
         span.set("omega", omega);
         span.set("converged", true);
-        out.report = report;
-        robust::record_last_report(out.report);
-        return out;
+        return {std::move(pi), it, res, std::move(report)};
       }
       // Crude adaptive relaxation: push omega up while the residual keeps
       // shrinking (over-relaxation usually pays on availability chains).
@@ -280,14 +250,10 @@ PowerResult power_steady_state(const SparseMatrix& p,
 
   auto give_up = [&](const std::string& why,
                      std::size_t it) -> robust::ConvergenceError {
-    report.iterations = it;
-    report.residual = best_delta;
-    report.wall_seconds = seconds_since(start);
-    report.note_attempt_result("power", it, best_delta, false);
+    report.finish("power", it, best_delta, false, start);
     span.set("iterations", it);
     span.set("delta", best_delta);
     span.set("converged", false);
-    robust::record_last_report(report);
     return robust::ConvergenceError(why, best, report);
   };
 
@@ -316,22 +282,11 @@ PowerResult power_steady_state(const SparseMatrix& p,
       best_delta = delta;
     }
     if (delta < opts.tol) {
-      PowerResult out;
-      out.pi = std::move(pi);
-      out.iterations = it + 1;
-      out.delta = delta;
-      report.method = "power";
-      report.iterations = it + 1;
-      report.residual = delta;
-      report.converged = true;
-      report.wall_seconds = seconds_since(start);
-      report.note_attempt_result("power", it + 1, delta, true);
+      report.finish("power", it + 1, delta, true, start);
       span.set("iterations", it + 1);
       span.set("delta", delta);
       span.set("converged", true);
-      out.report = report;
-      robust::record_last_report(out.report);
-      return out;
+      return {std::move(pi), it + 1, delta, std::move(report)};
     }
     if ((it & 63u) == 0 && opts.budget.deadline.expired()) {
       report.warn("deadline expired after " + std::to_string(it) + " steps");

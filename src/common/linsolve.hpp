@@ -32,6 +32,17 @@ std::vector<double> gth_steady_state(Matrix q);
 /// probability matrix P (rows sum to 1), via GTH on Q = P - I.
 std::vector<double> gth_steady_state_dtmc(const Matrix& p);
 
+/// max_i |(pi Q)_i| for a candidate stationary vector, from the transposed
+/// generator (row i of `qt` holds column i of Q, off-diagonal entries) and
+/// the diagonal of Q: the residual the iterative kernels converge on and the
+/// robust layer verifies with. Row-chunked on `pool` (nullptr = sequential);
+/// each row accumulates in fixed order and the chunk maxima fold in
+/// chunk-index order, so the value is independent of the worker count.
+double steady_state_residual(const SparseMatrix& qt,
+                             const std::vector<double>& diag,
+                             const std::vector<double>& pi,
+                             parallel::ThreadPool* pool = nullptr);
+
 /// Options for the iterative stationary solver.
 struct SorOptions {
   double omega = 1.0;        ///< Relaxation factor; 1.0 = Gauss-Seidel.

@@ -127,10 +127,7 @@ FixedPointResult Hierarchy::solve_fixed_point(
     report.iterations = result.iterations;
     report.residual = result.residual;
     report.converged = converged;
-    report.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    report.wall_seconds = robust::seconds_since(start);
     report.note_attempt_result("fixed-point", result.iterations,
                                result.residual, converged);
     span.set("iterations", result.iterations);

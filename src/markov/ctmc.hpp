@@ -4,8 +4,10 @@
 // models cannot express (shared repair, imperfect coverage, failover,
 // rejuvenation) are modeled as a CTMC. Solvers:
 //
-//   * steady-state     — GTH elimination (dense, exact) below a size
-//                        threshold, SOR sweeps on the sparse generator above
+//   * steady-state     — the verified fallback chain of src/robust/ (dense
+//                        GTH first on small chains, then SOR, NCD
+//                        aggregation-disaggregation, BiCGSTAB, power
+//                        iteration, last-resort GTH), or one forced method
 //   * transient        — uniformization with stable Poisson weights
 //   * cumulative       — expected total time per state in [0, t]
 //                        (uniformization integral form)
@@ -38,7 +40,8 @@ using StateId = std::size_t;
 
 /// Options controlling the stationary solver.
 struct SteadyStateOptions {
-  /// Use dense GTH when state count <= this, SOR otherwise.
+  /// The chain starts with dense GTH when the state count is <= this, with
+  /// SOR otherwise.
   std::size_t dense_threshold = 512;
   SorOptions sor;
   /// Krylov tier knobs (tolerance, preconditioner, RCM) for the fallback
@@ -46,15 +49,12 @@ struct SteadyStateOptions {
   BicgstabOptions bicgstab;
   /// NCD detection threshold + aggregation-disaggregation knobs.
   robust::AdOptions ncd;
-  /// Force a single solver (verified) instead of the fallback chain.
+  /// Force a single solver instead of the fallback chain: the chain is then
+  /// that method's entry alone, still verified, and its failure throws.
   /// kAuto consults the thread/process ambient choice (CLI --solver,
   /// relkit_serve per-request "solver"). The *effective* choice is part of
   /// the solution-cache key.
   robust::SolverChoice solver = robust::SolverChoice::kAuto;
-  /// Route non-converging iterative solves through the fallback chain
-  /// (SOR -> omega reset -> power iteration -> dense GTH when the chain is
-  /// small enough). Disable to get the raw single-method behavior.
-  bool enable_fallbacks = true;
   /// Dense GTH is allowed as a *last resort* up to this size even when the
   /// chain is above dense_threshold (O(n^3) beats no answer).
   std::size_t gth_fallback_threshold = 2048;

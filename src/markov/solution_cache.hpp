@@ -105,7 +105,7 @@ class SolutionCache {
   struct Entry {
     std::vector<double> result;
     robust::SolveReport report;
-    std::string payload;
+    std::string payload = {};
   };
 
   static SolutionCache& instance();

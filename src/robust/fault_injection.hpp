@@ -21,7 +21,8 @@
 //   "serve.worker.delay_ms"  artificial per-request stall in relkit_serve
 //                        workers (0 normally; inject a value to hold
 //                        workers busy and saturate the admission queue)
-// Failable methods: "gth", "sor", "power" (checked by the fallback chain),
+// Failable methods: "gth", "sor", "ad", "bicgstab", "power" (each chain
+// entry's probe, checked by the runner before the method runs),
 // "serve.solve" (checked by the relkit_serve request path before the
 // model is parsed, so the daemon's error handling can be driven without a
 // failable model), and "sim.restart.split" (checked at every RESTART

@@ -13,17 +13,10 @@
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 #include "robust/fault_injection.hpp"
-#include "robust/robust.hpp"
 
 namespace relkit::robust {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Union-find with path halving.
 struct UnionFind {
@@ -173,14 +166,10 @@ AdResult ad_steady_state(const SparseMatrix& qt,
 
   auto give_up = [&](const std::string& why,
                      std::size_t sweep) -> ConvergenceError {
-    report.iterations = sweep;
-    report.residual = best_res;
-    report.wall_seconds = seconds_since(start);
-    report.note_attempt_result("ad", sweep, best_res, false);
+    report.finish("ad", sweep, best_res, false, start);
     span.set("sweeps", sweep);
     span.set("residual", best_res);
     span.set("converged", false);
-    record_last_report(report);
     std::vector<double> partial = best.empty() ? pi : best;
     return ConvergenceError(why, std::move(partial), report);
   };
@@ -284,23 +273,11 @@ AdResult ad_steady_state(const SparseMatrix& qt,
       best_res = res;
     }
     if (res < opts.tol) {
-      AdResult out;
-      out.pi = pi;
-      out.sweeps = sweep;
-      out.residual = res;
-      out.partition = partition;
-      report.method = "ad";
-      report.iterations = sweep;
-      report.residual = res;
-      report.converged = true;
-      report.wall_seconds = seconds_since(start);
-      report.note_attempt_result("ad", sweep, res, true);
+      report.finish("ad", sweep, res, true, start);
       span.set("sweeps", sweep);
       span.set("residual", res);
       span.set("converged", true);
-      out.report = report;
-      record_last_report(out.report);
-      return out;
+      return {pi, sweep, res, partition, std::move(report)};
     }
   }
   report.warn("sweep budget exhausted");

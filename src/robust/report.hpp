@@ -23,6 +23,7 @@
 // last_report() / ConvergenceError consumers.
 #pragma once
 
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -36,6 +37,13 @@
 #include "robust/convergence_trace.hpp"
 
 namespace relkit::robust {
+
+/// Wall-clock seconds elapsed since `start`.
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 /// Diagnostics of one (possibly multi-method) solve.
 struct SolveReport {
@@ -87,6 +95,12 @@ struct SolveReport {
                            double res, bool accepted) {
     attempt_details.push_back({m, its, res, accepted});
   }
+
+  /// Closes a single-method solve that began at `start`: sets the totals
+  /// and the wall time, records the attempt's detail, and publishes the
+  /// report as last_report(). `m` becomes `method` only when `ok`.
+  void finish(const std::string& m, std::size_t its, double res, bool ok,
+              std::chrono::steady_clock::time_point start);
 
   /// Multi-line human-readable rendering (CLI --diagnostics).
   std::string summary() const {
@@ -163,6 +177,18 @@ inline void record_last_report(const SolveReport& r) {
       r.method, static_cast<std::uint64_t>(r.iterations), r.residual,
       r.converged, r.wall_seconds,
       static_cast<std::uint32_t>(r.attempts.size()));
+}
+
+inline void SolveReport::finish(const std::string& m, std::size_t its,
+                                double res, bool ok,
+                                std::chrono::steady_clock::time_point start) {
+  if (ok) method = m;
+  iterations = its;
+  residual = res;
+  converged = ok;
+  wall_seconds = seconds_since(start);
+  note_attempt_result(m, its, res, ok);
+  record_last_report(*this);
 }
 
 /// True once any solver on this thread has recorded a report.

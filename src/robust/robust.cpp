@@ -4,9 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/matrix.hpp"
@@ -17,12 +19,6 @@
 namespace relkit::robust {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Dense Q reconstructed from its transposed sparse off-diagonal part.
 Matrix densify(const SparseMatrix& qt, const std::vector<double>& diag) {
@@ -54,6 +50,48 @@ SparseMatrix uniformized_dtmc(const SparseMatrix& qt,
   }
   return bt.build().transposed();
 }
+
+/// Clamps negative entries to 0 and rescales to sum 1. False when no
+/// probability mass is left.
+bool clamp_normalize(std::vector<double>& v) {
+  double total = 0.0;
+  for (double& x : v) {
+    if (x < 0.0) x = 0.0;
+    total += x;
+  }
+  if (total <= 0.0) return false;
+  for (double& x : v) x /= total;
+  return true;
+}
+
+/// What a method hands the runner for verification.
+struct Candidate {
+  std::vector<double> pi;
+  std::size_t iterations = 0;
+  ConvergenceTrace convergence;  ///< empty for a direct method
+};
+
+/// One entry of the fallback chain. The runner evaluates `gate` (empty =
+/// always run) only when it reaches the entry, so a gate's own cost (the
+/// NCD detector) is paid only after every earlier entry failed. `run`
+/// returns a candidate or throws: a ConvergenceError's partial competes for
+/// the best-partial slot, a plain NumericalError is a direct method's
+/// diagnosis.
+struct Attempt {
+  std::string label;  ///< attempt name in the report, span and warnings
+  const char* probe;  ///< FaultInjector::fail_method name
+  /// Names the stage in "deadline expired during <stage>", checked when the
+  /// entry fails and another follows; nullptr for GTH, which never checks.
+  const char* stage;
+  std::function<bool()> gate;
+  std::function<Candidate()> run;
+
+  Attempt gated(std::function<bool()> g) const {
+    Attempt a = *this;
+    a.gate = std::move(g);
+    return a;
+  }
+};
 
 // Process default + per-thread override for the solver choice. The
 // override slot uses kAuto as "no override", mirroring ambient_deadline's
@@ -110,36 +148,6 @@ bool all_finite(const std::vector<double>& v) {
     if (!std::isfinite(x)) return false;
   }
   return true;
-}
-
-double steady_state_residual(const SparseMatrix& qt,
-                             const std::vector<double>& diag,
-                             const std::vector<double>& pi) {
-  return steady_state_residual(qt, diag, pi, nullptr);
-}
-
-double steady_state_residual(const SparseMatrix& qt,
-                             const std::vector<double>& diag,
-                             const std::vector<double>& pi,
-                             parallel::ThreadPool* pool) {
-  const std::size_t n = qt.rows();
-  relkit::detail::require(diag.size() == n && pi.size() == n,
-                  "steady_state_residual: size mismatch");
-  auto worst_in = [&](std::size_t begin, std::size_t end) {
-    double worst = 0.0;
-    for (std::size_t i = begin; i < end; ++i) {
-      double acc = diag[i] * pi[i];
-      for (std::size_t k = qt.row_begin(i); k < qt.row_end(i); ++k) {
-        acc += qt.value(k) * pi[qt.col(k)];
-      }
-      worst = std::max(worst, std::abs(acc));
-    }
-    return worst;
-  };
-  if (pool == nullptr || pool->jobs() <= 1) return worst_in(0, n);
-  return parallel::reduce_chunks<double>(
-      *pool, n, parallel::default_chunk(n), 0.0, worst_in,
-      [](double& acc, double part) { acc = std::max(acc, part); });
 }
 
 void repair_distribution(std::vector<double>& v, SolveReport& report,
@@ -209,12 +217,8 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
   }
 
   if (n == 1) {
-    report.method = "trivial";
-    report.attempts = {"trivial"};
-    report.note_attempt_result("trivial", 0, 0.0, true);
-    report.converged = true;
-    report.wall_seconds = seconds_since(start);
-    record_last_report(report);
+    report.note_attempt("trivial");
+    report.finish("trivial", 0, 0.0, true, start);
     return {{1.0}, report};
   }
 
@@ -235,13 +239,7 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
   auto consider = [&](const std::vector<double>& v) {
     if (v.size() != n || !all_finite(v)) return;
     std::vector<double> copy = v;
-    double total = 0.0;
-    for (double& x : copy) {
-      if (x < 0.0) x = 0.0;
-      total += x;
-    }
-    if (total <= 0.0) return;
-    for (double& x : copy) x /= total;
+    if (!clamp_normalize(copy)) return;
     const double res = steady_state_residual(qt, diag, copy, lease.get());
     if (std::isfinite(res) && res < best_res) {
       best = std::move(copy);
@@ -249,34 +247,21 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
     }
   };
 
-  std::string prev_method;
-  auto begin_attempt = [&](const std::string& method, obs::Span& span) {
-    report.note_attempt(method);
-    span.set("method", method);
-    if (!prev_method.empty()) {
-      report.note_fallback(prev_method, method);
-      span.set("fallback_from", prev_method);
-    }
-    prev_method = method;
-  };
-
   // Closes the books on one attempt: per-attempt detail in the report and
   // the same numbers as attributes on the attempt's span.
-  auto finish_attempt = [&](obs::Span* span, const std::string& method,
+  auto finish_attempt = [&](obs::Span& span, const std::string& method,
                             std::size_t iterations, double res,
                             bool accepted) {
     report.note_attempt_result(method, iterations, res, accepted);
-    if (span) {
-      span->set("iterations", iterations);
-      if (!std::isnan(res)) span->set("residual", res);
-      span->set("accepted", accepted);
-    }
+    span.set("iterations", iterations);
+    if (!std::isnan(res)) span.set("residual", res);
+    span.set("accepted", accepted);
   };
 
   // Accepts a candidate if it survives verification; otherwise records why
   // it was rejected and keeps it as a partial-result candidate.
   auto accept = [&](std::vector<double> pi, const std::string& method,
-                    std::size_t iterations, obs::Span* span)
+                    std::size_t iterations, obs::Span& span)
       -> std::optional<RobustResult> {
     report.iterations += iterations;
     if (!all_finite(pi)) {
@@ -284,17 +269,11 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
       finish_attempt(span, method, iterations, std::nan(""), false);
       return std::nullopt;
     }
-    double total = 0.0;
-    for (double& x : pi) {
-      if (x < 0.0) x = 0.0;
-      total += x;
-    }
-    if (total <= 0.0) {
+    if (!clamp_normalize(pi)) {
       report.warn(method + ": probability mass collapsed; rejected");
       finish_attempt(span, method, iterations, std::nan(""), false);
       return std::nullopt;
     }
-    for (double& x : pi) x /= total;
     const double res = steady_state_residual(qt, diag, pi, lease.get());
     if (!std::isfinite(res) || res > accept_res) {
       report.warn(method + ": residual " + std::to_string(res) +
@@ -335,6 +314,110 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
     return ConvergenceError(message, std::move(partial), report);
   };
 
+  // The runner's one step: the attempt span, the fault probe, verification
+  // of the candidate, and the books of a failure. `diagnosis` keeps the
+  // last direct-method error (GTH's "chain is reducible").
+  std::string prev_method;
+  std::string diagnosis;
+  auto run_attempt = [&](const Attempt& a) -> std::optional<RobustResult> {
+    obs::Span span("robust.attempt");
+    report.note_attempt(a.label);
+    span.set("method", a.label);
+    if (!prev_method.empty()) {
+      report.note_fallback(prev_method, a.label);
+      span.set("fallback_from", prev_method);
+    }
+    prev_method = a.label;
+    if (injector.should_fail(a.probe)) {
+      report.warn("fault injection: " + a.label + " forced to fail");
+      finish_attempt(span, a.label, 0, std::nan(""), false);
+      return std::nullopt;
+    }
+    try {
+      Candidate c = a.run();
+      // An accepted attempt's trajectory is the solve's; a rejected one's
+      // is overwritten by the next attempt.
+      report.convergence = std::move(c.convergence);
+      return accept(std::move(c.pi), a.label, c.iterations, span);
+    } catch (const ConvergenceError& e) {
+      report.iterations += e.report().iterations;
+      report.convergence = e.report().convergence;
+      report.warn(a.label + ": " + e.what());
+      finish_attempt(span, a.label, e.report().iterations,
+                     e.report().residual, false);
+      consider(e.partial_result());
+    } catch (const NumericalError& e) {
+      diagnosis = e.what();
+      report.warn(a.label + ": " + e.what());
+      finish_attempt(span, a.label, 0, std::nan(""), false);
+    }
+    return std::nullopt;
+  };
+
+  // ---- the entries ---------------------------------------------------------
+  // Each method's options inherit the chain's jobs and, when one is set,
+  // its budget. Dense Q, the uniformized P and the NCD partition are built
+  // only when their entry runs.
+  const auto inherit = [&](auto o) {
+    if (o.jobs == 0) o.jobs = opts.jobs;
+    if (opts.budget.max_iterations != 0 || !opts.budget.deadline.unlimited()) {
+      o.budget = opts.budget;
+    }
+    return o;
+  };
+  const auto sor_run = [&](SorOptions o) {
+    return [&qt, &diag, o] {
+      SorResult r = sor_steady_state(qt, diag, o);
+      return Candidate{std::move(r.pi), r.iterations,
+                       std::move(r.report.convergence)};
+    };
+  };
+  const auto bicgstab_run = [&](Preconditioner precond) {
+    BicgstabOptions o = inherit(opts.bicgstab);
+    o.precond = precond;
+    return [&qt, &diag, o] {
+      BicgstabResult r = bicgstab_steady_state(qt, diag, o);
+      return Candidate{std::move(r.pi), r.iterations,
+                       std::move(r.report.convergence)};
+    };
+  };
+  const SorOptions sor_opts = inherit(opts.sor);
+  // Plain Gauss-Seidel: stiff chains sometimes tolerate no omega > 1 at
+  // all, and the adaptive probe can have burned sweeps before settling.
+  SorOptions reset_opts = sor_opts;
+  reset_opts.omega = 1.0;
+  reset_opts.adaptive_omega = false;
+  NcdPartition part;  // written by the A/D gate, read by its run
+  const auto detect_ncd = [&] {
+    part = detect_ncd_blocks(qt, diag, opts.ncd.coupling_threshold);
+  };
+
+  const Attempt gth{"gth", "gth", nullptr, {}, [&] {
+    return Candidate{gth_steady_state(densify(qt, diag)), n, {}};
+  }};
+  const Attempt sor{"sor", "sor", "sor", {}, sor_run(sor_opts)};
+  const Attempt sor_reset{"sor(omega-reset)", "sor", "sor retry", {},
+                          sor_run(reset_opts)};
+  const Attempt ad{"ad", "ad", "ad", {}, [&, ad_opts = inherit(opts.ncd)] {
+    AdResult r = ad_steady_state(qt, diag, part, ad_opts);
+    return Candidate{std::move(r.pi), r.sweeps,
+                     std::move(r.report.convergence)};
+  }};
+  const Attempt bicgstab{"bicgstab", "bicgstab", "bicgstab", {},
+                         bicgstab_run(opts.bicgstab.precond)};
+  // ILU0 can be a poor factor for chains with wildly unbalanced rates;
+  // plain diagonal scaling sometimes still converges.
+  const Attempt bicgstab_jacobi{"bicgstab(jacobi)", "bicgstab",
+                                "bicgstab retry", {},
+                                bicgstab_run(Preconditioner::kJacobi)};
+  const Attempt power{"power", "power", "power", {},
+                      [&, power_opts = inherit(opts.power)] {
+    PowerResult r = power_steady_state(uniformized_dtmc(qt, diag), power_opts);
+    return Candidate{std::move(r.pi), r.iterations,
+                     std::move(r.report.convergence)};
+  }};
+
+  // ---- the chain -----------------------------------------------------------
   // An absorbing (zero-diagonal) state makes the chain reducible; the
   // iterative methods cannot run (they divide by the diagonal), so only
   // dense GTH gets a chance to produce its informative error.
@@ -348,269 +431,81 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
         "unique");
   }
 
-  bool gth_tried = false;
-  std::string gth_error;
-
-  auto try_gth = [&]() -> std::optional<RobustResult> {
-    obs::Span span("robust.attempt");
-    begin_attempt("gth", span);
-    gth_tried = true;
-    if (injector.should_fail("gth")) {
-      report.warn("fault injection: gth forced to fail");
-      finish_attempt(&span, "gth", 0, std::nan(""), false);
-      return std::nullopt;
-    }
-    try {
-      auto pi = gth_steady_state(densify(qt, diag));
-      // GTH is direct: if accepted, any trajectory left over from a
-      // rejected iterative attempt does not describe the answer.
-      report.convergence.clear();
-      return accept(std::move(pi), "gth", n, &span);
-    } catch (const NumericalError& e) {
-      gth_error = e.what();
-      report.warn(std::string("gth: ") + e.what());
-      finish_attempt(&span, "gth", 0, std::nan(""), false);
-      return std::nullopt;
-    }
-  };
-
-  const auto deadline_expired = [&] { return opts.budget.deadline.expired(); };
-  const auto forward_budget = [&](Budget& dst) {
-    if (opts.budget.max_iterations != 0 || !opts.budget.deadline.unlimited()) {
-      dst = opts.budget;
-    }
-  };
-
-  auto try_sor = [&](const SorOptions& sor_opts,
-                     const std::string& label) -> std::optional<RobustResult> {
-    obs::Span span("robust.attempt");
-    begin_attempt(label, span);
-    if (injector.should_fail("sor")) {
-      report.warn("fault injection: " + label + " forced to fail");
-      finish_attempt(&span, label, 0, std::nan(""), false);
-      return std::nullopt;
-    }
-    try {
-      SorResult r = sor_steady_state(qt, diag, sor_opts);
-      // Keep the attempt's residual trajectory: if the candidate is
-      // accepted it is the solve's trajectory; if rejected, a later
-      // attempt overwrites it.
-      report.convergence = r.report.convergence;
-      return accept(std::move(r.pi), label, r.iterations, &span);
-    } catch (const ConvergenceError& e) {
-      report.iterations += e.report().iterations;
-      report.convergence = e.report().convergence;
-      report.warn(label + ": " + e.what());
-      finish_attempt(&span, label, e.report().iterations,
-                     e.report().residual, false);
-      consider(e.partial_result());
-      return std::nullopt;
-    }
-  };
-
-  auto try_bicgstab =
-      [&](Preconditioner precond,
-          const std::string& label) -> std::optional<RobustResult> {
-    obs::Span span("robust.attempt");
-    begin_attempt(label, span);
-    if (injector.should_fail("bicgstab")) {
-      report.warn("fault injection: " + label + " forced to fail");
-      finish_attempt(&span, label, 0, std::nan(""), false);
-      return std::nullopt;
-    }
-    BicgstabOptions bi_opts = opts.bicgstab;
-    bi_opts.precond = precond;
-    if (bi_opts.jobs == 0) bi_opts.jobs = opts.jobs;
-    forward_budget(bi_opts.budget);
-    try {
-      BicgstabResult r = bicgstab_steady_state(qt, diag, bi_opts);
-      report.convergence = r.report.convergence;
-      return accept(std::move(r.pi), label, r.iterations, &span);
-    } catch (const ConvergenceError& e) {
-      report.iterations += e.report().iterations;
-      report.convergence = e.report().convergence;
-      report.warn(label + ": " + e.what());
-      finish_attempt(&span, label, e.report().iterations,
-                     e.report().residual, false);
-      consider(e.partial_result());
-      return std::nullopt;
-    }
-  };
-
-  auto try_ad = [&](const NcdPartition& part,
-                    const std::string& label) -> std::optional<RobustResult> {
-    obs::Span span("robust.attempt");
-    begin_attempt(label, span);
-    if (injector.should_fail("ad")) {
-      report.warn("fault injection: " + label + " forced to fail");
-      finish_attempt(&span, label, 0, std::nan(""), false);
-      return std::nullopt;
-    }
-    AdOptions ad_opts = opts.ncd;
-    if (ad_opts.jobs == 0) ad_opts.jobs = opts.jobs;
-    forward_budget(ad_opts.budget);
-    try {
-      AdResult r = ad_steady_state(qt, diag, part, ad_opts);
-      report.convergence = r.report.convergence;
-      return accept(std::move(r.pi), label, r.sweeps, &span);
-    } catch (const ConvergenceError& e) {
-      report.iterations += e.report().iterations;
-      report.convergence = e.report().convergence;
-      report.warn(label + ": " + e.what());
-      finish_attempt(&span, label, e.report().iterations,
-                     e.report().residual, false);
-      consider(e.partial_result());
-      return std::nullopt;
-    }
-  };
-
-  auto try_power = [&]() -> std::optional<RobustResult> {
-    obs::Span span("robust.attempt");
-    begin_attempt("power", span);
-    if (injector.should_fail("power")) {
-      report.warn("fault injection: power forced to fail");
-      finish_attempt(&span, "power", 0, std::nan(""), false);
-      return std::nullopt;
-    }
-    PowerOptions power_opts = opts.power;
-    if (power_opts.jobs == 0) power_opts.jobs = opts.jobs;
-    forward_budget(power_opts.budget);
-    try {
-      PowerResult r =
-          power_steady_state(uniformized_dtmc(qt, diag), power_opts);
-      report.convergence = r.report.convergence;
-      return accept(std::move(r.pi), "power", r.iterations, &span);
-    } catch (const ConvergenceError& e) {
-      report.iterations += e.report().iterations;
-      report.convergence = e.report().convergence;
-      report.warn(std::string("power: ") + e.what());
-      finish_attempt(&span, "power", e.report().iterations,
-                     e.report().residual, false);
-      consider(e.partial_result());
-      return std::nullopt;
-    }
-  };
-
-  SorOptions sor_opts = opts.sor;
-  if (sor_opts.jobs == 0) sor_opts.jobs = opts.jobs;
-  forward_budget(sor_opts.budget);
-
-  // ---- forced single method ----------------------------------------------
   const SolverChoice choice = opts.solver != SolverChoice::kAuto
                                   ? opts.solver
                                   : ambient_solver();
+  std::vector<Attempt> chain;
+  std::string why = "all methods failed";
   if (choice != SolverChoice::kAuto) {
+    // A forced method is the chain of its one entry, still verified.
     solve_span.set("forced", solver_choice_name(choice));
     if (has_zero_diag && choice != SolverChoice::kGth) {
       throw NumericalError(
           "robust_steady_state: chain has a state with no exit rate "
           "(absorbing => reducible); only --solver gth can diagnose it");
     }
+    why = std::string("forced solver '") + solver_choice_name(choice) +
+          "' failed";
     switch (choice) {
-      case SolverChoice::kGth:
-        if (auto r = try_gth()) return *r;
-        break;
-      case SolverChoice::kSor:
-        if (auto r = try_sor(sor_opts, "sor")) return *r;
-        break;
-      case SolverChoice::kBicgstab:
-        if (auto r = try_bicgstab(opts.bicgstab.precond, "bicgstab")) {
-          return *r;
-        }
-        break;
-      case SolverChoice::kPower:
-        if (auto r = try_power()) return *r;
-        break;
-      case SolverChoice::kAd: {
-        const NcdPartition part =
-            detect_ncd_blocks(qt, diag, opts.ncd.coupling_threshold);
-        if (part.blocks < 2) {
+      case SolverChoice::kGth: chain = {gth}; break;
+      case SolverChoice::kSor: chain = {sor}; break;
+      case SolverChoice::kBicgstab: chain = {bicgstab}; break;
+      case SolverChoice::kPower: chain = {power}; break;
+      case SolverChoice::kAd:
+        chain = {ad.gated([&] {
+          detect_ncd();
+          if (part.blocks >= 2) return true;
           report.warn("ad: NCD detector found a single block (coupling "
                       "threshold " +
                       std::to_string(opts.ncd.coupling_threshold) + ")");
-        } else if (auto r = try_ad(part, "ad")) {
-          return *r;
-        }
+          return false;
+        })};
         break;
-      }
-      case SolverChoice::kAuto:
-        break;  // unreachable
+      case SolverChoice::kAuto: break;  // unreachable
     }
-    throw total_failure(std::string("forced solver '") +
-                        solver_choice_name(choice) + "' failed");
+  } else if (has_zero_diag) {
+    // GTH's diagnosis (usually "chain is reducible") is the failure.
+    chain = {gth};
+    why = "chain has an absorbing state (reducible)";
+  } else {
+    chain = {
+        gth.gated([&] { return n <= opts.dense_primary; }),
+        sor,
+        sor_reset.gated(
+            [&] { return opts.sor.omega != 1.0 || opts.sor.adaptive_omega; }),
+        // A/D only when the detector finds a decomposition: >= 2 blocks,
+        // coupling small enough that A/D converges in a few sweeps, and
+        // every block small enough for its dense censored solve.
+        ad.gated([&] {
+          detect_ncd();
+          return part.blocks >= 2 && part.coupling <= opts.ncd_auto_coupling &&
+                 part.max_block_size <= opts.dense_fallback;
+        }),
+        bicgstab,
+        bicgstab_jacobi.gated(
+            [&] { return opts.bicgstab.precond == Preconditioner::kIlu0; }),
+        power,
+        // Dense GTH as the last resort, unless it already ran first.
+        gth.gated([&] {
+          return n > opts.dense_primary && n <= opts.dense_fallback;
+        }),
+    };
   }
 
-  // ---- primary dense method for small chains ------------------------------
-  if (n <= opts.dense_primary || has_zero_diag) {
-    if (auto r = try_gth()) return *r;
-    if (has_zero_diag) {
-      // Iterative methods are structurally inapplicable; report the GTH
-      // diagnosis (usually "chain is reducible") directly.
-      throw total_failure(gth_error.empty()
-                              ? "chain has an absorbing state (reducible)"
-                              : gth_error);
-    }
-  }
-
-  // ---- SOR ---------------------------------------------------------------
-  if (auto r = try_sor(sor_opts, "sor")) return *r;
-  if (deadline_expired()) throw total_failure("deadline expired during sor");
-
-  // Retry once with over-relaxation disabled: stiff chains sometimes
-  // tolerate no omega > 1 at all, and the adaptive probe can have burned
-  // sweeps before settling.
-  if (opts.sor.omega != 1.0 || opts.sor.adaptive_omega) {
-    SorOptions reset = sor_opts;
-    reset.omega = 1.0;
-    reset.adaptive_omega = false;
-    if (auto r = try_sor(reset, "sor(omega-reset)")) return *r;
-    if (deadline_expired()) {
-      throw total_failure("deadline expired during sor retry");
-    }
-  }
-
-  // ---- NCD aggregation-disaggregation ------------------------------------
-  // Only when the detector actually finds a decomposition: >= 2 blocks,
-  // coupling small enough that A/D converges in a few sweeps, and every
-  // block small enough for its dense censored solve.
-  {
-    const NcdPartition part =
-        detect_ncd_blocks(qt, diag, opts.ncd.coupling_threshold);
-    if (part.blocks >= 2 && part.coupling <= opts.ncd_auto_coupling &&
-        part.max_block_size <= opts.dense_fallback) {
-      if (auto r = try_ad(part, "ad")) return *r;
-      if (deadline_expired()) {
-        throw total_failure("deadline expired during ad");
-      }
+  // ---- the runner ----------------------------------------------------------
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    const Attempt& a = chain[i];
+    if (a.gate && !a.gate()) continue;
+    if (auto r = run_attempt(a)) return std::move(*r);
+    if (a.stage != nullptr && i + 1 < chain.size() &&
+        opts.budget.deadline.expired()) {
+      throw total_failure(std::string("deadline expired during ") + a.stage);
     }
   }
-
-  // ---- preconditioned BiCGSTAB (the Krylov tier) --------------------------
-  if (auto r = try_bicgstab(opts.bicgstab.precond, "bicgstab")) return *r;
-  if (deadline_expired()) {
-    throw total_failure("deadline expired during bicgstab");
+  if (has_zero_diag && choice == SolverChoice::kAuto && !diagnosis.empty()) {
+    why = diagnosis;
   }
-  if (opts.bicgstab.precond == Preconditioner::kIlu0) {
-    // ILU0 can be a poor factor for chains with wildly unbalanced rates;
-    // plain diagonal scaling sometimes still converges.
-    if (auto r = try_bicgstab(Preconditioner::kJacobi, "bicgstab(jacobi)")) {
-      return *r;
-    }
-    if (deadline_expired()) {
-      throw total_failure("deadline expired during bicgstab retry");
-    }
-  }
-
-  // ---- power iteration on the uniformized DTMC ---------------------------
-  if (auto r = try_power()) return *r;
-  if (deadline_expired()) throw total_failure("deadline expired during power");
-
-  // ---- dense GTH as the last resort --------------------------------------
-  if (!gth_tried && n <= opts.dense_fallback) {
-    if (auto r = try_gth()) return *r;
-  }
-
-  throw total_failure("all methods failed");
+  throw total_failure(why);
 }
 
 }  // namespace relkit::robust

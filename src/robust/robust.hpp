@@ -4,20 +4,27 @@
 // The tutorial's models are routinely stiff (rates spanning many orders of
 // magnitude) and near-reducible (clusters coupled by tiny rates) — exactly
 // the regime where a single iterative method silently stalls. The fallback
-// chain tries, in order:
+// chain is a list of entries, each a {label, fault probe, gate, run}, walked
+// in order by one runner:
 //
 //   gth (dense, exact)            when n <= dense_primary
 //   sor                           symmetric Gauss-Seidel / SOR sweeps
-//   sor (omega reset)             plain Gauss-Seidel retry if the first SOR
+//   sor(omega-reset)              plain Gauss-Seidel retry if the first SOR
 //                                 attempt used over-relaxation
 //   ad                            Courtois/Takahashi aggregation-
 //                                 disaggregation, only when the NCD detector
 //                                 finds a decomposition with small coupling
 //   bicgstab                      preconditioned BiCGSTAB + RCM reordering
-//                                 (ILU0 first, diagonal retry)
+//   bicgstab(jacobi)              diagonal-preconditioned retry after ILU0
 //   power                         damped power iteration on the uniformized
 //                                 DTMC P = I + Q/q
-//   gth (dense, last resort)      when n <= dense_fallback
+//   gth (dense, last resort)      when dense_primary < n <= dense_fallback
+//
+// A gate runs only when the runner reaches its entry, so the NCD detector,
+// a dense Q or a uniformized P cost nothing when an earlier entry wins. The
+// runner owns everything the entries share: the attempt span, the fault
+// probe, ConvergenceError capture, best-partial tracking, verification and
+// the deadline check between entries. A new method is one more entry.
 //
 // Every candidate result is *verified* (finite, renormalized, residual
 // below verify_tol x rate-scale) before being accepted; a method whose
@@ -29,7 +36,7 @@
 // A single method can be forced — per call (RobustSteadyOptions::solver),
 // per thread (ScopedSolverChoice, used by relkit_serve's per-request
 // "solver" field), or process-wide (set_default_solver, the CLI --solver
-// flag) — in which case only that method runs, still verified.
+// flag). The chain is then that method's entry alone, still verified.
 #pragma once
 
 #include <cstddef>
@@ -135,18 +142,9 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
                                  const std::vector<double>& diag,
                                  const RobustSteadyOptions& opts = {});
 
-/// max_i |(pi Q)_i| for a candidate stationary vector (qt/diag as above).
-double steady_state_residual(const SparseMatrix& qt,
-                             const std::vector<double>& diag,
-                             const std::vector<double>& pi);
-
-/// Same, row-chunked on `pool` (nullptr = sequential). The value is
-/// independent of the worker count: per-row accumulation order is fixed and
-/// the chunk maxima fold in chunk-index order.
-double steady_state_residual(const SparseMatrix& qt,
-                             const std::vector<double>& diag,
-                             const std::vector<double>& pi,
-                             parallel::ThreadPool* pool);
+/// max_i |(pi Q)_i| for a candidate stationary vector (common/linsolve.hpp),
+/// the residual every attempt is verified with.
+using relkit::steady_state_residual;
 
 /// True when every element of `v` is finite.
 bool all_finite(const std::vector<double>& v);

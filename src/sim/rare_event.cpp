@@ -508,9 +508,7 @@ Estimate run_rare(const char* what, const RareEventModel& model, bool mttf,
   report.attempts = {method_name(opts.method)};
   report.iterations = stats.count();
   report.converged = converged;
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  report.wall_seconds = robust::seconds_since(start);
   if (stopped) {
     report.warn(std::string(what) + ": budget stop (" + stop_reason +
                 ") after " + std::to_string(stats.count()) + " cycles");

@@ -128,9 +128,7 @@ Estimate run_replications(const char* what, std::size_t replications,
   report.attempts = {"monte-carlo"};
   report.iterations = stats.count();
   report.converged = !stopped;
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  report.wall_seconds = robust::seconds_since(start);
   if (stopped) {
     report.warn(std::string(what) + ": budget stop (" + stop_reason +
                 ") after " + std::to_string(stats.count()) + " of " +

@@ -98,7 +98,7 @@ TEST(Golden, Jobs1SteadyStateBits) {
   }
   markov::SteadyStateOptions opts;
   opts.dense_threshold = 0;  // force SOR
-  opts.enable_fallbacks = false;
+  opts.solver = robust::SolverChoice::kSor;
   opts.sor.tol = 1e-13;
   opts.jobs = 1;
   opts.use_cache = false;

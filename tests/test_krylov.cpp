@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/krylov.hpp"
+#include "common/linsolve.hpp"
 #include "common/reorder.hpp"
 #include "common/sparse.hpp"
 #include "robust/budget.hpp"
@@ -326,6 +327,51 @@ TEST(Ncd, AdSolvesPlantedSystemFast) {
   EXPECT_LE(r.sweeps, 10u) << "NCD coupling 1e-5 should converge in a few "
                               "sweeps, took " << r.sweeps;
   EXPECT_TRUE(r.report.converged);
+}
+
+// ---- residual --------------------------------------------------------------
+
+// The residual a kernel reports is max|pi Q| of the pi it hands back,
+// computed by the same loop the robust layer verifies with: equal bit for
+// bit at any worker count, for a converged result and for the partial of a
+// ConvergenceError alike. The last chain is symmetric, so the uniform start
+// vector is already exact.
+TEST(Residual, KernelResidualIsTheVerificationResidual) {
+  const auto expect_same = [](const SparseMatrix& qt,
+                              const std::vector<double>& diag,
+                              const auto& solve, const char* kernel) {
+    SCOPED_TRACE(kernel);
+    try {
+      const auto r = solve();
+      EXPECT_EQ(r.residual, robust::steady_state_residual(qt, diag, r.pi));
+      EXPECT_EQ(r.report.residual, r.residual);
+    } catch (const robust::ConvergenceError& e) {
+      EXPECT_EQ(e.report().residual,
+                robust::steady_state_residual(qt, diag, e.partial_result()));
+    }
+  };
+  for (std::size_t k = 0; k < 24; ++k) {
+    const std::size_t n = 5 + 41 * k;
+    const double lam = k < 23 ? 0.3 + 0.03 * static_cast<double>(k) : 1.0;
+    const double mu = k < 23 ? 1.0 + 0.02 * static_cast<double>(k) : 1.0;
+    SparseMatrix qt;
+    std::vector<double> diag;
+    birth_death_system(n, lam, mu, qt, diag);
+    for (const unsigned jobs : {1u, 4u}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", jobs " +
+                   std::to_string(jobs));
+      SorOptions sor;
+      sor.jobs = jobs;
+      expect_same(qt, diag, [&] { return sor_steady_state(qt, diag, sor); },
+                  "sor");
+      BicgstabOptions bi;
+      bi.jobs = jobs;
+      bi.max_iters = 200;
+      expect_same(qt, diag,
+                  [&] { return bicgstab_steady_state(qt, diag, bi); },
+                  "bicgstab");
+    }
+  }
 }
 
 // ---- solver-choice plumbing ------------------------------------------------

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,6 +17,7 @@
 #include "core/hierarchy.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/solution_cache.hpp"
+#include "obs/obs.hpp"
 #include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/report.hpp"
@@ -214,7 +218,7 @@ TEST(FallbackChain, StiffNearReducibleRegression) {
   // The raw single-method path gives up: 50 Gauss-Seidel sweeps cannot move
   // mass across a 1e-9 coupling.
   markov::SteadyStateOptions raw;
-  raw.enable_fallbacks = false;
+  raw.solver = robust::SolverChoice::kSor;
   raw.dense_threshold = 0;
   raw.sor.max_iters = 50;
   EXPECT_THROW(chain.steady_state(raw), robust::ConvergenceError);
@@ -236,6 +240,144 @@ TEST(FallbackChain, StiffNearReducibleRegression) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_NEAR(pi[i], exact[i], 1e-10);
   }
+}
+
+// ---- characterization: the exact walk of the chain --------------------------
+
+constexpr std::size_t kAlways = std::numeric_limits<std::size_t>::max();
+
+/// One scenario and the exact attempt sequence it must produce. An empty
+/// `method` means the solve throws ConvergenceError.
+struct ChainWalk {
+  const char* name;
+  bool stiff;  ///< stiff_near_reducible_chain(), else a 12-state BD chain
+  robust::SolverChoice solver;
+  std::vector<std::pair<const char*, std::size_t>> faults;  ///< fail_method
+  std::vector<std::string> attempts;
+  std::vector<std::string> fallbacks;
+  std::string method;
+};
+
+const std::vector<ChainWalk>& chain_walks() {
+  using S = robust::SolverChoice;
+  static const std::vector<ChainWalk> walks = {
+      {"sor accepted at once", false, S::kAuto, {}, {"sor"}, {}, "sor"},
+      {"sor fails once", false, S::kAuto, {{"sor", 1}},
+       {"sor", "sor(omega-reset)"}, {"sor->sor(omega-reset)"},
+       "sor(omega-reset)"},
+      {"stiff near-reducible", true, S::kAuto, {},
+       {"sor", "sor(omega-reset)", "ad"},
+       {"sor->sor(omega-reset)", "sor(omega-reset)->ad"}, "ad"},
+      {"every probe armed", false, S::kAuto,
+       {{"gth", kAlways}, {"sor", kAlways}, {"ad", kAlways},
+        {"bicgstab", kAlways}, {"power", kAlways}},
+       {"sor", "sor(omega-reset)", "bicgstab", "bicgstab(jacobi)", "power",
+        "gth"},
+       {"sor->sor(omega-reset)", "sor(omega-reset)->bicgstab",
+        "bicgstab->bicgstab(jacobi)", "bicgstab(jacobi)->power",
+        "power->gth"},
+       ""},
+      {"forced gth", false, S::kGth, {}, {"gth"}, {}, "gth"},
+      {"forced sor", false, S::kSor, {}, {"sor"}, {}, "sor"},
+      {"forced bicgstab", false, S::kBicgstab, {}, {"bicgstab"}, {},
+       "bicgstab"},
+      {"forced power", false, S::kPower, {}, {"power"}, {}, "power"},
+      {"forced ad", true, S::kAd, {}, {"ad"}, {}, "ad"},
+      {"forced gth, probe armed", false, S::kGth, {{"gth", kAlways}},
+       {"gth"}, {}, ""},
+      {"forced sor, probe armed", false, S::kSor, {{"sor", kAlways}},
+       {"sor"}, {}, ""},
+      {"forced bicgstab, probe armed", false, S::kBicgstab,
+       {{"bicgstab", kAlways}}, {"bicgstab"}, {}, ""},
+      {"forced power, probe armed", false, S::kPower, {{"power", kAlways}},
+       {"power"}, {}, ""},
+      {"forced ad, probe armed", true, S::kAd, {{"ad", kAlways}}, {"ad"},
+       {}, ""},
+  };
+  return walks;
+}
+
+TEST(ChainCharacterization, FaultTablePinsAttemptsAndFallbacks) {
+  for (const ChainWalk& w : chain_walks()) {
+    SCOPED_TRACE(w.name);
+    FaultInjectionScope scope;
+    for (const auto& [method, times] : w.faults) {
+      scope->fail_method(method, times);
+    }
+    const auto chain = w.stiff ? stiff_near_reducible_chain()
+                               : birth_death_chain(12, 1.0, 2.0);
+    markov::SteadyStateOptions opts;
+    opts.dense_threshold = 0;          // no primary GTH
+    opts.gth_fallback_threshold = 64;  // last-resort GTH allowed
+    opts.use_cache = false;
+    opts.solver = w.solver;
+    if (w.stiff) opts.sor.max_iters = 50;
+
+    robust::SolveReport report;
+    if (!w.method.empty()) {
+      const auto pi = chain.steady_state(opts, &report);
+      EXPECT_EQ(report.method, w.method);
+      EXPECT_TRUE(report.converged);
+      EXPECT_EQ(pi.size(), chain.state_count());
+    } else {
+      try {
+        chain.steady_state(opts, &report);
+        ADD_FAILURE() << "expected ConvergenceError";
+        continue;
+      } catch (const robust::ConvergenceError& e) {
+        report = e.report();
+        const std::string why = w.solver == robust::SolverChoice::kAuto
+                                    ? "all methods failed"
+                                    : std::string("forced solver '") +
+                                          w.attempts.front() + "' failed";
+        EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+            << e.what();
+        ASSERT_EQ(e.partial_result().size(), chain.state_count());
+        for (const double x : e.partial_result()) {
+          EXPECT_TRUE(std::isfinite(x));
+        }
+        EXPECT_FALSE(report.converged);
+      }
+    }
+    EXPECT_EQ(report.attempts, w.attempts) << report.summary();
+    EXPECT_EQ(report.fallbacks, w.fallbacks) << report.summary();
+    ASSERT_EQ(report.attempt_details.size(), w.attempts.size());
+    for (std::size_t i = 0; i < w.attempts.size(); ++i) {
+      EXPECT_EQ(report.attempt_details[i].method, w.attempts[i]);
+      const bool last_accepted =
+          !w.method.empty() && i + 1 == w.attempts.size();
+      EXPECT_EQ(report.attempt_details[i].accepted, last_accepted);
+    }
+  }
+}
+
+TEST(ChainCharacterization, AcceptedSorNeverRunsNcdDetector) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  obs::set_enabled(true);
+  obs::Gauge& blocks = obs::gauge("markov.ncd.blocks");
+  constexpr double kSentinel = -7.0;
+  const auto chain = birth_death_chain(12, 1.0, 2.0);
+  markov::SteadyStateOptions opts;
+  opts.dense_threshold = 0;
+  opts.use_cache = false;
+
+  blocks.set(kSentinel);
+  robust::SolveReport report;
+  chain.steady_state(opts, &report);
+  EXPECT_EQ(report.method, "sor");
+  EXPECT_EQ(blocks.value(), kSentinel);
+
+  // Control: once both SOR attempts fail the chain reaches the A/D gate,
+  // and the detector overwrites the sentinel.
+  {
+    FaultInjectionScope scope;
+    scope->fail_method("sor");
+    chain.steady_state(opts, &report);
+  }
+  EXPECT_EQ(report.method, "bicgstab");
+  EXPECT_EQ(blocks.value(), 1.0);
+  blocks.reset();
+  obs::set_enabled(false);
 }
 
 // ---- uniformization guards --------------------------------------------------
@@ -321,7 +463,7 @@ TEST(Budgets, SorDeadlineCarriesPartialResult) {
   const std::size_t n = 10;
   const auto chain = birth_death_chain(n, 1.0, 2.0);
   markov::SteadyStateOptions opts;
-  opts.enable_fallbacks = false;  // reach the raw SOR path
+  opts.solver = robust::SolverChoice::kSor;  // SOR alone, no fallback
   opts.dense_threshold = 0;
   opts.sor.budget.deadline = robust::Deadline::after_seconds(-1.0);
   try {

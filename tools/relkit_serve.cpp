@@ -37,6 +37,8 @@
 // docs/postmortem.md. Full reference: docs/serving.md.
 //
 // Exit codes: 0 clean shutdown, 1 usage error, 4 invalid argument.
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -50,10 +52,6 @@
 #include "serve/server.hpp"
 
 namespace {
-
-volatile std::sig_atomic_t g_stop = 0;
-
-void on_signal(int) { g_stop = 1; }
 
 void usage() {
   std::fprintf(stderr,
@@ -238,6 +236,15 @@ int main(int argc, char** argv) {
                  postmortem_dir.c_str());
     return 4;
   }
+  // SIGTERM/SIGINT are blocked before the first thread starts, so every
+  // thread inherits the mask and the signal stays pending until main's
+  // sigwait below takes it: none can be lost to a worker thread or arrive
+  // before the daemon is ready to drain.
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
   if (watchdog_ms > 0) {
     relkit::obs::postmortem::start_watchdog(
         static_cast<unsigned>(watchdog_ms));
@@ -256,14 +263,8 @@ int main(int argc, char** argv) {
   std::printf("listening on %d\n", server.port());
   std::fflush(stdout);
 
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  sigset_t empty;
-  sigemptyset(&empty);
-  while (g_stop == 0) {
-    // Sleep until any signal arrives; the handler sets g_stop first.
-    sigsuspend(&empty);
-  }
+  int received = 0;
+  sigwait(&stop_signals, &received);
 
   // Graceful drain: stop admissions, answer everything already accepted,
   // then report the same per-error-class summary --batch prints.
