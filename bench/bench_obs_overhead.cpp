@@ -17,7 +17,7 @@
 //      that does not depend on run-to-run scheduler jitter;
 //   4. sink ablation: the same workload with a RingBufferSink and with a
 //      ChromeTraceSink attached, plus tight-loop per-span costs for each
-//      sink — what --trace / --trace-format=chrome add on top of
+//      sink — what --trace / --trace=FILE add on top of
 //      "enabled, no sink";
 //   5. flight-recorder ablation: the enabled workload with the always-on
 //      crash recorder switched off, plus a tight-loop enabled-hook A/B

@@ -342,68 +342,6 @@ std::vector<std::string> Registry::names() const {
   return out;
 }
 
-std::string Registry::render_text() const {
-  Impl& im = impl();
-  std::lock_guard lock(im.mu);
-  std::string out;
-  for (const auto& [name, c] : im.counters) {
-    if (c->value() == 0) continue;
-    out += "counter   " + name + " = " + std::to_string(c->value()) + "\n";
-  }
-  for (const auto& [name, g] : im.gauges) {
-    if (g->value() == 0.0) continue;
-    out += "gauge     " + name + " = " + format_double(g->value()) + "\n";
-  }
-  for (const auto& [name, h] : im.histograms) {
-    if (h->count() == 0) continue;
-    out += "histogram " + name + ": count " + std::to_string(h->count()) +
-           ", mean " +
-           format_double(h->sum() / static_cast<double>(h->count())) +
-           ", min " + format_double(h->min()) + ", p50 " +
-           format_double(h->quantile(0.5)) + ", p99 " +
-           format_double(h->quantile(0.99)) + ", max " +
-           format_double(h->max()) + "\n";
-  }
-  if (out.empty()) out = "(no metrics recorded)\n";
-  return out;
-}
-
-std::string Registry::to_json() const {
-  Impl& im = impl();
-  std::lock_guard lock(im.mu);
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : im.counters) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + json_escape(name) + "\":" + std::to_string(c->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : im.gauges) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + json_escape(name) + "\":" + format_double(g->value());
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : im.histograms) {
-    if (!first) out += ",";
-    first = false;
-    const double n = static_cast<double>(h->count());
-    out += "\"" + json_escape(name) + "\":{\"count\":" +
-           std::to_string(h->count()) + ",\"sum\":" + format_double(h->sum()) +
-           ",\"mean\":" + format_double(n > 0 ? h->sum() / n : 0.0) +
-           ",\"min\":" + format_double(h->count() ? h->min() : 0.0) +
-           ",\"max\":" + format_double(h->count() ? h->max() : 0.0) +
-           ",\"p50\":" + format_double(h->quantile(0.5)) +
-           ",\"p90\":" + format_double(h->quantile(0.9)) +
-           ",\"p99\":" + format_double(h->quantile(0.99)) + "}";
-  }
-  out += "}}";
-  return out;
-}
-
 std::string sanitize_metric_name(std::string_view name) {
   std::string out;
   out.reserve(name.size() + 1);
@@ -587,9 +525,9 @@ void RingBufferSink::clear() {
   impl_->dropped = 0;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -607,7 +545,81 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
+}
+
+// ---- JsonWriter ------------------------------------------------------------
+
+void JsonWriter::separate() {
+  if (comma_) out_ += ',';
+  if (newline_) out_ += '\n';
+  comma_ = false;
+  newline_ = false;
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  separate();
+  out_ += bracket;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  if (newline_) out_ += '\n';
+  newline_ = false;
+  out_ += bracket;
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  separate();
+  out_ += '"';
+  append_escaped(out_, name);
+  out_ += "\":";
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view value) {
+  separate();
+  out_ += '"';
+  append_escaped(out_, value);
+  out_ += '"';
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.12g", value);
+  return raw(buf);
+}
+
+JsonWriter& JsonWriter::integer(std::uint64_t value) {
+  return raw(std::to_string(value));
+}
+
+JsonWriter& JsonWriter::boolean(bool value) {
+  return raw(value ? "true" : "false");
+}
+
+JsonWriter& JsonWriter::raw(std::string_view json) {
+  separate();
+  out_ += json;
+  comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::newline() {
+  newline_ = true;
+  return *this;
 }
 
 // ---- distributed trace ids -------------------------------------------------
@@ -759,7 +771,7 @@ RotatingFileWriter::~RotatingFileWriter() = default;
 
 std::unique_ptr<RotatingFileWriter> RotatingFileWriter::open(
     const std::string& path, std::size_t max_bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "a");
+  std::FILE* f = std::fopen(path.c_str(), "ae");
   if (!f) return nullptr;
   auto impl = std::make_unique<Impl>();
   impl->file = f;
@@ -783,7 +795,7 @@ void RotatingFileWriter::write_line(std::string_view line) {
     im.file = nullptr;
     const std::string rotated = im.path + ".1";
     std::rename(im.path.c_str(), rotated.c_str());
-    im.file = std::fopen(im.path.c_str(), "w");
+    im.file = std::fopen(im.path.c_str(), "we");
     im.size = 0;
     if (!im.file) return;  // disk trouble: drop lines rather than crash
   }
@@ -795,51 +807,6 @@ void RotatingFileWriter::write_line(std::string_view line) {
 void RotatingFileWriter::flush() {
   std::lock_guard lock(impl_->mu);
   if (impl_->file) std::fflush(impl_->file);
-}
-
-struct JsonlSink::Impl {
-  std::mutex mu;
-  std::FILE* file = nullptr;
-  ~Impl() {
-    if (file) std::fclose(file);
-  }
-};
-
-JsonlSink::JsonlSink(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
-
-JsonlSink::~JsonlSink() = default;
-
-std::unique_ptr<JsonlSink> JsonlSink::open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return nullptr;
-  auto impl = std::make_unique<Impl>();
-  impl->file = f;
-  return std::unique_ptr<JsonlSink>(new JsonlSink(std::move(impl)));
-}
-
-void JsonlSink::on_span(const SpanRecord& r) {
-  std::string line = "{\"id\":" + std::to_string(r.id) +
-                     ",\"parent\":" + std::to_string(r.parent) +
-                     ",\"depth\":" + std::to_string(r.depth) +
-                     ",\"thread\":" + std::to_string(r.thread) +
-                     ",\"name\":\"" + json_escape(r.name) + "\"" +
-                     ",\"start_s\":" + format_double(r.start_s) +
-                     ",\"wall_s\":" + format_double(r.wall_s) +
-                     ",\"cpu_s\":" + format_double(r.cpu_s) + ",\"attrs\":{";
-  bool first = true;
-  for (const auto& [k, v] : r.attrs) {
-    if (!first) line += ",";
-    first = false;
-    line += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
-  }
-  line += "}}\n";
-  std::lock_guard lock(impl_->mu);
-  std::fwrite(line.data(), 1, line.size(), impl_->file);
-}
-
-void JsonlSink::flush() {
-  std::lock_guard lock(impl_->mu);
-  std::fflush(impl_->file);
 }
 
 // ---- Chrome trace ----------------------------------------------------------
@@ -863,39 +830,35 @@ std::string to_chrome_json(const std::vector<SpanRecord>& records) {
             });
   std::sort(threads.begin(), threads.end());
 
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& event) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n" + event;
+  const auto microseconds = [](double seconds) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.3f", seconds * 1e6);
+    return std::string(buf);
   };
+  JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
   for (const std::uint64_t t : threads) {
-    emit("{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(t) +
-         ",\"name\":\"thread_name\",\"args\":{\"name\":\"relkit thread " +
-         std::to_string(t) + "\"}}");
+    w.newline().begin_object().key("ph").string("M").key("pid").integer(1);
+    w.key("tid").integer(t).key("name").string("thread_name");
+    w.key("args").begin_object();
+    w.key("name").string("relkit thread " + std::to_string(t));
+    w.end_object().end_object();
   }
-  char num[40];
   for (const SpanRecord* r : sorted) {
-    std::string event = "{\"ph\":\"X\",\"pid\":1,\"tid\":" +
-                        std::to_string(r->thread) + ",\"name\":\"" +
-                        json_escape(r->name) + "\",\"cat\":\"relkit\"";
-    std::snprintf(num, sizeof(num), "%.3f", r->start_s * 1e6);
-    event += std::string(",\"ts\":") + num;
-    std::snprintf(num, sizeof(num), "%.3f", r->wall_s * 1e6);
-    event += std::string(",\"dur\":") + num;
-    event += ",\"args\":{\"span_id\":\"" + std::to_string(r->id) +
-             "\",\"parent\":\"" + std::to_string(r->parent) + "\"";
-    std::snprintf(num, sizeof(num), "%.3f", r->cpu_s * 1e6);
-    event += std::string(",\"cpu_us\":\"") + num + "\"";
-    for (const auto& [k, v] : r->attrs) {
-      event += ",\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
-    }
-    event += "}}";
-    emit(event);
+    w.newline().begin_object().key("ph").string("X").key("pid").integer(1);
+    w.key("tid").integer(r->thread).key("name").string(r->name);
+    w.key("cat").string("relkit");
+    w.key("ts").raw(microseconds(r->start_s));
+    w.key("dur").raw(microseconds(r->wall_s));
+    w.key("args").begin_object();
+    w.key("span_id").string(std::to_string(r->id));
+    w.key("parent").string(std::to_string(r->parent));
+    w.key("cpu_us").string(microseconds(r->cpu_s));
+    for (const auto& [k, v] : r->attrs) w.key(k).string(v);
+    w.end_object().end_object();
   }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
+  w.newline().end_array().key("displayTimeUnit").string("ms").end_object();
+  return w.take() + "\n";
 }
 
 struct ChromeTraceSink::Impl {
@@ -913,7 +876,7 @@ ChromeTraceSink::ChromeTraceSink(std::unique_ptr<Impl> impl)
 
 std::unique_ptr<ChromeTraceSink> ChromeTraceSink::open(
     const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::FILE* f = std::fopen(path.c_str(), "we");
   if (!f) return nullptr;
   auto impl = std::make_unique<Impl>();
   impl->file = f;
@@ -1263,31 +1226,26 @@ std::string render_profile_table(const ProfileReport& profile) {
 }
 
 std::string profile_to_json(const ProfileReport& profile) {
-  std::string out = "[";
-  bool first = true;
+  JsonWriter w;
+  w.begin_array();
   for (const auto& r : profile.rows) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"" + json_escape(r.name) +
-           "\",\"count\":" + std::to_string(r.count) +
-           ",\"wall_s\":" + format_double(r.inclusive_wall) +
-           ",\"excl_s\":" + format_double(r.exclusive_wall) +
-           ",\"cpu_s\":" + format_double(r.inclusive_cpu) +
-           ",\"pct\":" + format_double(r.percent);
+    w.begin_object().key("name").string(r.name).key("count").integer(r.count);
+    w.key("wall_s").raw(format_double(r.inclusive_wall));
+    w.key("excl_s").raw(format_double(r.exclusive_wall));
+    w.key("cpu_s").raw(format_double(r.inclusive_cpu));
+    w.key("pct").raw(format_double(r.percent));
     if (r.hw_samples > 0) {
-      out += ",\"hw_cycles\":" + std::to_string(r.hw_cycles) +
-             ",\"hw_instructions\":" + std::to_string(r.hw_instructions) +
-             ",\"hw_cache_misses\":" + std::to_string(r.hw_cache_misses);
+      w.key("hw_cycles").integer(r.hw_cycles);
+      w.key("hw_instructions").integer(r.hw_instructions);
+      w.key("hw_cache_misses").integer(r.hw_cache_misses);
       if (r.hw_cycles > 0) {
-        out += ",\"ipc\":" +
-               format_double(static_cast<double>(r.hw_instructions) /
-                             static_cast<double>(r.hw_cycles));
+        w.key("ipc").raw(format_double(static_cast<double>(r.hw_instructions) /
+                                       static_cast<double>(r.hw_cycles)));
       }
     }
-    out += "}";
+    w.end_object();
   }
-  out += "]";
-  return out;
+  return w.end_array().take();
 }
 
 }  // namespace relkit::obs

@@ -11,7 +11,7 @@
 //   * scoped Span tracing: RAII spans nest via a thread-local stack, record
 //     wall and per-thread CPU time plus free-form attributes, and are
 //     emitted on completion to pluggable sinks (in-memory ring buffer for
-//     tree rendering, JSON-lines file for machine consumption);
+//     tree rendering, Chrome trace-event file for machine consumption);
 //   * render_trace_tree() turns a batch of completed spans back into the
 //     nested phase-by-phase cost tree the CLI prints for --trace.
 //
@@ -209,15 +209,6 @@ class Registry {
   /// All registered metric names (sorted), for docs lint and tests.
   std::vector<std::string> names() const;
 
-  /// Human-readable dump (CLI --metrics), one "kind name value" per line,
-  /// sorted by name. Metrics that never recorded anything are omitted.
-  std::string render_text() const;
-
-  /// Single-line-free JSON object:
-  /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,
-  /// max,p50,p90,p99}}}.
-  std::string to_json() const;
-
   /// OpenMetrics text exposition (Prometheus-scrapable): per metric a
   /// `# HELP` line carrying the original dotted name, a `# TYPE` line, and
   /// sample lines — counters as `<name>_total`, histograms as cumulative
@@ -317,25 +308,6 @@ class RingBufferSink : public Sink {
   std::shared_ptr<Impl> impl_;
 };
 
-/// Writes one JSON object per completed span to a file:
-///   {"id":..,"parent":..,"thread":..,"name":"..","start_s":..,"wall_s":..,
-///    "cpu_s":..,"attrs":{"k":"v",...}}
-class JsonlSink : public Sink {
- public:
-  /// Opens `path` for writing; returns nullptr when the file cannot be
-  /// opened (callers map this to their own error policy — obs has no
-  /// dependency on RelKit's exception hierarchy).
-  static std::unique_ptr<JsonlSink> open(const std::string& path);
-  ~JsonlSink() override;
-  void on_span(const SpanRecord& record) override;
-  void flush();
-
- private:
-  struct Impl;
-  explicit JsonlSink(std::unique_ptr<Impl> impl);
-  std::unique_ptr<Impl> impl_;
-};
-
 /// Serializes completed spans as Chrome trace-event JSON (the JSON Object
 /// Format: {"traceEvents":[...]}), loadable in Perfetto / chrome://tracing:
 /// one complete "X" event per span (ts/dur in microseconds, pid 1, tid =
@@ -349,8 +321,9 @@ std::string to_chrome_json(const std::vector<SpanRecord>& records);
 /// no valid incremental prefix).
 class ChromeTraceSink : public Sink {
  public:
-  /// Opens `path` for writing; nullptr when the file cannot be opened
-  /// (same error policy as JsonlSink::open).
+  /// Opens `path` for writing; returns nullptr when the file cannot be
+  /// opened (callers map this to their own error policy — obs has no
+  /// dependency on RelKit's exception hierarchy).
   static std::unique_ptr<ChromeTraceSink> open(const std::string& path);
   ~ChromeTraceSink() override;
   void on_span(const SpanRecord& record) override;
@@ -407,8 +380,50 @@ class RotatingFileWriter {
   std::unique_ptr<Impl> impl_;
 };
 
-/// JSON-escape a string (shared by JsonlSink and Registry::to_json).
+/// JSON-escape a string: quote, backslash and control bytes are escaped,
+/// everything else (UTF-8 included) passes through.
 std::string json_escape(std::string_view s);
+
+/// Builds one JSON text. It owns the commas between members and elements
+/// and the escaping of keys and strings; each surface keeps its own number
+/// format: number() is %.12g (RelKit's result format), integer() is exact,
+/// and raw() splices preformatted text — a fixed-point timestamp, a nested
+/// JSON text, or a bare member list such as serve::SolveOutcome::fields —
+/// wherever a value or a member may go. Writing members without
+/// begin_object() yields such a bare member list.
+///
+///   obs::JsonWriter w;
+///   w.begin_object().key("ok").boolean(true).key("n").integer(3);
+///   w.end_object().str();  // {"ok":true,"n":3}
+class JsonWriter {
+ public:
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+  JsonWriter& key(std::string_view name);
+  JsonWriter& string(std::string_view value);
+  JsonWriter& number(double value);
+  JsonWriter& integer(std::uint64_t value);
+  JsonWriter& boolean(bool value);
+  JsonWriter& raw(std::string_view json);
+  /// Starts the next value (after its comma) or closing bracket on a new
+  /// line — the one-event-per-line layout of Chrome traces.
+  JsonWriter& newline();
+
+  const std::string& str() const { return out_; }
+  std::string take() { return std::move(out_); }
+
+ private:
+  /// Comma and pending line break before a key or a value.
+  void separate();
+  JsonWriter& open(char bracket);
+  JsonWriter& close(char bracket);
+
+  std::string out_;
+  bool comma_ = false;
+  bool newline_ = false;
+};
 
 // ---- distributed trace ids -------------------------------------------------
 

@@ -114,7 +114,7 @@ std::string ClientResponse::header(const std::string& name) const {
 }
 
 int tcp_connect(const std::string& host, int port, int timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

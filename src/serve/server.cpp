@@ -29,11 +29,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 /// Sends the whole buffer, waiting (via poll) up to `timeout_ms` total for
 /// socket-buffer space. False when the peer is gone or too slow — callers
 /// just close the connection; there is nobody left to tell.
@@ -63,14 +58,12 @@ bool send_all(int fd, std::string_view data, int timeout_ms) {
   return true;
 }
 
-std::string error_body(const std::string& error_class,
-                       const std::string& message,
-                       const std::string& trace_hex = {}) {
-  std::string out = "{\"ok\":false,";
-  if (!trace_hex.empty()) out += "\"trace_id\":\"" + trace_hex + "\",";
-  out += "\"error_class\":\"" + error_class + "\",\"error\":\"" +
-         obs::json_escape(message) + "\"}";
-  return out;
+std::string error_body(const char* error_class, const std::string& message,
+                       const std::string& trace_hex) {
+  obs::JsonWriter w;
+  w.begin_object().key("ok").boolean(false).key("trace_id").string(trace_hex);
+  w.key("error_class").string(error_class).key("error").string(message);
+  return w.end_object().take();
 }
 
 std::string format_seconds6(double s) {
@@ -125,7 +118,7 @@ bool Server::start(std::string* error) {
     return false;
   };
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return fail("socket");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -149,9 +142,7 @@ bool Server::start(std::string* error) {
     return fail("getsockname");
   }
   port_ = ntohs(addr.sin_port);
-  if (!set_nonblocking(listen_fd_)) return fail("fcntl");
-  if (::pipe(wake_pipe_) != 0) return fail("pipe");
-  set_nonblocking(wake_pipe_[0]);
+  if (::pipe2(wake_pipe_, O_NONBLOCK | O_CLOEXEC) != 0) return fail("pipe");
 
   if (!options_.trace_path.empty()) {
     trace_sink_ = obs::ChromeTraceSink::open(options_.trace_path);
@@ -269,25 +260,23 @@ void Server::log_unanswered(Conn& conn, const char* error_class) {
 void Server::write_access_log(const RequestLog& log, int status,
                               std::size_t bytes_out, double total_s) {
   if (access_log_ == nullptr) return;
-  std::string line =
-      "{\"ts\":" +
-      format_seconds6(std::chrono::duration<double>(
-                          std::chrono::system_clock::now().time_since_epoch())
-                          .count()) +
-      ",\"trace\":\"" + log.trace_hex + "\",\"req\":" +
-      std::to_string(log.seq) + ",\"id\":\"" + obs::json_escape(log.id) +
-      "\",\"method\":\"" + obs::json_escape(log.method) + "\",\"path\":\"" +
-      obs::json_escape(log.target) + "\",\"status\":" +
-      std::to_string(status) + ",\"error_class\":\"" +
-      (log.error_class.empty() ? "ok" : log.error_class) + "\",\"bytes_in\":" +
-      std::to_string(log.bytes_in) + ",\"bytes_out\":" +
-      std::to_string(bytes_out) + ",\"queue_wait_s\":" +
-      format_seconds6(log.queue_wait_s) + ",\"solve_s\":" +
-      format_seconds6(log.solve_s) + ",\"total_s\":" +
-      format_seconds6(total_s) + ",\"degraded\":" +
-      (log.degraded ? "true" : "false") + ",\"cache_hit\":" +
-      (log.cache_hit ? "true" : "false") + "}";
-  access_log_->write_line(line);
+  obs::JsonWriter w;
+  w.begin_object().key("ts").raw(format_seconds6(
+      std::chrono::duration<double>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count()));
+  w.key("trace").string(log.trace_hex).key("req").integer(log.seq);
+  w.key("id").string(log.id).key("method").string(log.method);
+  w.key("path").string(log.target).key("status").integer(status);
+  w.key("error_class").string(log.error_class.empty() ? "ok"
+                                                      : log.error_class);
+  w.key("bytes_in").integer(log.bytes_in).key("bytes_out").integer(bytes_out);
+  w.key("queue_wait_s").raw(format_seconds6(log.queue_wait_s));
+  w.key("solve_s").raw(format_seconds6(log.solve_s));
+  w.key("total_s").raw(format_seconds6(total_s));
+  w.key("degraded").boolean(log.degraded);
+  w.key("cache_hit").boolean(log.cache_hit);
+  access_log_->write_line(w.end_object().str());
 }
 
 void Server::record_slo(const std::string& endpoint,
@@ -483,9 +472,9 @@ void Server::event_loop() {
 
     if (pfds[1].revents & POLLIN) {
       for (;;) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                                 SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) break;
-        set_nonblocking(fd);
         conns.push_back(Conn{
             fd,
             HttpRequestParser(options_.max_header_bytes,
@@ -745,9 +734,6 @@ std::string Server::solve_response_body(const std::string& request_body,
   std::optional<obs::Span> parse_span;
   parse_span.emplace("serve.parse");
 
-  const std::string trace_field =
-      "\"trace_id\":\"" + log.trace_hex + "\",";
-
   const auto bad_request = [&](const std::string& message) {
     bad_counter.add();
     counts_.add_named("bad_request");
@@ -827,10 +813,11 @@ std::string Server::solve_response_body(const std::string& request_body,
                       log.trace_hex);
   }
 
-  const auto id_fields = [&](bool cached) {
-    if (id.empty()) return std::string();
-    return "\"id\":\"" + obs::json_escape(id) + "\",\"cached\":" +
-           (cached ? "true," : "false,");
+  const auto solve_body = [&](bool cached, const std::string& fields) {
+    obs::JsonWriter w;
+    w.begin_object().key("trace_id").string(log.trace_hex);
+    if (!id.empty()) w.key("id").string(id).key("cached").boolean(cached);
+    return w.raw(fields).end_object().take();
   };
 
   // Idempotent retry: a request id maps to its full successful response.
@@ -846,7 +833,7 @@ std::string Server::solve_response_body(const std::string& request_body,
       counts_.add(0);
       log.cache_hit = true;
       *status_out = 200;
-      return "{" + trace_field + id_fields(true) + hit->payload + "}";
+      return solve_body(true, hit->payload);
     }
   }
 
@@ -875,7 +862,7 @@ std::string Server::solve_response_body(const std::string& request_body,
     cache.insert(std::move(key),
                  markov::SolutionCache::Entry{{}, {}, outcome.fields});
   }
-  return "{" + trace_field + id_fields(false) + outcome.fields + "}";
+  return solve_body(false, outcome.fields);
 }
 
 }  // namespace relkit::serve

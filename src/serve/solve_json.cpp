@@ -1,7 +1,5 @@
 #include "serve/solve_json.hpp"
 
-#include <cstdio>
-
 #include "common/error.hpp"
 #include "io/model_parser.hpp"
 #include "obs/obs.hpp"
@@ -9,48 +7,47 @@
 
 namespace relkit::serve {
 
-std::string json_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
+std::string json_number(double v) { return obs::JsonWriter().number(v).take(); }
 
 namespace {
 
-std::string json_string_array(const std::vector<std::string>& items) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    out += (i ? ",\"" : "\"") + obs::json_escape(items[i]) + "\"";
-  }
-  out += "]";
-  return out;
+void write_strings(obs::JsonWriter& w, const std::vector<std::string>& items) {
+  w.begin_array();
+  for (const std::string& item : items) w.string(item);
+  w.end_array();
 }
 
 /// Compact SolveReport rendering for degraded responses: enough to tell
 /// what was attempted and why it stopped, without the full trajectory.
-std::string report_json(const robust::SolveReport& report) {
-  std::string out = "{\"method\":\"" + obs::json_escape(report.method) +
-                    "\",\"converged\":" +
-                    (report.converged ? "true" : "false") +
-                    ",\"iterations\":" + std::to_string(report.iterations) +
-                    ",\"residual\":" + json_number(report.residual) +
-                    ",\"attempts\":" + json_string_array(report.attempts) +
-                    ",\"fallbacks\":" + json_string_array(report.fallbacks) +
-                    ",\"warnings\":" + json_string_array(report.warnings) +
-                    "}";
-  return out;
+void write_report(obs::JsonWriter& w, const robust::SolveReport& report) {
+  w.begin_object().key("method").string(report.method);
+  w.key("converged").boolean(report.converged);
+  w.key("iterations").integer(report.iterations);
+  w.key("residual").number(report.residual);
+  write_strings(w.key("attempts"), report.attempts);
+  write_strings(w.key("fallbacks"), report.fallbacks);
+  write_strings(w.key("warnings"), report.warnings);
+  w.end_object();
 }
 
-std::string error_fields(const std::string& error_class,
-                         const std::string& message) {
-  return "\"ok\":false,\"error_class\":\"" + error_class + "\",\"error\":\"" +
-         obs::json_escape(message) + "\"";
+obs::JsonWriter error_fields(const char* error_class,
+                             const std::string& message) {
+  obs::JsonWriter w;
+  w.key("ok").boolean(false).key("error_class").string(error_class);
+  w.key("error").string(message);
+  return w;
 }
 
 }  // namespace
 
 SolveOutcome solve_model(const SolveSpec& spec) {
   SolveOutcome out;
+  const auto fail = [&out](int exit_class, const char* error_class,
+                           const char* message) {
+    out.exit_class = exit_class;
+    out.error_class = error_class;
+    out.fields = error_fields(error_class, message).take();
+  };
   // The ambient deadline binds every nested solve below this frame,
   // including hierarchical `event ... markov` submodels solved inside the
   // parser — the only way a per-request deadline can reach them.
@@ -64,45 +61,31 @@ SolveOutcome solve_model(const SolveSpec& spec) {
     const io::ParsedModel model =
         !spec.inline_text.empty() ? io::parse_model_string(spec.inline_text)
                                   : io::parse_model_file(spec.path);
-    std::string kind;
-    double steady = 0.0;
-    std::string at = "[";
-    if (model.fault_tree) {
-      kind = "ftree";
-      steady = model.fault_tree->top_probability_limit();
-      for (std::size_t i = 0; i < spec.times.size(); ++i) {
-        at += (i ? "," : "") + std::string("{\"t\":") +
-              json_number(spec.times[i]) + ",\"value\":" +
-              json_number(model.fault_tree->top_probability(spec.times[i])) +
-              "}";
-      }
-    } else if (model.graph) {
-      kind = "relgraph";
-      steady = model.graph->reliability(-1.0);
-      for (std::size_t i = 0; i < spec.times.size(); ++i) {
-        at += (i ? "," : "") + std::string("{\"t\":") +
-              json_number(spec.times[i]) + ",\"value\":" +
-              json_number(model.graph->reliability(spec.times[i])) + "}";
-      }
-    } else {
-      kind = "rbd";
-      steady = model.rbd->availability();
-      for (std::size_t i = 0; i < spec.times.size(); ++i) {
-        at += (i ? "," : "") + std::string("{\"t\":") +
-              json_number(spec.times[i]) + ",\"value\":" +
-              json_number(model.rbd->reliability(spec.times[i])) + "}";
-      }
+    const auto* ft = model.fault_tree.get();
+    const auto* graph = model.graph.get();
+    const double steady = ft      ? ft->top_probability_limit()
+                          : graph ? graph->reliability(-1.0)
+                                  : model.rbd->availability();
+    const auto value_at = [&](double t) {
+      return ft      ? ft->top_probability(t)
+             : graph ? graph->reliability(t)
+                     : model.rbd->reliability(t);
+    };
+    obs::JsonWriter w;
+    w.key("ok").boolean(true).key("name").string(model.name);
+    w.key("kind").string(ft ? "ftree" : graph ? "relgraph" : "rbd");
+    w.key("steady").number(steady).key("at").begin_array();
+    for (const double t : spec.times) {
+      w.begin_object().key("t").number(t);
+      w.key("value").number(value_at(t)).end_object();
     }
-    at += "]";
-    out.fields = "\"ok\":true,\"name\":\"" + obs::json_escape(model.name) +
-                 "\",\"kind\":\"" + kind + "\",\"steady\":" +
-                 json_number(steady) + ",\"at\":" + at;
+    w.end_array();
     // Which stationary method produced the answer, when a CTMC solve ran
     // (combinatorial-only models leave the slot empty).
     if (robust::has_last_report() && !robust::last_report().method.empty()) {
-      out.fields += ",\"solver\":\"" +
-                    obs::json_escape(robust::last_report().method) + "\"";
+      w.key("solver").string(robust::last_report().method);
     }
+    out.fields = w.take();
   } catch (const robust::ConvergenceError& e) {
     if (!scoped.effective().unlimited() && scoped.effective().expired() &&
         !e.partial_result().empty()) {
@@ -112,36 +95,23 @@ SolveOutcome solve_model(const SolveSpec& spec) {
       out.exit_class = 5;
       out.error_class = "deadline";
       out.degraded = true;
-      std::string partial = "[";
-      const auto& p = e.partial_result();
-      for (std::size_t i = 0; i < p.size(); ++i) {
-        partial += (i ? "," : "") + json_number(p[i]);
-      }
-      partial += "]";
-      out.fields = error_fields("deadline", e.what()) +
-                   ",\"degraded\":true,\"partial\":" + partial +
-                   ",\"report\":" + report_json(e.report());
+      obs::JsonWriter w = error_fields("deadline", e.what());
+      w.key("degraded").boolean(true).key("partial").begin_array();
+      for (const double p : e.partial_result()) w.number(p);
+      w.end_array().key("report");
+      write_report(w, e.report());
+      out.fields = w.take();
     } else {
-      out.exit_class = 3;
-      out.error_class = "numerical";
-      out.fields = error_fields("numerical", e.what());
+      fail(3, "numerical", e.what());
     }
   } catch (const ModelError& e) {
-    out.exit_class = 2;
-    out.error_class = "model";
-    out.fields = error_fields("model", e.what());
+    fail(2, "model", e.what());
   } catch (const NumericalError& e) {
-    out.exit_class = 3;
-    out.error_class = "numerical";
-    out.fields = error_fields("numerical", e.what());
+    fail(3, "numerical", e.what());
   } catch (const InvalidArgument& e) {
-    out.exit_class = 4;
-    out.error_class = "invalid";
-    out.fields = error_fields("invalid", e.what());
+    fail(4, "invalid", e.what());
   } catch (const std::exception& e) {
-    out.exit_class = 2;
-    out.error_class = "error";
-    out.fields = error_fields("error", e.what());
+    fail(2, "error", e.what());
   }
   return out;
 }

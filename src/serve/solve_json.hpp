@@ -44,7 +44,8 @@ struct SolveOutcome {
   std::string fields;
 };
 
-/// Formats a double the way every RelKit JSON surface does (%.12g).
+/// Formats a double the way solve results are written (%.12g, the
+/// number format of obs::JsonWriter).
 std::string json_number(double v);
 
 /// Parses and solves one model; never throws. Exceptions from parsing and

@@ -8,6 +8,8 @@
 #include <string>
 #include <string_view>
 
+#include "obs/obs.hpp"
+
 namespace relkit::serve {
 
 /// Thread-safe tally of request outcomes by error class. Workers call
@@ -55,29 +57,19 @@ class ErrorClassCounts {
   /// One JSON object, e.g. the final `--batch` line:
   /// {"summary":true,"models":7,"ok":5,"errors":{"model":1,...}}
   std::string to_json() const {
-    std::string out = "{\"summary\":true,\"models\":";
-    out += std::to_string(total());
-    out += ",\"ok\":";
-    out += std::to_string(ok_.load());
-    out += ",\"errors\":{";
-    const auto field = [&out](const char* name, std::uint64_t n,
-                              bool first = false) {
-      if (!first) out += ',';
-      out += '"';
-      out += name;
-      out += "\":";
-      out += std::to_string(n);
-    };
-    field("model", model_.load(), true);
-    field("numerical", numerical_.load());
-    field("invalid", invalid_.load());
-    field("deadline", deadline_.load());
-    field("bad_request", bad_request_.load());
-    field("overload", overload_.load());
-    field("draining", draining_.load());
-    field("error", error_.load());
-    out += "}}";
-    return out;
+    obs::JsonWriter w;
+    w.begin_object().key("summary").boolean(true);
+    w.key("models").integer(total()).key("ok").integer(ok_.load());
+    w.key("errors").begin_object();
+    w.key("model").integer(model_.load());
+    w.key("numerical").integer(numerical_.load());
+    w.key("invalid").integer(invalid_.load());
+    w.key("deadline").integer(deadline_.load());
+    w.key("bad_request").integer(bad_request_.load());
+    w.key("overload").integer(overload_.load());
+    w.key("draining").integer(draining_.load());
+    w.key("error").integer(error_.load());
+    return w.end_object().end_object().take();
   }
 
  private:

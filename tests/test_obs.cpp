@@ -1,7 +1,7 @@
 // Tests for the observability layer (src/obs/): metric semantics, span
-// nesting and parenting (including across threads), sink round-trips, the
-// disabled-mode no-op guarantee, and the span tree produced when the robust
-// fallback chain degrades under injected faults.
+// nesting and parenting (including across threads), the JSON writer and the
+// Chrome trace export, the disabled-mode no-op guarantee, and the span tree
+// produced when the robust fallback chain degrades under injected faults.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,18 +115,6 @@ TEST(Metrics, RegistryReturnsStableReferencesAndNames) {
   EXPECT_TRUE(found);
 }
 
-TEST(Metrics, RegistryJsonIsWellFormedish) {
-  RELKIT_REQUIRE_OBS_COMPILED_IN();
-  ObsScope scope;
-  obs::counter("test.json_counter").add(7);
-  obs::histogram("test.json_hist").observe(2.0);
-  const std::string json = obs::Registry::instance().to_json();
-  EXPECT_NE(json.find("\"test.json_counter\":7"), std::string::npos);
-  EXPECT_NE(json.find("\"test.json_hist\""), std::string::npos);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-}
-
 // ---- spans ------------------------------------------------------------------
 
 TEST(Spans, NestingRecordsParentAndDepth) {
@@ -217,49 +205,6 @@ TEST(Spans, RingBufferDropsOldest) {
   EXPECT_EQ(ring->dropped(), 6u);
   EXPECT_EQ(spans.front().name, "test.ring6");
   EXPECT_EQ(spans.back().name, "test.ring9");
-}
-
-TEST(Spans, JsonlRoundTrip) {
-  RELKIT_REQUIRE_OBS_COMPILED_IN();
-  ObsScope scope;
-  const std::string path = ::testing::TempDir() + "relkit_obs_spans.jsonl";
-  auto ring = std::make_shared<obs::RingBufferSink>();
-  {
-    std::shared_ptr<obs::JsonlSink> jsonl = obs::JsonlSink::open(path);
-    ASSERT_NE(jsonl, nullptr);
-    obs::Tracer::instance().add_sink(jsonl);
-    obs::Tracer::instance().add_sink(ring);
-    obs::Span outer("test.jsonl_outer");
-    {
-      obs::Span inner("test.jsonl_inner");
-      inner.set("method", "sor");
-      inner.set("residual", 1.25e-9);
-      inner.set("escaped", "a\"b\\c\n");
-    }
-    obs::Tracer::instance().remove_all_sinks();  // close + flush
-  }
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  // inner completed (and was written) before the sinks were removed; outer
-  // was still open at that point, so exactly one line.
-  ASSERT_EQ(lines.size(), 1u);
-  const std::string& line = lines[0];
-  const auto spans = ring->snapshot();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_NE(line.find("\"name\":\"test.jsonl_inner\""), std::string::npos);
-  EXPECT_NE(line.find("\"id\":" + std::to_string(spans[0].id)),
-            std::string::npos);
-  EXPECT_NE(line.find("\"parent\":" + std::to_string(spans[0].parent)),
-            std::string::npos);
-  EXPECT_NE(line.find("\"method\":\"sor\""), std::string::npos);
-  EXPECT_NE(line.find("\"residual\":\"1.25e-09\""), std::string::npos);
-  EXPECT_NE(line.find("\\\"b\\\\c\\n"), std::string::npos);
-  EXPECT_EQ(line.front(), '{');
-  EXPECT_EQ(line.back(), '}');
-  std::remove(path.c_str());
 }
 
 // ---- integration: fallback chain under injected faults ---------------------
@@ -448,6 +393,52 @@ TEST(OpenMetrics, HelpEscapesBackslashAndNewline) {
   EXPECT_NE(text.find("test_om_weird_name_x_total 0\n"), std::string::npos);
 }
 
+// ---- JSON writer -----------------------------------------------------------
+
+TEST(JsonWriter, OwnsCommasAcrossNesting) {
+  obs::JsonWriter w;
+  w.begin_object().key("a").integer(1).key("b").begin_array();
+  w.number(0.1).boolean(false).begin_object().end_object();
+  w.begin_array().end_array().string("x").end_array();
+  w.key("c").begin_object().key("d").raw("1.500").end_object();
+  w.end_object();
+  EXPECT_EQ(w.str(), R"({"a":1,"b":[0.1,false,{},[],"x"],"c":{"d":1.500}})");
+}
+
+TEST(JsonWriter, EscapesKeysAndStrings) {
+  obs::JsonWriter w;
+  w.begin_object().key("k\"\\").string("a\"b\\c\n\r\t\x01\x1f\xC3\xA9");
+  w.end_object();
+  EXPECT_EQ(w.str(),
+            "{\"k\\\"\\\\\":\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\xC3\xA9\"}");
+  EXPECT_EQ(obs::json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+}
+
+TEST(JsonWriter, NumbersAndBareMemberLists) {
+  // number() is %.12g; integer() is exact over the whole u64 range.
+  obs::JsonWriter w;
+  w.begin_array().number(1.0 / 3.0).number(1e-300).number(2.0);
+  w.integer(18446744073709551615ULL).end_array();
+  EXPECT_EQ(w.str(), "[0.333333333333,1e-300,2,18446744073709551615]");
+  // Members without an enclosing object form a bare list, which raw()
+  // splices into another object with the comma in the right place.
+  obs::JsonWriter members;
+  members.key("ok").boolean(true).key("n").integer(2);
+  obs::JsonWriter outer;
+  outer.begin_object().key("id").string("x").raw(members.take());
+  outer.key("z").integer(0).end_object();
+  EXPECT_EQ(outer.str(), R"({"id":"x","ok":true,"n":2,"z":0})");
+}
+
+TEST(JsonWriter, NewlineGoesAfterTheComma) {
+  obs::JsonWriter w;
+  w.begin_array().newline().integer(1).newline().integer(2).newline();
+  w.end_array();
+  EXPECT_EQ(w.str(), "[\n1,\n2\n]");
+  obs::JsonWriter empty;
+  EXPECT_EQ(empty.begin_array().newline().end_array().take(), "[\n]");
+}
+
 // ---- Chrome trace export ---------------------------------------------------
 
 /// Structural JSON sanity: balanced braces/brackets outside strings.
@@ -483,6 +474,8 @@ TEST(ChromeTrace, JsonNestsConsistentlyWithTree) {
     {
       obs::Span inner("test.chrome_inner");
       inner.set("escaped", "a\"b\nc\xC3\xA9");  // quote, newline, non-ASCII
+      inner.set("backslash", "a\"b\\c\n");
+      inner.set("residual", 1.25e-9);
     }
     { obs::Span inner2("test.chrome_inner2"); }
   }
@@ -502,8 +495,12 @@ TEST(ChromeTrace, JsonNestsConsistentlyWithTree) {
   }
   EXPECT_EQ(x_events, 3);
   // Attrs survive as escaped args (the raw newline must not appear inside
-  // a string — json_escape turns it into \n).
+  // a string — json_escape turns it into \n), and numeric attrs keep the
+  // text Span::set formatted them to.
   EXPECT_NE(json.find("a\\\"b\\nc"), std::string::npos);
+  EXPECT_NE(json.find("\"backslash\":\"a\\\"b\\\\c\\n\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"residual\":\"1.25e-09\""), std::string::npos);
 
   // Nesting matches the span tree: each event's args carry the same
   // parent ids render_trace_tree() nests by.

@@ -5,12 +5,16 @@
 // lives in test_serve_chaos.cpp.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <fcntl.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -657,6 +661,57 @@ TEST_F(ServeTest, AccessLogRotatesAtSizeBound) {
   EXPECT_NE(rotated.find("\"path\":\"/healthz\""), std::string::npos);
   std::remove(log_path.c_str());
   std::remove((log_path + ".1").c_str());
+}
+
+// ---- file descriptors ------------------------------------------------------
+
+/// The calling process's open file descriptors.
+std::set<int> open_fds() {
+  std::set<int> fds;
+  DIR* dir = opendir("/proc/self/fd");
+  if (dir == nullptr) return fds;
+  while (const dirent* entry = readdir(dir)) {
+    if (entry->d_name[0] != '.') fds.insert(std::atoi(entry->d_name));
+  }
+  fds.erase(dirfd(dir));
+  closedir(dir);
+  return fds;
+}
+
+// A daemon fd without FD_CLOEXEC leaks into every child a solver or a
+// postmortem hook might spawn: the listen socket, the wake pipe, an
+// accepted connection, the trace file and the access log all carry it.
+TEST_F(ServeTest, EveryDaemonFdIsCloseOnExec) {
+  const std::string trace_path = ::testing::TempDir() + "relkit_fd_trace.json";
+  const std::string log_path = ::testing::TempDir() + "relkit_fd_access.log";
+  options_.trace_path = trace_path;
+  options_.access_log_path = log_path;
+  const std::set<int> before = open_fds();
+  start();
+  const int client = serve::tcp_connect("127.0.0.1", port_);
+  ASSERT_GE(client, 0);
+  // Listen socket, both pipe ends, trace file, access log, the client's
+  // socket and the accepted connection: wait until the event loop has
+  // accepted, bounded well inside the 5 s read timeout.
+  std::set<int> added;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  do {
+    added.clear();
+    for (const int fd : open_fds()) {
+      if (before.count(fd) == 0) added.insert(fd);
+    }
+    if (added.size() >= 7) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  } while (std::chrono::steady_clock::now() < give_up);
+  EXPECT_GE(added.size(), 7u);
+  for (const int fd : added) {
+    EXPECT_NE(::fcntl(fd, F_GETFD) & FD_CLOEXEC, 0) << "fd " << fd;
+  }
+  serve::tcp_close(client);
+  server_->stop(true);
+  std::remove(trace_path.c_str());
+  std::remove(log_path.c_str());
 }
 
 }  // namespace

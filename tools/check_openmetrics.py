@@ -6,7 +6,7 @@ Usage:
     check_openmetrics.py --file EXPOSITION       check a saved exposition
     check_openmetrics.py --serve SERVE_BINARY    scrape a live relkit_serve
 
-In CLI mode runs `CLI_BINARY MODEL_FILE --metrics-format=openmetrics` and
+In CLI mode runs `CLI_BINARY MODEL_FILE --metrics` and
 validates everything from the first '# HELP' line on (the human model
 summary precedes the exposition on stdout). In serve mode it starts
 SERVE_BINARY on an ephemeral port, scrapes GET /metrics, and additionally
@@ -227,7 +227,7 @@ def main() -> int:
         text = open(sys.argv[2], encoding="utf-8").read()
     else:
         result = subprocess.run(
-            [sys.argv[1], sys.argv[2], "--metrics-format=openmetrics"],
+            [sys.argv[1], sys.argv[2], "--metrics"],
             capture_output=True, text=True, timeout=120,
         )
         if result.returncode != 0:

@@ -2,9 +2,8 @@
 // command line.
 //
 //   relkit_cli <model-file> [--time t1 t2 ...] [--cuts] [--importance]
-//              [--diagnostics] [--trace[=FILE]] [--trace-format=F]
-//              [--metrics[=FILE]] [--metrics-format=F] [--profile]
-//              [--jobs N] [--no-solver-cache] [--timeout-ms N]
+//              [--diagnostics] [--trace[=FILE]] [--metrics[=FILE]]
+//              [--profile] [--jobs N] [--no-solver-cache] [--timeout-ms N]
 //              [--solver M] [--rare-event[=METHOD]] [--seed N]
 //              [--rare-rel-err X] [--rare-max-cycles N] [--rare-bias X]
 //              [--rare-splits N] [--postmortem[=DIR]] [--watchdog-ms N]
@@ -20,12 +19,10 @@
 //   * minimal cut sets (--cuts) and importance measures (--importance),
 //   * the last solver's SolveReport (--diagnostics), including the
 //     bounded residual/iteration convergence trajectory,
-//   * completed spans (--trace): as a nested tree (--trace-format=tree,
-//     the stdout default), JSON lines (jsonl, the --trace=FILE default),
-//     or Chrome trace-event JSON loadable in Perfetto (chrome),
-//   * the metrics registry (--metrics): as text (--metrics-format=text,
-//     the stdout default), a JSON object (json, the --metrics=FILE
-//     default), or an OpenMetrics text exposition (openmetrics),
+//   * completed spans: --trace prints them as a nested tree on stdout,
+//     --trace=FILE writes Chrome trace-event JSON loadable in Perfetto,
+//   * the metrics registry (--metrics[=FILE]) as an OpenMetrics text
+//     exposition, on stdout or into FILE,
 //   * a per-solve profile (--profile): completed spans aggregated by name
 //     into inclusive/exclusive wall + CPU time, call counts, and % of
 //     total.
@@ -74,15 +71,19 @@
 // with per-error-class counts — the same object relkit_serve prints when
 // it drains. Full reference: docs/cli.md.
 //
+// --time takes the values up to the next --flag; each must be a finite
+// number >= 0.
+//
 // Exit codes: 0 success, 1 usage error, 2 model error, 3 numerical error
-// (including convergence failures), 4 invalid argument (malformed or
-// unusable --trace/--metrics/--jobs/--batch/--*-format values included),
-// 5 deadline exceeded with a partial result available (--timeout-ms).
+// (including convergence failures), 4 invalid argument (every malformed,
+// missing or out-of-range flag value, and unusable --trace/--metrics/
+// --batch files), 5 deadline exceeded with a partial result available
+// (--timeout-ms).
 // Batch mode exits 0 only when every model solved; otherwise it uses the
 // exit class of the first failing model in input order.
+#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -91,6 +92,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "flags.hpp"
 
 #include "core/relkit.hpp"
 #include "io/model_parser.hpp"
@@ -105,15 +108,12 @@
 #include "serve/solve_json.hpp"
 #include "serve/summary.hpp"
 
-namespace {
-
-void usage() {
+void relkit::flags::usage() {
   std::fprintf(stderr,
                "usage: relkit_cli <model-file> [--time t ...] [--cuts] "
                "[--importance] [--diagnostics] [--trace[=FILE]] "
-               "[--trace-format=tree|jsonl|chrome] [--metrics[=FILE]] "
-               "[--metrics-format=text|json|openmetrics] [--profile] "
-               "[--jobs N] [--no-solver-cache] [--timeout-ms N] "
+               "[--metrics[=FILE]] [--profile] [--jobs N] "
+               "[--no-solver-cache] [--timeout-ms N] "
                "[--solver auto|gth|sor|bicgstab|power|ad] "
                "[--rare-event[=naive|restart|is]] [--seed N] "
                "[--rare-rel-err X] [--rare-max-cycles N] [--rare-bias X] "
@@ -125,21 +125,7 @@ void usage() {
                "[--postmortem[=DIR]] [--watchdog-ms N]\n");
 }
 
-/// Convergence trajectory as a JSON array of [iteration, value] pairs.
-std::string convergence_json(const relkit::robust::ConvergenceTrace& trace) {
-  std::string out = "[";
-  bool first = true;
-  for (const auto& s : trace.samples()) {
-    if (!first) out += ",";
-    first = false;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "[%llu,%.12g]",
-                  static_cast<unsigned long long>(s.iteration), s.value);
-    out += buf;
-  }
-  out += "]";
-  return out;
-}
+namespace {
 
 void print_cuts(const std::vector<std::vector<std::string>>& cuts) {
   std::printf("minimal cut sets (%zu):\n", cuts.size());
@@ -282,8 +268,6 @@ BatchOutcome solve_one(const std::string& path,
                        const std::vector<double>& times, std::size_t index,
                        bool profile, long timeout_ms) {
   BatchOutcome out;
-  std::string head = "{\"index\":" + std::to_string(index) + ",\"model\":\"" +
-                     relkit::obs::json_escape(path) + "\"";
   // RAII so the collector detaches on every exit path, including throws.
   // The obs::ThreadFilterSink sees only this worker thread's spans — each
   // model is parsed and solved entirely on one pool thread, but all
@@ -300,18 +284,6 @@ BatchOutcome solve_one(const std::string& path,
       if (sink) relkit::obs::Tracer::instance().remove_sink(sink);
     }
   } profile_scope(profile);
-  auto profile_fields = [&]() -> std::string {
-    if (!profile_scope.sink) return "";
-    std::string fields =
-        ",\"profile\":" + relkit::obs::profile_to_json(relkit::obs::
-                              build_profile(profile_scope.sink->take()));
-    if (relkit::robust::has_last_report() &&
-        !relkit::robust::last_report().convergence.empty()) {
-      fields += ",\"convergence\":" +
-                convergence_json(relkit::robust::last_report().convergence);
-    }
-    return fields;
-  };
   // The solve itself is the same shared core relkit_serve answers with, so
   // a batch line and a served response carry identical result fields.
   relkit::serve::SolveSpec spec;
@@ -323,13 +295,29 @@ BatchOutcome solve_one(const std::string& path,
   }
   const relkit::serve::SolveOutcome outcome = relkit::serve::solve_model(spec);
   out.exit_class = outcome.exit_class;
+  relkit::obs::JsonWriter line;
+  line.begin_object().key("index").integer(index).key("model").string(path);
+  line.raw(outcome.fields);
   // Profile/convergence fields ride along where they historically did:
   // successful solves and solver failures (model/argument errors never ran
   // a solver).
   const bool solver_ran = outcome.exit_class == 0 || outcome.exit_class == 3 ||
                           outcome.exit_class == 5;
-  out.json = head + "," + outcome.fields +
-             (solver_ran ? profile_fields() : std::string()) + "}";
+  if (solver_ran && profile_scope.sink) {
+    line.key("profile").raw(relkit::obs::profile_to_json(
+        relkit::obs::build_profile(profile_scope.sink->take())));
+    const auto& report = relkit::robust::last_report();
+    if (relkit::robust::has_last_report() && !report.convergence.empty()) {
+      // The trajectory as [iteration, value] pairs.
+      line.key("convergence").begin_array();
+      for (const auto& sample : report.convergence.samples()) {
+        line.begin_array().integer(sample.iteration).number(sample.value);
+        line.end_array();
+      }
+      line.end_array();
+    }
+  }
+  out.json = line.end_object().take();
   return out;
 }
 
@@ -394,8 +382,9 @@ int run_batch(const std::string& list_path, const std::vector<double>& times,
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace flags = relkit::flags;
   if (argc < 2) {
-    usage();
+    flags::usage();
     return 1;
   }
   std::string path;
@@ -406,10 +395,8 @@ int main(int argc, char** argv) {
   bool want_trace = false;
   bool want_metrics = false;
   bool want_profile = false;
-  std::string trace_file;
-  std::string metrics_file;
-  std::string trace_format;    // tree|jsonl|chrome; empty = pick by dest
-  std::string metrics_format;  // text|json|openmetrics; empty = pick by dest
+  std::string trace_file;    // empty = span tree on stdout
+  std::string metrics_file;  // empty = exposition on stdout
   std::string batch_file;
   bool no_solver_cache = false;
   unsigned jobs = 0;       // 0 = hardware concurrency
@@ -421,308 +408,86 @@ int main(int argc, char** argv) {
   std::string postmortem_dir;    // empty = working directory
   long watchdog_ms = 0;          // 0 = watchdog off
   std::string selftest_mode;     // segv|abort|terminate|stall; empty = none
-  // Fetches the value of a --flag VALUE / --flag=VALUE argument, or null.
-  const auto flag_value = [&](int& i, std::size_t name_len) -> const char* {
-    if (argv[i][name_len] == '=') return argv[i] + name_len + 1;
-    if (i + 1 < argc) return argv[++i];
-    return nullptr;
-  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 ||
-        std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      const char* value = argv[i][6] == '=' ? argv[i] + 7 : nullptr;
-      if (value == nullptr) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "invalid argument: --jobs needs a count\n");
-          usage();
-          return 4;
-        }
-        value = argv[++i];
-      }
-      char* rest = nullptr;
-      const unsigned long parsed = std::strtoul(value, &rest, 10);
-      if (rest == value || *rest != '\0' || parsed == 0 || parsed > 4096) {
-        std::fprintf(stderr,
-                     "invalid argument: --jobs needs an integer in "
-                     "[1, 4096], got '%s'\n",
-                     value);
-        usage();
-        return 4;
-      }
-      jobs = static_cast<unsigned>(parsed);
-    } else if (std::strcmp(argv[i], "--timeout-ms") == 0 ||
-               std::strncmp(argv[i], "--timeout-ms=", 13) == 0) {
-      const char* value = argv[i][12] == '=' ? argv[i] + 13 : nullptr;
-      if (value == nullptr) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr,
-                       "invalid argument: --timeout-ms needs a count\n");
-          usage();
-          return 4;
-        }
-        value = argv[++i];
-      }
-      char* rest = nullptr;
-      const long parsed = std::strtol(value, &rest, 10);
-      if (rest == value || *rest != '\0' || parsed <= 0 ||
-          parsed > 86400000) {
-        std::fprintf(stderr,
-                     "invalid argument: --timeout-ms needs an integer in "
-                     "[1, 86400000], got '%s'\n",
-                     value);
-        usage();
-        return 4;
-      }
-      timeout_ms = parsed;
-    } else if (std::strcmp(argv[i], "--solver") == 0 ||
-               std::strncmp(argv[i], "--solver=", 9) == 0) {
-      const char* value = argv[i][8] == '=' ? argv[i] + 9 : nullptr;
-      if (value == nullptr) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "invalid argument: --solver needs a method\n");
-          usage();
-          return 4;
-        }
-        value = argv[++i];
-      }
+    const char* arg = argv[i];
+    if (flags::matches(arg, "--jobs")) {
+      jobs = static_cast<unsigned>(
+          flags::parse_count(argc, argv, i, "--jobs", 1, 4096));
+    } else if (flags::matches(arg, "--timeout-ms")) {
+      timeout_ms = static_cast<long>(
+          flags::parse_count(argc, argv, i, "--timeout-ms", 1, 86400000));
+    } else if (flags::matches(arg, "--solver")) {
+      const char* value = flags::value(argc, argv, i, "--solver");
       relkit::robust::SolverChoice choice = relkit::robust::SolverChoice::kAuto;
       if (!relkit::robust::parse_solver_choice(value, choice)) {
-        std::fprintf(stderr,
-                     "invalid argument: --solver must be auto, gth, sor, "
-                     "bicgstab, power, or ad, got '%s'\n",
-                     value);
-        usage();
-        return 4;
+        flags::invalid(std::string("--solver must be auto, gth, sor, "
+                                   "bicgstab, power, or ad, got '") +
+                       value + "'");
       }
       relkit::robust::set_default_solver(choice);
-    } else if (std::strcmp(argv[i], "--batch") == 0 ||
-               std::strncmp(argv[i], "--batch=", 8) == 0) {
-      if (argv[i][7] == '=') {
-        batch_file = argv[i] + 8;
-      } else if (i + 1 < argc) {
-        batch_file = argv[++i];
-      }
-      if (batch_file.empty()) {
-        std::fprintf(stderr, "invalid argument: --batch needs a list file\n");
-        usage();
-        return 4;
-      }
-    } else if (std::strcmp(argv[i], "--time") == 0) {
-      while (i + 1 < argc && argv[i + 1][0] != '-') {
-        times.push_back(std::atof(argv[++i]));
-      }
-    } else if (std::strcmp(argv[i], "--cuts") == 0) {
+    } else if (flags::matches(arg, "--batch")) {
+      batch_file = flags::value(argc, argv, i, "--batch");
+    } else if (std::strcmp(arg, "--time") == 0) {
+      flags::parse_times(argc, argv, i, times);
+    } else if (std::strcmp(arg, "--cuts") == 0) {
       want_cuts = true;
-    } else if (std::strcmp(argv[i], "--importance") == 0) {
+    } else if (std::strcmp(arg, "--importance") == 0) {
       want_importance = true;
-    } else if (std::strcmp(argv[i], "--diagnostics") == 0) {
+    } else if (std::strcmp(arg, "--diagnostics") == 0) {
       want_diagnostics = true;
-    } else if (std::strcmp(argv[i], "--no-solver-cache") == 0) {
+    } else if (std::strcmp(arg, "--no-solver-cache") == 0) {
       no_solver_cache = true;
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
+    } else if (std::strcmp(arg, "--profile") == 0) {
       want_profile = true;
-    } else if (std::strcmp(argv[i], "--trace-format") == 0 ||
-               std::strncmp(argv[i], "--trace-format=", 15) == 0) {
-      const char* value = argv[i][14] == '=' ? argv[i] + 15 : nullptr;
-      if (value == nullptr) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr,
-                       "invalid argument: --trace-format needs a value\n");
-          usage();
-          return 4;
-        }
-        value = argv[++i];
-      }
-      trace_format = value;
-      if (trace_format != "tree" && trace_format != "jsonl" &&
-          trace_format != "chrome") {
-        std::fprintf(stderr,
-                     "invalid argument: --trace-format must be tree, jsonl, "
-                     "or chrome, got '%s'\n",
-                     value);
-        usage();
-        return 4;
-      }
+    } else if (flags::matches(arg, "--trace")) {
       want_trace = true;
-    } else if (std::strcmp(argv[i], "--metrics-format") == 0 ||
-               std::strncmp(argv[i], "--metrics-format=", 17) == 0) {
-      const char* value = argv[i][16] == '=' ? argv[i] + 17 : nullptr;
-      if (value == nullptr) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr,
-                       "invalid argument: --metrics-format needs a value\n");
-          usage();
-          return 4;
-        }
-        value = argv[++i];
-      }
-      metrics_format = value;
-      if (metrics_format != "text" && metrics_format != "json" &&
-          metrics_format != "openmetrics") {
-        std::fprintf(stderr,
-                     "invalid argument: --metrics-format must be text, "
-                     "json, or openmetrics, got '%s'\n",
-                     value);
-        usage();
-        return 4;
-      }
+      trace_file = flags::parse_optional_path(arg, "--trace", "");
+    } else if (flags::matches(arg, "--metrics")) {
       want_metrics = true;
-    } else if (std::strncmp(argv[i], "--trace", 7) == 0 &&
-               (argv[i][7] == '\0' || argv[i][7] == '=')) {
-      want_trace = true;
-      if (argv[i][7] == '=') {
-        trace_file = argv[i] + 8;
-        if (trace_file.empty()) {
-          std::fprintf(stderr, "invalid argument: --trace= needs a file\n");
-          usage();
-          return 4;
-        }
-      }
-    } else if (std::strncmp(argv[i], "--metrics", 9) == 0 &&
-               (argv[i][9] == '\0' || argv[i][9] == '=')) {
-      want_metrics = true;
-      if (argv[i][9] == '=') {
-        metrics_file = argv[i] + 10;
-        if (metrics_file.empty()) {
-          std::fprintf(stderr,
-                       "invalid argument: --metrics= needs a file\n");
-          usage();
-          return 4;
-        }
-      }
-    } else if (std::strncmp(argv[i], "--rare-event", 12) == 0 &&
-               (argv[i][12] == '\0' || argv[i][12] == '=')) {
+      metrics_file = flags::parse_optional_path(arg, "--metrics", "");
+    } else if (flags::matches(arg, "--rare-event")) {
       want_rare = true;
-      if (argv[i][12] == '=') {
-        const std::string method = argv[i] + 13;
-        if (method == "naive") {
-          rare_opts.method = relkit::sim::RareMethod::kNaive;
-        } else if (method == "restart") {
-          rare_opts.method = relkit::sim::RareMethod::kRestart;
-        } else if (method == "is") {
-          rare_opts.method = relkit::sim::RareMethod::kImportanceSampling;
-        } else {
-          std::fprintf(stderr,
-                       "invalid argument: --rare-event must be naive, "
-                       "restart, or is, got '%s'\n",
-                       method.c_str());
-          usage();
-          return 4;
-        }
+      const std::string method =
+          flags::parse_optional_path(arg, "--rare-event", "is");
+      if (method == "naive") {
+        rare_opts.method = relkit::sim::RareMethod::kNaive;
+      } else if (method == "restart") {
+        rare_opts.method = relkit::sim::RareMethod::kRestart;
+      } else if (method == "is") {
+        rare_opts.method = relkit::sim::RareMethod::kImportanceSampling;
+      } else {
+        flags::invalid("--rare-event must be naive, restart, or is, got '" +
+                       method + "'");
       }
-    } else if (std::strcmp(argv[i], "--seed") == 0 ||
-               std::strncmp(argv[i], "--seed=", 7) == 0) {
-      const char* value = flag_value(i, 6);
-      char* rest = nullptr;
-      const unsigned long long parsed =
-          value != nullptr ? std::strtoull(value, &rest, 10) : 0;
-      if (value == nullptr || rest == value || *rest != '\0') {
-        std::fprintf(stderr,
-                     "invalid argument: --seed needs a non-negative "
-                     "integer\n");
-        usage();
-        return 4;
-      }
-      rare_seed = parsed;
-    } else if (std::strcmp(argv[i], "--rare-rel-err") == 0 ||
-               std::strncmp(argv[i], "--rare-rel-err=", 15) == 0) {
-      const char* value = flag_value(i, 14);
-      char* rest = nullptr;
-      const double parsed =
-          value != nullptr ? std::strtod(value, &rest) : 0.0;
-      if (value == nullptr || rest == value || *rest != '\0' ||
-          parsed <= 0.0 || parsed > 1.0) {
-        std::fprintf(stderr,
-                     "invalid argument: --rare-rel-err needs a number in "
-                     "(0, 1]\n");
-        usage();
-        return 4;
-      }
-      rare_opts.relative_error = parsed;
-    } else if (std::strcmp(argv[i], "--rare-max-cycles") == 0 ||
-               std::strncmp(argv[i], "--rare-max-cycles=", 18) == 0) {
-      const char* value = flag_value(i, 17);
-      char* rest = nullptr;
-      const unsigned long long parsed =
-          value != nullptr ? std::strtoull(value, &rest, 10) : 0;
-      if (value == nullptr || rest == value || *rest != '\0' || parsed < 2) {
-        std::fprintf(stderr,
-                     "invalid argument: --rare-max-cycles needs an integer "
-                     ">= 2\n");
-        usage();
-        return 4;
-      }
-      rare_opts.max_cycles = static_cast<std::size_t>(parsed);
-    } else if (std::strcmp(argv[i], "--rare-bias") == 0 ||
-               std::strncmp(argv[i], "--rare-bias=", 12) == 0) {
-      const char* value = flag_value(i, 11);
-      char* rest = nullptr;
-      const double parsed =
-          value != nullptr ? std::strtod(value, &rest) : 0.0;
-      if (value == nullptr || rest == value || *rest != '\0' ||
-          parsed <= 0.0 || parsed >= 1.0) {
-        std::fprintf(stderr,
-                     "invalid argument: --rare-bias needs a number in "
-                     "(0, 1)\n");
-        usage();
-        return 4;
-      }
-      rare_opts.bias = parsed;
-    } else if (std::strcmp(argv[i], "--rare-splits") == 0 ||
-               std::strncmp(argv[i], "--rare-splits=", 14) == 0) {
-      const char* value = flag_value(i, 13);
-      char* rest = nullptr;
-      const unsigned long long parsed =
-          value != nullptr ? std::strtoull(value, &rest, 10) : 0;
-      if (value == nullptr || rest == value || *rest != '\0' || parsed < 2 ||
-          parsed > 1024) {
-        std::fprintf(stderr,
-                     "invalid argument: --rare-splits needs an integer in "
-                     "[2, 1024]\n");
-        usage();
-        return 4;
-      }
-      rare_opts.splits = static_cast<unsigned>(parsed);
-    } else if (std::strncmp(argv[i], "--postmortem", 12) == 0 &&
-               (argv[i][12] == '\0' || argv[i][12] == '=')) {
+    } else if (flags::matches(arg, "--seed")) {
+      rare_seed =
+          flags::parse_count(argc, argv, i, "--seed", 0, UINT64_MAX);
+    } else if (flags::matches(arg, "--rare-rel-err")) {
+      rare_opts.relative_error = flags::parse_fraction(
+          argc, argv, i, "--rare-rel-err", 0.0, 1.0, flags::End::kOpen);
+    } else if (flags::matches(arg, "--rare-max-cycles")) {
+      rare_opts.max_cycles = static_cast<std::size_t>(flags::parse_count(
+          argc, argv, i, "--rare-max-cycles", 2, SIZE_MAX));
+    } else if (flags::matches(arg, "--rare-bias")) {
+      rare_opts.bias =
+          flags::parse_fraction(argc, argv, i, "--rare-bias", 0.0, 1.0,
+                                flags::End::kOpen, flags::End::kOpen);
+    } else if (flags::matches(arg, "--rare-splits")) {
+      rare_opts.splits = static_cast<unsigned>(
+          flags::parse_count(argc, argv, i, "--rare-splits", 2, 1024));
+    } else if (flags::matches(arg, "--postmortem")) {
       want_postmortem = true;
-      if (argv[i][12] == '=') {
-        postmortem_dir = argv[i] + 13;
-        if (postmortem_dir.empty()) {
-          std::fprintf(stderr,
-                       "invalid argument: --postmortem= needs a directory\n");
-          return 4;
-        }
-      }
-    } else if (std::strcmp(argv[i], "--watchdog-ms") == 0 ||
-               std::strncmp(argv[i], "--watchdog-ms=", 14) == 0) {
-      const char* value = flag_value(i, 13);
-      char* rest = nullptr;
-      const long parsed = value != nullptr ? std::strtol(value, &rest, 10) : 0;
-      if (value == nullptr || rest == value || *rest != '\0' || parsed <= 0) {
-        std::fprintf(stderr,
-                     "invalid argument: --watchdog-ms needs a positive "
-                     "integer\n");
-        usage();
-        return 4;
-      }
-      watchdog_ms = parsed;
-    } else if (std::strcmp(argv[i], "--obs-selftest") == 0 ||
-               std::strncmp(argv[i], "--obs-selftest=", 15) == 0) {
-      const char* value = flag_value(i, 14);
-      if (value == nullptr || value[0] == '\0') {
-        std::fprintf(stderr,
-                     "invalid argument: --obs-selftest needs a mode "
-                     "(segv, abort, terminate, stall)\n");
-        usage();
-        return 4;
-      }
-      selftest_mode = value;
-    } else if (argv[i][0] == '-') {
-      usage();
+      postmortem_dir = flags::parse_optional_path(arg, "--postmortem", "");
+    } else if (flags::matches(arg, "--watchdog-ms")) {
+      watchdog_ms = static_cast<long>(
+          flags::parse_count(argc, argv, i, "--watchdog-ms", 1, LONG_MAX));
+    } else if (flags::matches(arg, "--obs-selftest")) {
+      selftest_mode = flags::value(argc, argv, i, "--obs-selftest");
+    } else if (arg[0] == '-') {
+      flags::usage();
       return 1;
     } else {
-      path = argv[i];
+      path = arg;
     }
   }
   // Postmortem machinery installs before anything can crash or stall —
@@ -757,39 +522,19 @@ int main(int argc, char** argv) {
   if (!batch_file.empty()) {
     if (!path.empty() || want_cuts || want_importance || want_diagnostics ||
         want_trace || want_metrics || want_rare) {
-      std::fprintf(stderr,
-                   "invalid argument: --batch combines only with --time, "
-                   "--profile, --jobs, --timeout-ms, --solver, and "
-                   "--no-solver-cache\n");
-      usage();
-      return 4;
+      flags::invalid(
+          "--batch combines only with --time, --profile, --jobs, "
+          "--timeout-ms, --solver, and --no-solver-cache");
     }
     return run_batch(batch_file, times, want_profile, timeout_ms);
   }
 
   if (path.empty()) {
-    usage();
+    flags::usage();
     return 1;
   }
 
-  // Effective formats: explicit flag wins; otherwise the destination picks
-  // the historical default (stdout: human-readable, file: machine-readable).
-  const std::string eff_trace_format =
-      !trace_format.empty() ? trace_format
-                            : (trace_file.empty() ? "tree" : "jsonl");
-  const std::string eff_metrics_format =
-      !metrics_format.empty() ? metrics_format
-                              : (metrics_file.empty() ? "text" : "json");
-  if (eff_trace_format == "jsonl" && trace_file.empty()) {
-    std::fprintf(stderr,
-                 "invalid argument: --trace-format=jsonl needs "
-                 "--trace=FILE (JSON lines stream to a file)\n");
-    usage();
-    return 4;
-  }
-
   std::shared_ptr<relkit::obs::RingBufferSink> ring;
-  std::shared_ptr<relkit::obs::JsonlSink> trace_jsonl;
   std::shared_ptr<relkit::obs::ChromeTraceSink> trace_chrome;
   std::shared_ptr<relkit::obs::RingBufferSink> profile_ring;
   if (want_trace || want_metrics || want_profile) {
@@ -801,32 +546,16 @@ int main(int argc, char** argv) {
   // Build provenance belongs in every exposition a scraper might diff
   // across versions (gauges are set-gated, so this must follow enable).
   if (want_metrics) relkit::obs::register_build_info();
-  if (want_trace) {
-    if (eff_trace_format == "jsonl") {
-      trace_jsonl = relkit::obs::JsonlSink::open(trace_file);
-      if (!trace_jsonl) {
-        std::fprintf(stderr,
-                     "invalid argument: cannot open trace file '%s'\n",
-                     trace_file.c_str());
-        usage();
-        return 4;
-      }
-      relkit::obs::Tracer::instance().add_sink(trace_jsonl);
-    } else if (eff_trace_format == "chrome" && !trace_file.empty()) {
-      trace_chrome = relkit::obs::ChromeTraceSink::open(trace_file);
-      if (!trace_chrome) {
-        std::fprintf(stderr,
-                     "invalid argument: cannot open trace file '%s'\n",
-                     trace_file.c_str());
-        usage();
-        return 4;
-      }
-      relkit::obs::Tracer::instance().add_sink(trace_chrome);
-    } else {
-      // tree (stdout or file) and chrome-to-stdout render from a snapshot.
-      ring = std::make_shared<relkit::obs::RingBufferSink>();
-      relkit::obs::Tracer::instance().add_sink(ring);
+  if (want_trace && trace_file.empty()) {
+    // The tree renders from a snapshot once the analysis is done.
+    ring = std::make_shared<relkit::obs::RingBufferSink>();
+    relkit::obs::Tracer::instance().add_sink(ring);
+  } else if (want_trace) {
+    trace_chrome = relkit::obs::ChromeTraceSink::open(trace_file);
+    if (!trace_chrome) {
+      flags::invalid("cannot open trace file '" + trace_file + "'");
     }
+    relkit::obs::Tracer::instance().add_sink(trace_chrome);
   }
   if (want_profile) {
     // Dedicated sink: --profile must see every span even when --trace
@@ -914,67 +643,31 @@ int main(int argc, char** argv) {
       if (code != 0) return code;
     }
     if (want_diagnostics) print_diagnostics();
-    if (want_trace) {
-      if (trace_jsonl) {
-        trace_jsonl->flush();
-        std::printf("trace written to %s\n", trace_file.c_str());
-      } else if (trace_chrome) {
-        trace_chrome->flush();
-        std::printf("trace written to %s\n", trace_file.c_str());
-      } else if (ring) {
-        std::string rendered;
-        if (eff_trace_format == "chrome") {
-          rendered = relkit::obs::to_chrome_json(ring->snapshot()) + "\n";
-        } else {
-          rendered = relkit::obs::render_trace_tree(ring->snapshot());
-          if (ring->dropped() > 0) {
-            rendered += "(" + std::to_string(ring->dropped()) +
-                        " older spans dropped from the ring buffer)\n";
-          }
-        }
-        if (trace_file.empty()) {
-          if (eff_trace_format == "tree") std::printf("--- trace ---\n");
-          std::fwrite(rendered.data(), 1, rendered.size(), stdout);
-        } else {
-          std::FILE* f = std::fopen(trace_file.c_str(), "w");
-          if (f == nullptr) {
-            std::fprintf(stderr,
-                         "invalid argument: cannot open trace file '%s'\n",
-                         trace_file.c_str());
-            usage();
-            return 4;
-          }
-          std::fwrite(rendered.data(), 1, rendered.size(), f);
-          std::fclose(f);
-          std::printf("trace written to %s\n", trace_file.c_str());
-        }
+    if (ring) {
+      std::printf("--- trace ---\n%s",
+                  relkit::obs::render_trace_tree(ring->snapshot()).c_str());
+      if (ring->dropped() > 0) {
+        std::printf("(%llu older spans dropped from the ring buffer)\n",
+                    static_cast<unsigned long long>(ring->dropped()));
       }
+    } else if (trace_chrome) {
+      trace_chrome->flush();
+      std::printf("trace written to %s\n", trace_file.c_str());
     }
     if (want_metrics) {
       // Sample the process-wide resource gauges (peak RSS, CPU time, open
-      // fds) so every exposition format carries them.
+      // fds) so the exposition carries them.
       relkit::obs::refresh_process_gauges();
-      std::string rendered;
-      if (eff_metrics_format == "openmetrics") {
-        rendered = relkit::obs::Registry::instance().to_openmetrics();
-      } else if (eff_metrics_format == "json") {
-        rendered = relkit::obs::Registry::instance().to_json() + "\n";
-      } else {
-        rendered = relkit::obs::Registry::instance().render_text();
-      }
+      const std::string exposition =
+          relkit::obs::Registry::instance().to_openmetrics();
       if (metrics_file.empty()) {
-        if (eff_metrics_format == "text") std::printf("--- metrics ---\n");
-        std::fwrite(rendered.data(), 1, rendered.size(), stdout);
+        std::fwrite(exposition.data(), 1, exposition.size(), stdout);
       } else {
         std::FILE* f = std::fopen(metrics_file.c_str(), "w");
         if (f == nullptr) {
-          std::fprintf(stderr,
-                       "invalid argument: cannot open metrics file '%s'\n",
-                       metrics_file.c_str());
-          usage();
-          return 4;
+          flags::invalid("cannot open metrics file '" + metrics_file + "'");
         }
-        std::fwrite(rendered.data(), 1, rendered.size(), f);
+        std::fwrite(exposition.data(), 1, exposition.size(), f);
         std::fclose(f);
         std::printf("metrics written to %s\n", metrics_file.c_str());
       }

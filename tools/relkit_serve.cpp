@@ -25,6 +25,9 @@
 // SIGTERM/SIGINT the daemon stops admissions, drains queued requests, and
 // prints the same per-error-class summary line that --batch prints.
 //
+// --time takes the values up to the next --flag; each must be a finite
+// number >= 0.
+//
 // Every request gets a 128-bit trace id (adopted from a valid incoming
 // `traceparent`, generated otherwise). --trace[=FILE] records sampled
 // requests' span trees into a Chrome trace-event file on shutdown
@@ -36,24 +39,22 @@
 // stalls on purpose before serving starts (crash-path tests only). See
 // docs/postmortem.md. Full reference: docs/serving.md.
 //
-// Exit codes: 0 clean shutdown, 1 usage error, 4 invalid argument.
+// Exit codes: 0 clean shutdown, 1 usage error, 4 invalid argument (every
+// malformed, missing or out-of-range flag value included).
 #include <pthread.h>
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
+#include "flags.hpp"
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
 #include "parallel/pool.hpp"
 #include "serve/server.hpp"
 
-namespace {
-
-void usage() {
+void relkit::flags::usage() {
   std::fprintf(stderr,
                "usage: relkit_serve [--port N] [--bind ADDR] [--jobs N] "
                "[--queue-cap N] [--timeout-ms N] [--read-timeout-ms N] "
@@ -64,79 +65,6 @@ void usage() {
                "[--obs-selftest segv|abort|terminate|stall]\n");
 }
 
-/// Parses the value of `--flag N` / `--flag=N` as a long in [lo, hi];
-/// exits 4 on malformed input (matching relkit_cli's convention).
-long parse_count(int argc, char** argv, int& i, const char* flag, long lo,
-                 long hi) {
-  const std::size_t flag_len = std::strlen(flag);
-  const char* value = argv[i][flag_len] == '=' ? argv[i] + flag_len + 1
-                                               : nullptr;
-  if (value == nullptr) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "invalid argument: %s needs a value\n", flag);
-      usage();
-      std::exit(4);
-    }
-    value = argv[++i];
-  }
-  char* rest = nullptr;
-  const long parsed = std::strtol(value, &rest, 10);
-  if (rest == value || *rest != '\0' || parsed < lo || parsed > hi) {
-    std::fprintf(stderr,
-                 "invalid argument: %s needs an integer in [%ld, %ld], got "
-                 "'%s'\n",
-                 flag, lo, hi, value);
-    usage();
-    std::exit(4);
-  }
-  return parsed;
-}
-
-bool matches(const char* arg, const char* flag) {
-  const std::size_t len = std::strlen(flag);
-  return std::strncmp(arg, flag, len) == 0 &&
-         (arg[len] == '\0' || arg[len] == '=');
-}
-
-/// Parses the value of `--flag P` / `--flag=P` as a double in [lo, hi];
-/// exits 4 on malformed input.
-double parse_fraction(int argc, char** argv, int& i, const char* flag,
-                      double lo, double hi) {
-  const std::size_t flag_len = std::strlen(flag);
-  const char* value = argv[i][flag_len] == '=' ? argv[i] + flag_len + 1
-                                               : nullptr;
-  if (value == nullptr) {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "invalid argument: %s needs a value\n", flag);
-      usage();
-      std::exit(4);
-    }
-    value = argv[++i];
-  }
-  char* rest = nullptr;
-  const double parsed = std::strtod(value, &rest);
-  if (rest == value || *rest != '\0' || !(parsed >= lo) || !(parsed <= hi)) {
-    std::fprintf(stderr,
-                 "invalid argument: %s needs a number in [%g, %g], got "
-                 "'%s'\n",
-                 flag, lo, hi, value);
-    usage();
-    std::exit(4);
-  }
-  return parsed;
-}
-
-/// `--flag` (default value) or `--flag=PATH`; a separate-word PATH form is
-/// deliberately not supported so the optional value stays unambiguous.
-std::string parse_optional_path(const char* arg, const char* flag,
-                                const char* default_path) {
-  const std::size_t len = std::strlen(flag);
-  return arg[len] == '=' ? std::string(arg + len + 1)
-                         : std::string(default_path);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   relkit::serve::ServerOptions options;
   unsigned jobs = 0;
@@ -144,21 +72,15 @@ int main(int argc, char** argv) {
   std::string postmortem_dir;
   long watchdog_ms = 0;
   std::string selftest_mode;
+  namespace flags = relkit::flags;
+  using flags::matches;
+  using flags::parse_count;
   for (int i = 1; i < argc; ++i) {
     if (matches(argv[i], "--port")) {
       options.port = static_cast<int>(
           parse_count(argc, argv, i, "--port", 0, 65535));
-    } else if (std::strcmp(argv[i], "--bind") == 0 ||
-               std::strncmp(argv[i], "--bind=", 7) == 0) {
-      if (argv[i][6] == '=') {
-        options.bind_address = argv[i] + 7;
-      } else if (i + 1 < argc) {
-        options.bind_address = argv[++i];
-      } else {
-        std::fprintf(stderr, "invalid argument: --bind needs an address\n");
-        usage();
-        return 4;
-      }
+    } else if (matches(argv[i], "--bind")) {
+      options.bind_address = flags::value(argc, argv, i, "--bind");
     } else if (matches(argv[i], "--jobs")) {
       jobs = static_cast<unsigned>(
           parse_count(argc, argv, i, "--jobs", 1, 4096));
@@ -181,39 +103,28 @@ int main(int argc, char** argv) {
       options.allow_path_requests = true;
     } else if (matches(argv[i], "--trace-sample")) {
       options.trace_sample =
-          parse_fraction(argc, argv, i, "--trace-sample", 0.0, 1.0);
+          flags::parse_fraction(argc, argv, i, "--trace-sample", 0.0, 1.0);
     } else if (matches(argv[i], "--trace")) {
-      options.trace_path =
-          parse_optional_path(argv[i], "--trace", "relkit_serve_trace.json");
+      options.trace_path = flags::parse_optional_path(
+          argv[i], "--trace", "relkit_serve_trace.json");
     } else if (matches(argv[i], "--access-log-max-bytes")) {
       options.access_log_max_bytes = static_cast<std::size_t>(
           parse_count(argc, argv, i, "--access-log-max-bytes", 0, 1L << 40));
     } else if (matches(argv[i], "--access-log")) {
-      options.access_log_path = parse_optional_path(
+      options.access_log_path = flags::parse_optional_path(
           argv[i], "--access-log", "relkit_serve_access.log");
     } else if (matches(argv[i], "--postmortem")) {
       want_postmortem = true;
-      postmortem_dir = parse_optional_path(argv[i], "--postmortem", ".");
+      postmortem_dir = flags::parse_optional_path(argv[i], "--postmortem", ".");
     } else if (matches(argv[i], "--watchdog-ms")) {
-      watchdog_ms = parse_count(argc, argv, i, "--watchdog-ms", 1, 86400000);
+      watchdog_ms = static_cast<long>(
+          parse_count(argc, argv, i, "--watchdog-ms", 1, 86400000));
     } else if (matches(argv[i], "--obs-selftest")) {
-      const char* value = argv[i][14] == '=' ? argv[i] + 15 : nullptr;
-      if (value == nullptr) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr,
-                       "invalid argument: --obs-selftest needs a mode\n");
-          usage();
-          return 4;
-        }
-        value = argv[++i];
-      }
-      selftest_mode = value;
+      selftest_mode = flags::value(argc, argv, i, "--obs-selftest");
     } else if (std::strcmp(argv[i], "--time") == 0) {
-      while (i + 1 < argc && argv[i + 1][0] != '-') {
-        options.default_times.push_back(std::atof(argv[++i]));
-      }
+      flags::parse_times(argc, argv, i, options.default_times);
     } else {
-      usage();
+      flags::usage();
       return 1;
     }
   }
