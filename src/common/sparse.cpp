@@ -152,30 +152,45 @@ void SparseBuilder::add(std::size_t r, std::size_t c, double value) {
 }
 
 SparseMatrix SparseBuilder::build() {
-  std::sort(triplets_.begin(), triplets_.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.r != b.r ? a.r < b.r : a.c < b.c;
-            });
+  // Bucket the triplets by row (counting sort): start[r] .. start[r + 1]
+  // lists row r's triplet indices in insertion order.
+  const std::size_t nnz = triplets_.size();
+  std::vector<std::size_t> start(rows_ + 1, 0);
+  for (const Triplet& t : triplets_) ++start[t.r + 1];
+  for (std::size_t r = 0; r < rows_; ++r) start[r + 1] += start[r];
+  std::vector<std::size_t> order(nnz);
+  for (std::size_t i = 0; i < nnz; ++i) order[start[triplets_[i].r]++] = i;
+  // The scatter advanced start[r] to the old start[r + 1]; shift it back.
+  for (std::size_t r = rows_; r > 0; --r) start[r] = start[r - 1];
+  start[0] = 0;
+
   SparseMatrix m;
   m.rows_ = rows_;
   m.cols_ = cols_;
   m.row_ptr_.assign(rows_ + 1, 0);
-  std::size_t i = 0;
-  while (i < triplets_.size()) {
-    const std::size_t r = triplets_[i].r;
-    const std::size_t c = triplets_[i].c;
-    double v = 0.0;
-    while (i < triplets_.size() && triplets_[i].r == r && triplets_[i].c == c) {
-      v += triplets_[i].v;
-      ++i;
+  m.cols_idx_.reserve(nnz);
+  m.values_.reserve(nnz);
+  // Columns ascend within a row; ties keep insertion order (indices are
+  // unique), so duplicates are summed in the order they were added.
+  const auto by_column = [this](std::size_t a, std::size_t b) {
+    return triplets_[a].c != triplets_[b].c ? triplets_[a].c < triplets_[b].c
+                                            : a < b;
+  };
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const auto first = order.begin() + static_cast<std::ptrdiff_t>(start[r]);
+    const auto last = order.begin() + static_cast<std::ptrdiff_t>(start[r + 1]);
+    std::sort(first, last, by_column);
+    for (auto it = first; it != last;) {
+      const std::size_t c = triplets_[*it].c;
+      double v = 0.0;
+      for (; it != last && triplets_[*it].c == c; ++it) v += triplets_[*it].v;
+      if (v != 0.0) {
+        m.cols_idx_.push_back(c);
+        m.values_.push_back(v);
+      }
     }
-    if (v != 0.0) {
-      m.cols_idx_.push_back(c);
-      m.values_.push_back(v);
-      ++m.row_ptr_[r + 1];
-    }
+    m.row_ptr_[r + 1] = m.values_.size();
   }
-  for (std::size_t r = 0; r < rows_; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
   triplets_.clear();
   return m;
 }

@@ -24,7 +24,7 @@ namespace relkit {
 /// Compressed sparse row matrix of double.
 ///
 /// Build with SparseBuilder; entries within a row are sorted by column and
-/// duplicates are summed.
+/// duplicates are summed in insertion order.
 class SparseMatrix {
  public:
   SparseMatrix() = default;
@@ -98,8 +98,13 @@ class SparseBuilder {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  /// Builds the CSR matrix. Entries with |value| == 0 after summing are
-  /// dropped. The builder can be reused afterwards (it is left empty).
+  /// Builds the CSR matrix in O(nnz + rows): triplets are bucketed by row
+  /// (a counting sort), then sorted by column within each row. Duplicates
+  /// are summed in the order they were added, so the result is a function
+  /// of the add() sequence alone; a matrix without duplicates does not
+  /// depend on the order of add() calls at all. Entries with |value| == 0
+  /// after summing are dropped. The builder can be reused afterwards (it is
+  /// left empty).
   SparseMatrix build();
 
  private:

@@ -263,7 +263,7 @@ DistPtr spare_lifetime(const std::vector<double>& rates, double dormancy) {
   const auto intern = [&](const State& s) {
     const auto it = ids.find(s);
     if (it != ids.end()) return it->second;
-    const auto id = c.add_state("s" + std::to_string(ids.size()));
+    const auto id = c.add_states(1);  // named "s<id>"
     ids.emplace(s, id);
     todo.push_back(s);
     return id;
@@ -331,11 +331,15 @@ Dft::Dft(NodePtr top, std::map<std::string, double> rates) {
   std::function<void(const Node&)> scan = [&](const Node& node) {
     switch (node.kind()) {
       case Node::Kind::kBasic: {
-        detail::require_model(rates.count(node.name()),
-                              "Dft: no rate for basic event '" + node.name() +
-                                  "'");
-        detail::require(rates.at(node.name()) > 0.0,
-                        "Dft: rate must be > 0 for '" + node.name() + "'");
+        const auto rate = rates.find(node.name());
+        if (rate == rates.end()) {
+          throw ModelError("Dft: no rate for basic event '" + node.name() +
+                           "'");
+        }
+        if (!(rate->second > 0.0)) {
+          throw InvalidArgument("Dft: rate must be > 0 for '" + node.name() +
+                                "'");
+        }
         ++uses[node.name()];
         return;
       }
@@ -352,10 +356,11 @@ Dft::Dft(NodePtr top, std::map<std::string, double> rates) {
   // Module independence: dynamic-gate inputs used exactly once.
   for (const Node* g : dynamic_gates) {
     for (const auto& ch : g->children()) {
-      detail::require_model(uses.at(ch->name()) == 1,
-                            "Dft: basic event '" + ch->name() +
-                                "' feeds a dynamic gate but is shared — "
-                                "module independence violated");
+      if (uses.at(ch->name()) != 1) {
+        throw ModelError("Dft: basic event '" + ch->name() +
+                         "' feeds a dynamic gate but is shared — "
+                         "module independence violated");
+      }
     }
   }
 
@@ -393,9 +398,9 @@ Dft::Dft(NodePtr top, std::map<std::string, double> rates) {
         for (const auto& c : node.children()) {
           in_rates.push_back(rates.at(c->name()));
         }
-        detail::require_model(!events.count(node.name()),
-                              "Dft: duplicate gate name '" + node.name() +
-                                  "'");
+        if (events.count(node.name())) {
+          throw ModelError("Dft: duplicate gate name '" + node.name() + "'");
+        }
         events.emplace(node.name(), ftree::EventModel::with_lifetime(
                                         pand_lifetime(in_rates)));
         ++modules_;
@@ -406,9 +411,9 @@ Dft::Dft(NodePtr top, std::map<std::string, double> rates) {
         for (const auto& c : node.children()) {
           in_rates.push_back(rates.at(c->name()));
         }
-        detail::require_model(!events.count(node.name()),
-                              "Dft: duplicate gate name '" + node.name() +
-                                  "'");
+        if (events.count(node.name())) {
+          throw ModelError("Dft: duplicate gate name '" + node.name() + "'");
+        }
         events.emplace(node.name(),
                        ftree::EventModel::with_lifetime(
                            spare_lifetime(in_rates, node.dormancy())));

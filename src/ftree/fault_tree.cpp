@@ -126,9 +126,11 @@ double FaultTree::top_probability(
   std::vector<double> p(models_.size());
   for (std::size_t i = 0; i < names_.size(); ++i) {
     const auto it = q.find(names_[i]);
-    detail::require(it != q.end(),
-                    "FaultTree::top_probability: missing probability for '" +
-                        names_[i] + "'");
+    if (it == q.end()) {
+      throw InvalidArgument(
+          "FaultTree::top_probability: missing probability for '" + names_[i] +
+          "'");
+    }
     detail::require(it->second >= 0.0 && it->second <= 1.0,
                     "FaultTree::top_probability: probability out of [0,1]");
     p[i] = it->second;

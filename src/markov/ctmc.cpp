@@ -23,30 +23,54 @@ namespace {
 /// means.
 constexpr double kMaxPoissonMean = 1e9;
 
+/// k when `name` is "s<k>" spelled the way an anonymous state's name is (no
+/// sign, no leading zero), else nullopt.
+std::optional<StateId> implied_index(const std::string& name) {
+  if (name.size() < 2 || name.size() > 20 || name[0] != 's') return {};
+  if (name[1] == '0' && name.size() > 2) return {};
+  StateId k = 0;
+  for (std::size_t i = 1; i < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return {};
+    k = 10 * k + static_cast<StateId>(name[i] - '0');
+  }
+  return k;
+}
+
+[[noreturn]] void throw_duplicate(const std::string& name) {
+  throw InvalidArgument("Ctmc::add_state: duplicate state '" + name + "'");
+}
+
 }  // namespace
 
 StateId Ctmc::add_state(std::string name) {
   detail::require(!name.empty(), "Ctmc::add_state: empty name");
-  detail::require(!index_.count(name),
-                  "Ctmc::add_state: duplicate state '" + name + "'");
-  const StateId id = names_.size();
-  index_.emplace(name, id);
-  names_.push_back(std::move(name));
+  const StateId id = state_count();
+  const std::optional<StateId> k = implied_index(name);
+  if (index_.count(name) || (k && *k < id && is_anonymous(*k))) {
+    throw_duplicate(name);
+  }
+  if (k && *k > id) reserved_.push_back(*k);
+  names_.resize(id);
+  names_.push_back(name);
+  index_.emplace(std::move(name), id);
   exit_rates_.push_back(0.0);
   return id;
 }
 
 StateId Ctmc::add_states(std::size_t count) {
   detail::require(count >= 1, "Ctmc::add_states: count must be >= 1");
-  const StateId first = names_.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    add_state("s" + std::to_string(first + i));
+  const StateId first = state_count();
+  std::optional<StateId> taken;
+  for (const StateId k : reserved_) {
+    if (k >= first && k - first < count && (!taken || k < *taken)) taken = k;
   }
+  if (taken) throw_duplicate("s" + std::to_string(*taken));
+  exit_rates_.resize(first + count, 0.0);
   return first;
 }
 
 void Ctmc::add_transition(StateId from, StateId to, double rate) {
-  detail::require(from < names_.size() && to < names_.size(),
+  detail::require(from < state_count() && to < state_count(),
                   "Ctmc::add_transition: state out of range");
   detail::require(from != to, "Ctmc::add_transition: self-loop");
   detail::require(rate > 0.0, "Ctmc::add_transition: rate must be > 0");
@@ -54,20 +78,22 @@ void Ctmc::add_transition(StateId from, StateId to, double rate) {
   exit_rates_[from] += rate;
 }
 
-const std::string& Ctmc::state_name(StateId s) const {
-  detail::require(s < names_.size(), "Ctmc::state_name: out of range");
+std::string Ctmc::state_name(StateId s) const {
+  detail::require(s < state_count(), "Ctmc::state_name: out of range");
+  if (is_anonymous(s)) return "s" + std::to_string(s);
   return names_[s];
 }
 
 StateId Ctmc::state_index(const std::string& name) const {
   const auto it = index_.find(name);
-  detail::require(it != index_.end(),
-                  "Ctmc::state_index: unknown state '" + name + "'");
-  return it->second;
+  if (it != index_.end()) return it->second;
+  const std::optional<StateId> k = implied_index(name);
+  if (k && *k < state_count() && is_anonymous(*k)) return *k;
+  throw InvalidArgument("Ctmc::state_index: unknown state '" + name + "'");
 }
 
 double Ctmc::exit_rate(StateId s) const {
-  detail::require(s < names_.size(), "Ctmc::exit_rate: out of range");
+  detail::require(s < state_count(), "Ctmc::exit_rate: out of range");
   return exit_rates_[s];
 }
 
@@ -482,9 +508,10 @@ AbsorbingAnalysis Ctmc::absorbing_analysis(
   detail::require_model(!absorbing_states.empty(),
                         "absorbing_analysis: chain has no absorbing state");
   for (StateId s : absorbing_states) {
-    detail::require_model(pi0[s] == 0.0,
-                          "absorbing_analysis: initial mass on absorbing "
-                          "state '" + names_[s] + "'");
+    if (pi0[s] != 0.0) {
+      throw ModelError("absorbing_analysis: initial mass on absorbing state '" +
+                       state_name(s) + "'");
+    }
   }
 
   // Solve tau^T Q_TT = -pi0_T  (expected sojourn times).

@@ -17,8 +17,10 @@
 //                        expected accumulated reward, interval availability
 //   * sensitivity      — d(pi)/d(theta) for a parameterized generator
 //
-// States are created by name; transitions accumulate rates. The generator is
-// assembled lazily on first solve.
+// States are addressed by index: add_states(n) only grows per-state arrays,
+// and a name is stored only for a state added with add_state(name); the
+// others answer to the implied name "s<k>". Transitions accumulate rates.
+// The generator is assembled lazily on first solve.
 #pragma once
 
 #include <cstddef>
@@ -83,20 +85,25 @@ struct AbsorbingAnalysis {
   std::vector<double> absorption_probability;
 };
 
-/// A finite CTMC with named states.
+/// A finite CTMC over index-addressed states, optionally named.
 class Ctmc {
  public:
-  /// Adds a state; names must be unique and non-empty.
+  /// Adds a named state; names must be non-empty and unique, also against
+  /// the implied names "s<k>" of anonymous states (whichever came first).
   StateId add_state(std::string name);
-  /// Adds `count` anonymous states named "s<k>".
+  /// Adds `count` anonymous states and returns the first one's id. No name
+  /// is stored: state k answers to "s<k>" in state_name() and
+  /// state_index(). Costs O(1) allocations for any count.
   StateId add_states(std::size_t count);
 
   /// Accumulates a transition rate from -> to (rate > 0, from != to).
   void add_transition(StateId from, StateId to, double rate);
 
-  std::size_t state_count() const { return names_.size(); }
-  const std::string& state_name(StateId s) const;
-  /// Index of a state by name; throws InvalidArgument if unknown.
+  std::size_t state_count() const { return exit_rates_.size(); }
+  /// The stored name of a named state, "s<k>" for anonymous state k.
+  std::string state_name(StateId s) const;
+  /// Index of a state by name (stored or implied); throws InvalidArgument
+  /// if unknown.
   StateId state_index(const std::string& name) const;
 
   /// Total exit rate of a state.
@@ -151,9 +158,18 @@ class Ctmc {
   };
 
   void check_distribution(const std::vector<double>& pi0) const;
+  bool is_anonymous(StateId s) const {
+    return s >= names_.size() || names_[s].empty();
+  }
 
+  /// names_[k] is state k's stored name, "" for an anonymous state; it only
+  /// reaches as far as the last named state.
   std::vector<std::string> names_;
+  /// Stored names only.
   std::map<std::string, StateId> index_;
+  /// k for every stored name "s<k>" given before state k existed: an
+  /// anonymous state k would clash with it, so add_states refuses it.
+  std::vector<StateId> reserved_;
   std::vector<Transition> transitions_;
   std::vector<double> exit_rates_;
 };

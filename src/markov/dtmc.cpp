@@ -26,9 +26,10 @@ void Dtmc::add_transition(std::size_t from, std::size_t to, double prob) {
                   "Dtmc::add_transition: state out of range");
   detail::require(prob > 0.0 && prob <= 1.0,
                   "Dtmc::add_transition: probability in (0,1]");
-  detail::require(row_sums_[from] + prob <= 1.0 + 1e-9,
-                  "Dtmc::add_transition: row sum exceeds 1 for state '" +
-                      names_[from] + "'");
+  if (!(row_sums_[from] + prob <= 1.0 + 1e-9)) {
+    throw InvalidArgument("Dtmc::add_transition: row sum exceeds 1 for state '" +
+                          names_[from] + "'");
+  }
   transitions_.push_back({from, to, prob});
   row_sums_[from] += prob;
 }

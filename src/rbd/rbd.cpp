@@ -138,9 +138,10 @@ double Rbd::prob_up(const std::map<std::string, double>& prob) const {
   std::vector<double> p(models_.size());
   for (std::size_t i = 0; i < names_.size(); ++i) {
     const auto it = prob.find(names_[i]);
-    detail::require(it != prob.end(),
-                    "Rbd::prob_up: missing probability for '" + names_[i] +
-                        "'");
+    if (it == prob.end()) {
+      throw InvalidArgument("Rbd::prob_up: missing probability for '" +
+                            names_[i] + "'");
+    }
     detail::require(it->second >= 0.0 && it->second <= 1.0,
                     "Rbd::prob_up: probability out of [0,1]");
     p[i] = it->second;

@@ -32,9 +32,10 @@ void SemiMarkov::add_transition(StateId from, StateId to, double prob,
                   "SemiMarkov::add_transition: prob in (0,1]");
   detail::require(sojourn != nullptr,
                   "SemiMarkov::add_transition: null distribution");
-  detail::require(mode_[from] != Mode::kRace,
-                  "SemiMarkov::add_transition: state '" + names_[from] +
-                      "' already uses race mode");
+  if (mode_[from] == Mode::kRace) {
+    throw InvalidArgument("SemiMarkov::add_transition: state '" +
+                          names_[from] + "' already uses race mode");
+  }
   mode_[from] = Mode::kKernel;
   out_[from].push_back({to, prob, std::move(sojourn)});
 }
@@ -44,9 +45,10 @@ void SemiMarkov::add_race_transition(StateId from, StateId to, DistPtr clock) {
                   "SemiMarkov::add_race_transition: state out of range");
   detail::require(clock != nullptr,
                   "SemiMarkov::add_race_transition: null distribution");
-  detail::require(mode_[from] != Mode::kKernel,
-                  "SemiMarkov::add_race_transition: state '" + names_[from] +
-                      "' already uses kernel mode");
+  if (mode_[from] == Mode::kKernel) {
+    throw InvalidArgument("SemiMarkov::add_race_transition: state '" +
+                          names_[from] + "' already uses kernel mode");
+  }
   mode_[from] = Mode::kRace;
   out_[from].push_back({to, std::numeric_limits<double>::quiet_NaN(),
                         std::move(clock)});

@@ -1,8 +1,9 @@
 #include "spn/srn.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <set>
+#include <cstdint>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -132,136 +133,217 @@ const std::string& Srn::transition_name(TransId t) const {
 }
 
 Marking Srn::fire(TransId t, const Marking& m) const {
-  const Transition& tr = transitions_[t];
-  Marking next = m;
-  for (const auto& [p, mult] : tr.inputs) next[p] -= mult;
-  for (const auto& [p, mult] : tr.outputs) next[p] += mult;
+  Marking next;
+  fire_into(t, m, next);
   return next;
 }
 
-namespace {
-
-// Enabled immediate transitions of the highest priority level.
-std::vector<TransId> enabled_immediates(const Srn& srn,
-                                        const std::vector<bool>& timed,
-                                        const std::vector<unsigned>& priority,
-                                        const Marking& m) {
-  std::vector<TransId> best;
-  unsigned best_priority = 0;
-  for (TransId t = 0; t < timed.size(); ++t) {
-    if (timed[t] || !srn.enabled(t, m)) continue;
-    if (priority[t] > best_priority) {
-      best_priority = priority[t];
-      best.clear();
-    }
-    if (priority[t] == best_priority) best.push_back(t);
-  }
-  return best;
+void Srn::fire_into(TransId t, const Marking& m, Marking& next) const {
+  const Transition& tr = transitions_[t];
+  next.assign(m.begin(), m.end());
+  for (const auto& [p, mult] : tr.inputs) next[p] -= mult;
+  for (const auto& [p, mult] : tr.outputs) next[p] += mult;
 }
 
-}  // namespace
+/// Reachability analysis behind Srn::generate. Tangible markings are
+/// interned as ids into `out_.markings` through an open-addressing hash
+/// table. Vanishing markings are eliminated depth first into buffers that
+/// live across firings (the on-path markings, the enabled immediates at
+/// each depth, the tangible-mass list), so a firing allocates only for a
+/// new tangible marking or while a buffer outgrows every earlier firing.
+class Srn::Reachability {
+ public:
+  Reachability(const Srn& net, std::size_t max_states)
+      : net_(net), max_states_(max_states), slots_(kInitialSlots), path_(1) {
+    for (TransId t = 0; t < net.transitions_.size(); ++t) {
+      (net.transitions_[t].timed ? timed_ : immediates_).push_back(t);
+    }
+  }
+
+  GeneratedChain run() {
+    // Resolve the initial marking (it may be vanishing).
+    path_[0] = net_.initial_;
+    resolve_root();
+    for (const std::size_t i : order_) {
+      const std::size_t id = intern(tangible_[i]);
+      if (out_.initial.size() <= id) out_.initial.resize(id + 1, 0.0);
+      out_.initial[id] += mass_[i];
+    }
+
+    // Breadth-first over tangible markings. Ids are handed out in discovery
+    // order, so the frontier is every id past the cursor.
+    Marking m;
+    for (std::size_t id = 0; id < out_.markings.size(); ++id) {
+      m = out_.markings[id];  // a copy: interning may move the markings
+      for (const TransId t : timed_) {
+        if (!net_.enabled(t, m)) continue;
+        const double rate = net_.transitions_[t].rate(m);
+        if (!(rate > 0.0)) {
+          throw ModelError("Srn::generate: transition '" +
+                           net_.transitions_[t].name +
+                           "' enabled with non-positive rate");
+        }
+        net_.fire_into(t, m, path_[0]);
+        resolve_root();
+        for (const std::size_t i : order_) {
+          const std::size_t next = intern(tangible_[i]);
+          // Self-loop mass (next == id) contributes nothing to the generator.
+          if (next != id) out_.ctmc.add_transition(id, next, rate * mass_[i]);
+        }
+      }
+    }
+    out_.initial.resize(out_.markings.size(), 0.0);
+    return std::move(out_);
+  }
+
+ private:
+  /// A hash-table slot: the marking's hash and its id + 1 (0 = empty).
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::size_t id_plus_one = 0;
+  };
+  static constexpr std::size_t kInitialSlots = 1024;  // a power of two
+
+  static std::uint64_t hash(const Marking& m) {
+    std::uint64_t h = m.size();
+    for (const std::uint32_t tokens : m) {
+      h = (h ^ tokens) * 0x9e3779b97f4a7c15ULL;
+      h ^= h >> 32;
+    }
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    return h ^ (h >> 33);
+  }
+
+  /// Id of tangible marking `m`, interning it (as a new anonymous state)
+  /// when it is new: one probe sequence either way. Linear probing over a
+  /// power-of-two table kept at most half full.
+  std::size_t intern(const Marking& m) {
+    const std::uint64_t h = hash(m);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = h & mask;
+    for (; slots_[i].id_plus_one != 0; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.hash == h && out_.markings[s.id_plus_one - 1] == m) {
+        return s.id_plus_one - 1;
+      }
+    }
+    const std::size_t id = out_.markings.size();
+    if (id >= max_states_) {
+      throw ModelError("Srn::generate: more than " +
+                       std::to_string(max_states_) + " tangible markings");
+    }
+    out_.markings.push_back(m);
+    out_.ctmc.add_states(1);
+    slots_[i] = {h, id + 1};
+    if (2 * out_.markings.size() > slots_.size()) grow();
+    return id;
+  }
+
+  void grow() {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.id_plus_one == 0) continue;
+      std::size_t i = s.hash & mask;
+      while (slots_[i].id_plus_one != 0) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+
+  /// Spreads unit mass from path_[0] over the tangible markings it reaches
+  /// through immediate firings; leaves them in order_, lexicographically.
+  void resolve_root() {
+    tangible_count_ = 0;
+    resolve(0, 1.0);
+    order_.resize(tangible_count_);
+    for (std::size_t i = 0; i < tangible_count_; ++i) order_[i] = i;
+    std::sort(order_.begin(), order_.end(), [this](std::size_t a,
+                                                   std::size_t b) {
+      return tangible_[a] < tangible_[b];
+    });
+  }
+
+  /// Distributes `prob` from path_[depth] (path_[0 .. depth) are the
+  /// vanishing markings above it). Buffers are indexed, never held by
+  /// reference, across the recursive call: a deeper level may grow them.
+  void resolve(std::size_t depth, double prob) {
+    if (enabled_.size() <= depth) enabled_.resize(depth + 1);
+    // Enabled immediates of the highest priority level.
+    enabled_[depth].clear();
+    unsigned best_priority = 0;
+    for (const TransId t : immediates_) {
+      if (!net_.enabled(t, path_[depth])) continue;
+      const unsigned priority = net_.transitions_[t].priority;
+      if (priority > best_priority) {
+        best_priority = priority;
+        enabled_[depth].clear();
+      }
+      if (priority == best_priority) enabled_[depth].push_back(t);
+    }
+    if (enabled_[depth].empty()) {
+      add_tangible(path_[depth], prob);
+      return;
+    }
+    ++out_.vanishing_count;
+    for (std::size_t d = 0; d < depth; ++d) {
+      detail::require_model(path_[d] != path_[depth],
+                            "Srn::generate: cycle of immediate transitions "
+                            "(vanishing loop)");
+    }
+    double total_weight = 0.0;
+    for (const TransId t : enabled_[depth]) {
+      total_weight += net_.transitions_[t].weight;
+    }
+    if (path_.size() <= depth + 1) path_.resize(depth + 2);
+    for (std::size_t k = 0; k < enabled_[depth].size(); ++k) {
+      const TransId t = enabled_[depth][k];
+      net_.fire_into(t, path_[depth], path_[depth + 1]);
+      resolve(depth + 1, prob * net_.transitions_[t].weight / total_weight);
+    }
+  }
+
+  /// Adds mass to a tangible marking of the current resolution; the masses
+  /// of one marking are summed in arrival order.
+  void add_tangible(const Marking& m, double prob) {
+    for (std::size_t i = 0; i < tangible_count_; ++i) {
+      if (tangible_[i] == m) {
+        mass_[i] += prob;
+        return;
+      }
+    }
+    if (tangible_count_ == tangible_.size()) {
+      tangible_.emplace_back();
+      mass_.emplace_back();
+    }
+    tangible_[tangible_count_] = m;
+    mass_[tangible_count_] = prob;
+    ++tangible_count_;
+  }
+
+  const Srn& net_;
+  const std::size_t max_states_;
+  std::vector<TransId> timed_, immediates_;
+  GeneratedChain out_;
+  std::vector<Slot> slots_;
+  /// path_[d]: the marking at depth d of the current resolution.
+  std::vector<Marking> path_;
+  /// enabled_[d]: the top-priority enabled immediates of path_[d].
+  std::vector<std::vector<TransId>> enabled_;
+  /// The current resolution's tangible markings and their masses; the
+  /// first tangible_count_ entries are in use.
+  std::vector<Marking> tangible_;
+  std::vector<double> mass_;
+  std::size_t tangible_count_ = 0;
+  /// Indices into tangible_, in lexicographic marking order.
+  std::vector<std::size_t> order_;
+};
 
 GeneratedChain Srn::generate(std::size_t max_states) const {
   detail::require_model(!places_.empty(), "Srn::generate: no places");
   detail::require_model(!transitions_.empty(), "Srn::generate: no transitions");
-
-  std::vector<bool> timed(transitions_.size());
-  std::vector<unsigned> priority(transitions_.size());
-  std::vector<double> weight(transitions_.size());
-  for (TransId t = 0; t < transitions_.size(); ++t) {
-    timed[t] = transitions_[t].timed;
-    priority[t] = transitions_[t].priority;
-    weight[t] = transitions_[t].weight;
-  }
-
-  GeneratedChain out;
-  std::map<Marking, std::size_t> tangible_index;
-
-  // Eliminates vanishing markings: distributes `prob` mass from `m` over
-  // tangible markings reachable through immediate firings only.
-  // `on_path` detects immediate cycles.
-  std::function<void(const Marking&, double, std::set<Marking>&,
-                     std::map<Marking, double>&)>
-      resolve = [&](const Marking& m, double prob, std::set<Marking>& on_path,
-                    std::map<Marking, double>& tangible_mass) {
-        const auto imms = enabled_immediates(*this, timed, priority, m);
-        if (imms.empty()) {
-          tangible_mass[m] += prob;
-          return;
-        }
-        ++out.vanishing_count;
-        detail::require_model(!on_path.count(m),
-                              "Srn::generate: cycle of immediate transitions "
-                              "(vanishing loop)");
-        on_path.insert(m);
-        double total_weight = 0.0;
-        for (const TransId t : imms) total_weight += weight[t];
-        for (const TransId t : imms) {
-          resolve(fire(t, m), prob * weight[t] / total_weight, on_path,
-                  tangible_mass);
-        }
-        on_path.erase(m);
-      };
-
-  auto intern = [&](const Marking& m) {
-    const auto it = tangible_index.find(m);
-    if (it != tangible_index.end()) return it->second;
-    const std::size_t id = out.markings.size();
-    detail::require_model(id < max_states,
-                          "Srn::generate: more than " +
-                              std::to_string(max_states) +
-                              " tangible markings");
-    tangible_index.emplace(m, id);
-    out.markings.push_back(m);
-    out.ctmc.add_state("m" + std::to_string(id));
-    return id;
-  };
-
-  // Resolve the initial marking (it may be vanishing).
-  {
-    std::set<Marking> on_path;
-    std::map<Marking, double> mass;
-    resolve(initial_, 1.0, on_path, mass);
-    for (const auto& [m, p] : mass) {
-      const std::size_t id = intern(m);
-      if (out.initial.size() <= id) out.initial.resize(id + 1, 0.0);
-      out.initial[id] += p;
-    }
-  }
-
-  // BFS over tangible markings.
-  std::deque<std::size_t> frontier;
-  for (std::size_t id = 0; id < out.markings.size(); ++id) {
-    frontier.push_back(id);
-  }
-  while (!frontier.empty()) {
-    const std::size_t id = frontier.front();
-    frontier.pop_front();
-    const Marking m = out.markings[id];
-
-    for (TransId t = 0; t < transitions_.size(); ++t) {
-      if (!timed[t] || !enabled(t, m)) continue;
-      const double rate = transitions_[t].rate(m);
-      detail::require_model(rate > 0.0,
-                            "Srn::generate: transition '" +
-                                transitions_[t].name +
-                                "' enabled with non-positive rate");
-      std::set<Marking> on_path;
-      std::map<Marking, double> mass;
-      resolve(fire(t, m), 1.0, on_path, mass);
-      for (const auto& [next, p] : mass) {
-        const bool fresh = !tangible_index.count(next);
-        const std::size_t nid = intern(next);
-        if (fresh) frontier.push_back(nid);
-        if (nid != id) {
-          out.ctmc.add_transition(id, nid, rate * p);
-        }
-        // Self-loop mass (nid == id) contributes nothing to the generator.
-      }
-    }
-  }
-  out.initial.resize(out.markings.size(), 0.0);
-  return out;
+  return Reachability(*this, max_states).run();
 }
 
 double Srn::steady_state_reward(const RewardFn& reward) const {
@@ -311,11 +393,8 @@ double Srn::mean_time_to_absorption(const GuardFn& absorbed) const {
   // Build a copy of the chain where `absorbed` markings lose their outgoing
   // transitions.
   markov::Ctmc chain;
-  for (std::size_t i = 0; i < g.markings.size(); ++i) {
-    chain.add_state("m" + std::to_string(i));
-  }
-  const markov::Ctmc& src = g.ctmc;
-  const SparseMatrix q = src.sparse_generator();
+  chain.add_states(g.markings.size());
+  const SparseMatrix q = g.ctmc.sparse_generator();
   for (std::size_t r = 0; r < g.markings.size(); ++r) {
     if (absorbed(g.markings[r])) continue;
     for (std::size_t k = q.row_begin(r); k < q.row_end(r); ++k) {

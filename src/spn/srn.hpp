@@ -37,6 +37,7 @@ using RewardFn = std::function<double(const Marking&)>;
 
 /// The CTMC generated from an SRN by reachability analysis.
 struct GeneratedChain {
+  /// Anonymous states: state k (named "s<k>") is tangible marking k.
   markov::Ctmc ctmc;
   /// Tangible markings; index = CTMC state id.
   std::vector<Marking> markings;
@@ -94,8 +95,10 @@ class Srn {
   unsigned priority_of(TransId t) const;
   const std::string& transition_name(TransId t) const;
 
-  /// Generates the tangible-marking CTMC. Throws ModelError on an immediate-
-  /// transition cycle (vanishing loop), on a timed transition with
+  /// Generates the tangible-marking CTMC. Tangible markings are numbered
+  /// in breadth-first discovery order; the successors of one firing are
+  /// discovered in lexicographic marking order. Throws ModelError on an
+  /// immediate-transition cycle (vanishing loop), on a timed transition with
   /// non-positive rate in an enabled marking, or when more than `max_states`
   /// tangible markings are reached.
   GeneratedChain generate(std::size_t max_states = 1u << 20) const;
@@ -117,6 +120,11 @@ class Srn {
   double mean_time_to_absorption(const GuardFn& absorbed) const;
 
  private:
+  class Reachability;  // generate()'s working state (srn.cpp)
+
+  /// Writes the marking after firing `t` from `m` into `next`.
+  void fire_into(TransId t, const Marking& m, Marking& next) const;
+
   struct Transition {
     std::string name;
     bool timed;

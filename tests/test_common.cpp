@@ -144,6 +144,89 @@ TEST(Sparse, BuildSumsDuplicatesAndSorts) {
   EXPECT_DOUBLE_EQ(m.at(1, 1), -1.0);
 }
 
+TEST(Sparse, DuplicatesSumInInsertionOrder) {
+  // Floating-point addition is not associative: the two insertion orders
+  // below give different doubles, and each must come out as added.
+  SparseBuilder b(2, 2);
+  b.add(0, 1, 1e16);
+  b.add(1, 0, 1e16);
+  b.add(0, 1, -1e16);
+  b.add(1, 0, 1.0);
+  b.add(0, 1, 1.0);
+  b.add(1, 0, -1e16);
+  const SparseMatrix m = b.build();
+  EXPECT_EQ(m.at(0, 1), (0.0 + 1e16 + -1e16) + 1.0);  // 1
+  EXPECT_EQ(m.at(1, 0), (0.0 + 1e16 + 1.0) + -1e16);  // 0 (1 is absorbed)
+  EXPECT_EQ(m.at(0, 1), 1.0);
+  // A row whose duplicates cancel keeps no entry.
+  EXPECT_EQ(m.nnz(), 1u);
+  EXPECT_EQ(m.row_begin(1), m.row_end(1));
+}
+
+TEST(Sparse, ZeroSumsDroppedAndEmptyRowsKept) {
+  SparseBuilder b(5, 4);
+  b.add(3, 2, 1.5);
+  b.add(1, 3, 2.0);
+  b.add(1, 0, 4.0);
+  b.add(3, 2, -1.5);
+  b.add(1, 3, 0.0);  // zero adds are ignored outright
+  const SparseMatrix m = b.build();
+  EXPECT_EQ(m.rows(), 5u);
+  EXPECT_EQ(m.nnz(), 2u);
+  for (const std::size_t r : {0u, 2u, 3u, 4u}) {
+    EXPECT_EQ(m.row_begin(r), m.row_end(r)) << "row " << r;
+  }
+  ASSERT_EQ(m.row_end(1) - m.row_begin(1), 2u);
+  EXPECT_EQ(m.col(m.row_begin(1)), 0u);
+  EXPECT_EQ(m.value(m.row_begin(1)), 4.0);
+  EXPECT_EQ(m.col(m.row_begin(1) + 1), 3u);
+  EXPECT_EQ(m.value(m.row_begin(1) + 1), 2.0);
+  // The builder is left empty and reusable.
+  b.add(4, 1, 3.0);
+  const SparseMatrix again = b.build();
+  EXPECT_EQ(again.nnz(), 1u);
+  EXPECT_EQ(again.at(4, 1), 3.0);
+  const SparseMatrix empty = SparseBuilder(3, 3).build();
+  EXPECT_EQ(empty.nnz(), 0u);
+  EXPECT_EQ(empty.row_end(2), 0u);
+}
+
+TEST(Sparse, LongRowsKeepDuplicateOrder) {
+  // Rows long enough that a comparison sort would reorder equal keys. Each
+  // entry receives 1e16, -1e16 and 1 in that order, which sums to 1; four
+  // of the other five orders sum to 0 and would drop the entry.
+  constexpr std::size_t kCols = 64;
+  SparseBuilder b(3, kCols);
+  for (const double v : {1e16, -1e16, 1.0}) {
+    for (std::size_t i = 0; i < kCols; ++i) {
+      const std::size_t spread = v == 1.0 ? 37 : v > 0.0 ? 11 : 23;
+      b.add(1, (spread * i) % kCols, v);
+      b.add(0, (kCols - 1 - i + (v < 0.0 ? 5 : 0)) % kCols, v);
+    }
+  }
+  const SparseMatrix m = b.build();
+  EXPECT_EQ(m.nnz(), 2 * kCols);
+  for (const std::size_t r : {0u, 1u}) {
+    ASSERT_EQ(m.row_end(r) - m.row_begin(r), kCols) << "row " << r;
+    for (std::size_t c = 0; c < kCols; ++c) {
+      const std::size_t k = m.row_begin(r) + c;
+      EXPECT_EQ(m.col(k), c);
+      EXPECT_EQ(m.value(k), 1.0) << "row " << r << " col " << c;
+    }
+  }
+}
+
+TEST(Sparse, OutOfRangeAddThrows) {
+  SparseBuilder b(2, 3);
+  EXPECT_THROW(b.add(2, 0, 1.0), InvalidArgument);
+  EXPECT_THROW(b.add(0, 3, 1.0), InvalidArgument);
+  try {
+    b.add(5, 5, 1.0);
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "SparseBuilder::add: out of range");
+  }
+}
+
 TEST(Sparse, MultiplyBothSides) {
   SparseBuilder b(2, 2);
   b.add(0, 0, 1.0);

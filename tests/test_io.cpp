@@ -380,6 +380,27 @@ TEST(Graphviz, CtmcExportContainsStatesAndRates) {
   EXPECT_NE(dot.find("peripheries=2"), std::string::npos);
 }
 
+TEST(Graphviz, AnonymousStatesExportUnchanged) {
+  markov::Ctmc c;
+  c.add_states(3);
+  c.add_transition(0, 1, 0.5);
+  c.add_transition(1, 2, 0.25);
+  c.add_transition(2, 0, 2.0);
+  c.add_transition(1, 0, 1.0 / 3.0);
+  EXPECT_EQ(to_graphviz(c),
+            "digraph ctmc {\n"
+            "  rankdir=LR;\n"
+            "  node [shape=ellipse];\n"
+            "  s0 [label=\"s0\"];\n"
+            "  s1 [label=\"s1\"];\n"
+            "  s2 [label=\"s2\"];\n"
+            "  s0 -> s1 [label=\"0.5\"];\n"
+            "  s1 -> s0 [label=\"0.333333\"];\n"
+            "  s1 -> s2 [label=\"0.25\"];\n"
+            "  s2 -> s0 [label=\"2\"];\n"
+            "}\n");
+}
+
 TEST(Graphviz, SrnReachabilityExport) {
   spn::Srn net;
   const auto a = net.add_place("a", 1);

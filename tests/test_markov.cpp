@@ -34,6 +34,82 @@ TEST(CtmcBasics, StateManagement) {
   EXPECT_TRUE(c.is_absorbing(a));
 }
 
+TEST(CtmcNaming, AnonymousStatesAnswerToImpliedNames) {
+  Ctmc c;
+  EXPECT_EQ(c.add_states(5), 0u);
+  EXPECT_EQ(c.state_count(), 5u);
+  for (StateId k = 0; k < 5; ++k) {
+    EXPECT_EQ(c.state_name(k), "s" + std::to_string(k));
+    EXPECT_EQ(c.state_index("s" + std::to_string(k)), k);
+  }
+  // Only the exact spelling of an implied name resolves.
+  EXPECT_THROW(c.state_index("s5"), InvalidArgument);
+  EXPECT_THROW(c.state_index("s01"), InvalidArgument);
+  EXPECT_THROW(c.state_index("s"), InvalidArgument);
+  EXPECT_THROW(c.state_index("s-1"), InvalidArgument);
+  EXPECT_THROW(c.state_index("S1"), InvalidArgument);
+  EXPECT_THROW(c.state_name(5), InvalidArgument);
+  EXPECT_THROW(c.add_states(0), InvalidArgument);
+}
+
+TEST(CtmcNaming, MixedNamedAndAnonymousStates) {
+  Ctmc c;
+  const StateId up = c.add_state("up");
+  EXPECT_EQ(c.add_states(2), 1u);
+  const StateId down = c.add_state("down");
+  const StateId s4 = c.add_state("s4");  // its own implied name
+  EXPECT_EQ(c.add_states(1), 5u);
+  EXPECT_EQ(c.state_count(), 6u);
+  const std::vector<std::string> names{"up", "s1", "s2", "down", "s4", "s5"};
+  for (StateId k = 0; k < names.size(); ++k) {
+    EXPECT_EQ(c.state_name(k), names[k]);
+    EXPECT_EQ(c.state_index(names[k]), k);
+  }
+  EXPECT_EQ(up, 0u);
+  EXPECT_EQ(down, 3u);
+  EXPECT_EQ(s4, 4u);
+  // A named state's implied name is not an alias.
+  EXPECT_THROW(c.state_index("s0"), InvalidArgument);
+  EXPECT_THROW(c.state_index("s3"), InvalidArgument);
+  c.add_transition(up, 2, 1.0);
+  c.add_transition(2, up, 2.0);
+  EXPECT_EQ(c.exit_rate(2), 2.0);
+}
+
+TEST(CtmcNaming, DuplicateImpliedNamesThrowWhicheverCameFirst) {
+  {
+    Ctmc c;
+    c.add_states(5);
+    try {
+      c.add_state("s3");
+      ADD_FAILURE() << "duplicate of an implied name accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), "Ctmc::add_state: duplicate state 's3'");
+    }
+    EXPECT_EQ(c.state_count(), 5u);
+    EXPECT_EQ(c.add_state("s5"), 5u);
+    EXPECT_THROW(c.add_state("s5"), InvalidArgument);
+  }
+  {
+    Ctmc c;
+    EXPECT_EQ(c.add_state("s3"), 0u);
+    try {
+      c.add_states(5);
+      ADD_FAILURE() << "implied name clashing with a stored one accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), "Ctmc::add_state: duplicate state 's3'");
+    }
+    // Nothing was added; states up to s2 do not clash.
+    EXPECT_EQ(c.state_count(), 1u);
+    EXPECT_EQ(c.add_states(2), 1u);
+    EXPECT_THROW(c.add_states(1), InvalidArgument);
+    EXPECT_EQ(c.add_state("x"), 3u);  // a named state 3 takes no implied name
+    EXPECT_EQ(c.add_states(1), 4u);
+    EXPECT_EQ(c.state_index("s3"), 0u);
+    EXPECT_EQ(c.state_index("s4"), 4u);
+  }
+}
+
 TEST(CtmcSteady, TwoStateAvailability) {
   const double lambda = 1.0 / 1000.0, mu = 1.0 / 4.0;
   const Ctmc c = two_state(lambda, mu);

@@ -4,6 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <functional>
+#include <map>
+#include <optional>
+#include <random>
+#include <set>
+#include <string>
+#include <typeinfo>
 
 #include "common/error.hpp"
 #include "markov/ctmc.hpp"
@@ -271,6 +281,382 @@ TEST(SrnStateSpace, GrowthWithTokens) {
     const GeneratedChain g = net.generate();
     EXPECT_EQ(g.markings.size(), (k + 2) * (k + 1) / 2u) << "k=" << k;
   }
+}
+
+// ---- generation oracle ------------------------------------------------------
+//
+// The std::map-based reachability analysis that Srn::generate used before it
+// interned markings by hash, kept as the reference: the same BFS, the same
+// recursive vanishing elimination with std::set/std::map, states named
+// "m<id>". It counts the tangible markings reached twice within one
+// resolution, so the random nets below provably exercise merging branches.
+
+struct ReferenceStats {
+  std::size_t merges = 0;
+  std::size_t vanishing_initial = 0;
+};
+
+std::vector<TransId> reference_immediates(const Srn& srn, const Marking& m) {
+  std::vector<TransId> best;
+  unsigned best_priority = 0;
+  for (TransId t = 0; t < srn.transition_count(); ++t) {
+    if (srn.is_timed(t) || !srn.enabled(t, m)) continue;
+    if (srn.priority_of(t) > best_priority) {
+      best_priority = srn.priority_of(t);
+      best.clear();
+    }
+    if (srn.priority_of(t) == best_priority) best.push_back(t);
+  }
+  return best;
+}
+
+GeneratedChain reference_generate(const Srn& srn, std::size_t max_states,
+                                  ReferenceStats& stats) {
+  GeneratedChain out;
+  std::map<Marking, std::size_t> tangible_index;
+
+  std::function<void(const Marking&, double, std::set<Marking>&,
+                     std::map<Marking, double>&)>
+      resolve = [&](const Marking& m, double prob, std::set<Marking>& on_path,
+                    std::map<Marking, double>& tangible_mass) {
+        const auto imms = reference_immediates(srn, m);
+        if (imms.empty()) {
+          if (tangible_mass.count(m)) ++stats.merges;
+          tangible_mass[m] += prob;
+          return;
+        }
+        ++out.vanishing_count;
+        detail::require_model(!on_path.count(m),
+                              "Srn::generate: cycle of immediate transitions "
+                              "(vanishing loop)");
+        on_path.insert(m);
+        double total_weight = 0.0;
+        for (const TransId t : imms) total_weight += srn.weight_of(t);
+        for (const TransId t : imms) {
+          resolve(srn.fire(t, m), prob * srn.weight_of(t) / total_weight,
+                  on_path, tangible_mass);
+        }
+        on_path.erase(m);
+      };
+
+  auto intern = [&](const Marking& m) {
+    const auto it = tangible_index.find(m);
+    if (it != tangible_index.end()) return it->second;
+    const std::size_t id = out.markings.size();
+    detail::require_model(id < max_states,
+                          "Srn::generate: more than " +
+                              std::to_string(max_states) +
+                              " tangible markings");
+    tangible_index.emplace(m, id);
+    out.markings.push_back(m);
+    out.ctmc.add_state("m" + std::to_string(id));
+    return id;
+  };
+
+  {
+    std::set<Marking> on_path;
+    std::map<Marking, double> mass;
+    resolve(srn.initial_marking(), 1.0, on_path, mass);
+    if (out.vanishing_count > 0) ++stats.vanishing_initial;
+    for (const auto& [m, p] : mass) {
+      const std::size_t id = intern(m);
+      if (out.initial.size() <= id) out.initial.resize(id + 1, 0.0);
+      out.initial[id] += p;
+    }
+  }
+
+  std::deque<std::size_t> frontier;
+  for (std::size_t id = 0; id < out.markings.size(); ++id) {
+    frontier.push_back(id);
+  }
+  while (!frontier.empty()) {
+    const std::size_t id = frontier.front();
+    frontier.pop_front();
+    const Marking m = out.markings[id];
+    for (TransId t = 0; t < srn.transition_count(); ++t) {
+      if (!srn.is_timed(t) || !srn.enabled(t, m)) continue;
+      const double rate = srn.rate_of(t, m);
+      detail::require_model(rate > 0.0,
+                            "Srn::generate: transition '" +
+                                srn.transition_name(t) +
+                                "' enabled with non-positive rate");
+      std::set<Marking> on_path;
+      std::map<Marking, double> mass;
+      resolve(srn.fire(t, m), 1.0, on_path, mass);
+      for (const auto& [next, p] : mass) {
+        const bool fresh = !tangible_index.count(next);
+        const std::size_t nid = intern(next);
+        if (fresh) frontier.push_back(nid);
+        if (nid != id) out.ctmc.add_transition(id, nid, rate * p);
+      }
+    }
+  }
+  out.initial.resize(out.markings.size(), 0.0);
+  return out;
+}
+
+std::uint64_t bits(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+/// generate() must reproduce the reference bit for bit, or throw the same
+/// exception type with the same text. Returns true when a chain came out.
+bool expect_matches_reference(const Srn& net, std::size_t max_states,
+                              ReferenceStats& stats,
+                              const std::string& label) {
+  std::optional<GeneratedChain> want;
+  std::string want_error;
+  const std::type_info* want_type = nullptr;
+  try {
+    want = reference_generate(net, max_states, stats);
+  } catch (const Error& e) {
+    want_error = e.what();
+    want_type = &typeid(e);
+  }
+  std::optional<GeneratedChain> got;
+  try {
+    got = net.generate(max_states);
+  } catch (const Error& e) {
+    EXPECT_TRUE(want_type != nullptr && typeid(e) == *want_type) << label;
+    EXPECT_EQ(e.what(), want_error) << label;
+    return false;
+  }
+  EXPECT_EQ(want_type, nullptr) << label << ": expected '" << want_error
+                                << "'";
+  if (!want) return false;
+  EXPECT_EQ(got->markings, want->markings) << label;
+  EXPECT_EQ(got->vanishing_count, want->vanishing_count) << label;
+  EXPECT_EQ(got->ctmc.state_count(), want->ctmc.state_count()) << label;
+  EXPECT_EQ(got->initial.size(), want->initial.size()) << label;
+  for (std::size_t i = 0; i < std::min(got->initial.size(),
+                                       want->initial.size());
+       ++i) {
+    EXPECT_EQ(bits(got->initial[i]), bits(want->initial[i]))
+        << label << " initial[" << i << "]";
+  }
+  const SparseMatrix q = got->ctmc.sparse_generator();
+  const SparseMatrix r = want->ctmc.sparse_generator();
+  EXPECT_EQ(q.rows(), r.rows()) << label;
+  EXPECT_EQ(q.nnz(), r.nnz()) << label;
+  if (q.rows() != r.rows() || q.nnz() != r.nnz()) return true;
+  for (std::size_t row = 0; row < q.rows(); ++row) {
+    EXPECT_EQ(q.row_end(row), r.row_end(row)) << label << " row " << row;
+  }
+  for (std::size_t k = 0; k < q.nnz(); ++k) {
+    EXPECT_EQ(q.col(k), r.col(k)) << label << " entry " << k;
+    EXPECT_EQ(bits(q.value(k)), bits(r.value(k))) << label << " entry " << k;
+  }
+  return true;
+}
+
+/// A random token-conserving net: timed transitions move tokens between
+/// any places (constant or marking-dependent rates, some inhibited);
+/// immediates only move tokens to a higher-numbered place, so there is no
+/// vanishing loop, with random weights and two priority levels.
+Srn random_net(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  const auto uniform = [&](double lo, double hi) {
+    return lo + (hi - lo) * std::uniform_real_distribution<double>(0, 1)(rng);
+  };
+  Srn net;
+  const std::size_t places = 3 + pick(3);
+  std::vector<std::uint32_t> tokens(places, 0);
+  for (std::size_t k = 2 + pick(3); k > 0; --k) ++tokens[pick(places)];
+  for (std::size_t p = 0; p < places; ++p) {
+    net.add_place("p" + std::to_string(p), tokens[p]);
+  }
+  const std::size_t timed = 3 + pick(4);
+  for (std::size_t i = 0; i < timed; ++i) {
+    const PlaceId from = pick(places);
+    const PlaceId to = (from + 1 + pick(places - 1)) % places;
+    const std::uint32_t mult = pick(4) == 0 ? 2 : 1;
+    const double base = uniform(0.5, 3.0);
+    const std::string name = "t" + std::to_string(i);
+    const TransId t =
+        pick(2) == 0
+            ? net.add_timed(name, base)
+            : net.add_timed(name, [from, base](const Marking& m) {
+                return base * (0.5 + m[from]);
+              });
+    net.add_input_arc(t, from, mult);
+    net.add_output_arc(t, to, mult);
+    if (pick(3) == 0) {
+      net.add_inhibitor_arc(t, pick(places),
+                            static_cast<std::uint32_t>(1 + pick(2)));
+    }
+  }
+  const std::size_t immediates = 1 + pick(3);
+  for (std::size_t i = 0; i < immediates; ++i) {
+    const PlaceId from = pick(places - 1);
+    const PlaceId to = from + 1 + pick(places - 1 - from);
+    const TransId t = net.add_immediate(
+        "i" + std::to_string(i), uniform(0.2, 5.0),
+        static_cast<unsigned>(1 + pick(2)));
+    net.add_input_arc(t, from);
+    net.add_output_arc(t, to);
+    if (pick(5) == 0) net.add_inhibitor_arc(t, pick(places));
+  }
+  return net;
+}
+
+TEST(SrnGenerateOracle, RandomNetsMatchReferenceBitForBit) {
+  ReferenceStats stats;
+  std::size_t chains = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const Srn net = random_net(seed);
+    if (expect_matches_reference(net, 1u << 20, stats,
+                                 "seed " + std::to_string(seed))) {
+      ++chains;
+    }
+  }
+  EXPECT_EQ(chains, 300u);
+  // The sample must cover what the hashed generation changed: markings
+  // reached twice within one firing, and a vanishing initial marking.
+  EXPECT_GT(stats.merges, 0u);
+  EXPECT_GT(stats.vanishing_initial, 0u);
+}
+
+TEST(SrnGenerateOracle, SharedRepairPoolsMatchReference) {
+  // Three k-of-n pools with imperfect coverage and one repair crew served
+  // in pool order: thousands of markings, every firing vanishing.
+  Srn net;
+  std::vector<PlaceId> queued;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::string tag = std::to_string(i);
+    const PlaceId up = net.add_place("up" + tag, 4 + i);
+    const PlaceId failed = net.add_place("failed" + tag);
+    const PlaceId down = net.add_place("down" + tag);
+    const PlaceId boot = net.add_place("boot" + tag);
+    const double lambda = 0.01 * (i + 1);
+    const TransId fail = net.add_timed(
+        "fail" + tag, [up, lambda](const Marking& m) { return lambda * m[up]; });
+    net.add_input_arc(fail, up);
+    net.add_output_arc(fail, failed);
+    net.add_inhibitor_arc(fail, boot);
+    const TransId covered = net.add_immediate("covered" + tag, 0.9 + 0.03 * i);
+    net.add_input_arc(covered, failed);
+    net.add_output_arc(covered, down);
+    const TransId uncovered =
+        net.add_immediate("uncovered" + tag, 0.1 - 0.03 * i);
+    net.add_input_arc(uncovered, failed);
+    net.add_output_arc(uncovered, down);
+    net.add_output_arc(uncovered, boot);
+    const TransId reboot = net.add_timed("reboot" + tag, 6.0 + i);
+    net.add_input_arc(reboot, boot);
+    const TransId repair = net.add_timed("repair" + tag, 1.0 + 0.5 * i);
+    net.add_input_arc(repair, down);
+    net.add_output_arc(repair, up);
+    for (const PlaceId earlier : queued) net.add_inhibitor_arc(repair, earlier);
+    queued.push_back(down);
+  }
+  ReferenceStats stats;
+  EXPECT_TRUE(expect_matches_reference(net, 1u << 20, stats, "pools"));
+  EXPECT_GT(net.generate().markings.size(), 1000u);
+}
+
+TEST(SrnGenerateOracle, DiamondMergesInArrivalOrder) {
+  // Two tokens leave `src` through competing immediates; both firing orders
+  // reach {a:1, b:1}, whose mass is the sum of two branches, and the
+  // vanishing initial marking spreads over three tangible markings.
+  Srn net;
+  const PlaceId src = net.add_place("src", 2);
+  const PlaceId a = net.add_place("a", 0);
+  const PlaceId b = net.add_place("b", 0);
+  const TransId to_a = net.add_immediate("to_a", 0.3);
+  net.add_input_arc(to_a, src);
+  net.add_output_arc(to_a, a);
+  const TransId to_b = net.add_immediate("to_b", 0.7);
+  net.add_input_arc(to_b, src);
+  net.add_output_arc(to_b, b);
+  const TransId back_a = net.add_timed("back_a", 1.0);
+  net.add_input_arc(back_a, a);
+  net.add_output_arc(back_a, src);
+  const TransId back_b = net.add_timed(
+      "back_b", [b](const Marking& m) { return 0.5 * m[b]; });
+  net.add_input_arc(back_b, b);
+  net.add_output_arc(back_b, src);
+  ReferenceStats stats;
+  EXPECT_TRUE(expect_matches_reference(net, 1u << 20, stats, "diamond"));
+  EXPECT_GT(stats.merges, 0u);
+  EXPECT_EQ(stats.vanishing_initial, 1u);
+  const GeneratedChain g = net.generate();
+  EXPECT_EQ(g.markings.size(), 3u);
+}
+
+TEST(SrnGenerateOracle, ErrorsKeepTypesAndTexts) {
+  ReferenceStats stats;
+  {
+    // Vanishing loop below a timed firing.
+    Srn net;
+    const PlaceId p = net.add_place("p", 1);
+    const PlaceId a = net.add_place("a", 0);
+    const PlaceId b = net.add_place("b", 0);
+    const TransId go = net.add_timed("go", 1.0);
+    net.add_input_arc(go, p);
+    net.add_output_arc(go, a);
+    const TransId ab = net.add_immediate("ab");
+    net.add_input_arc(ab, a);
+    net.add_output_arc(ab, b);
+    const TransId ba = net.add_immediate("ba");
+    net.add_input_arc(ba, b);
+    net.add_output_arc(ba, a);
+    EXPECT_FALSE(expect_matches_reference(net, 1u << 20, stats, "loop"));
+    try {
+      net.generate();
+      ADD_FAILURE() << "vanishing loop not detected";
+    } catch (const ModelError& e) {
+      EXPECT_STREQ(e.what(),
+                   "Srn::generate: cycle of immediate transitions "
+                   "(vanishing loop)");
+    }
+  }
+  {
+    // A marking-dependent rate that reaches zero while enabled.
+    Srn net;
+    const PlaceId p = net.add_place("p", 2);
+    const PlaceId q = net.add_place("q", 0);
+    const TransId drain = net.add_timed(
+        "drain", [p](const Marking& m) { return m[p] >= 2 ? 1.0 : 0.0; });
+    net.add_input_arc(drain, p);
+    net.add_output_arc(drain, q);
+    EXPECT_FALSE(expect_matches_reference(net, 1u << 20, stats, "rate"));
+    try {
+      net.generate();
+      ADD_FAILURE() << "non-positive rate not detected";
+    } catch (const ModelError& e) {
+      EXPECT_STREQ(e.what(),
+                   "Srn::generate: transition 'drain' enabled with "
+                   "non-positive rate");
+    }
+  }
+  {
+    // More tangible markings than allowed.
+    const Srn net = random_net(7);
+    const std::size_t n = net.generate().markings.size();
+    ASSERT_GT(n, 2u);
+    EXPECT_FALSE(expect_matches_reference(net, n - 1, stats, "max_states"));
+    EXPECT_TRUE(expect_matches_reference(net, n, stats, "max_states exact"));
+    try {
+      net.generate(n - 1);
+      ADD_FAILURE() << "max_states not enforced";
+    } catch (const ModelError& e) {
+      EXPECT_EQ(e.what(), "Srn::generate: more than " +
+                              std::to_string(n - 1) + " tangible markings");
+    }
+  }
+}
+
+TEST(SrnGenerateOracle, StatesAreAnonymous) {
+  const Srn net = two_state_net(0.5, 2.0);
+  const GeneratedChain g = net.generate();
+  ASSERT_EQ(g.ctmc.state_count(), 2u);
+  EXPECT_EQ(g.ctmc.state_name(1), "s1");
+  EXPECT_EQ(g.ctmc.state_index("s0"), 0u);
 }
 
 }  // namespace
