@@ -203,9 +203,11 @@ double Manager::prob(NodeRef f, std::span<const double> p) const {
     const bool hi_done = memo.count(hi) != 0;
     if (lo_done && hi_done) {
       const std::uint32_t lv = level(cur);
-      detail::require(lv < p.size(),
-                      "prob: probability vector does not cover variable level " +
-                          std::to_string(lv));
+      if (lv >= p.size()) {
+        throw InvalidArgument(
+            "prob: probability vector does not cover variable level " +
+            std::to_string(lv));
+      }
       const double px = p[lv];
       memo[cur] = px * memo.at(hi) + (1.0 - px) * memo.at(lo);
       stack.pop_back();

@@ -1,12 +1,25 @@
-// Behaviour model of one independent component, shared by the combinatorial
-// model types (RBD, fault tree, reliability graph).
+// Components of the combinatorial model types (RBD, fault tree, reliability
+// graph): the behaviour model of one independent component, and the table
+// that turns component names into BDD variables.
 //
 // A component is "up" with a probability that may be constant, derived from
 // a lifetime distribution (no repair), or the 2-state CTMC availability of
 // an exponentially failing/repairable unit.
+//
+// ComponentTable is the one place where these models set their variable
+// order: a component gets the next BDD level when it is first used, and a
+// name used again (a repeated leaf, a shared edge) is the same variable
+// with its first model.
 #pragma once
 
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "common/distributions.hpp"
 #include "common/error.hpp"
@@ -82,6 +95,83 @@ struct ComponentModel {
     }
     return 0.0;
   }
+};
+
+/// Variables of one combinatorial model: level i is component names()[i]
+/// with behaviour models()[i].
+class ComponentTable {
+ public:
+  /// Level of `name`, registering it with `model` on first use. A known
+  /// name keeps its level and its first model.
+  std::uint32_t intern(const std::string& name, const ComponentModel& model) {
+    const auto [it, added] =
+        index_.try_emplace(name, static_cast<std::uint32_t>(names_.size()));
+    if (added) {
+      names_.push_back(name);
+      models_.push_back(model);
+    }
+    return it->second;
+  }
+
+  /// Level of `name`, if it has been interned.
+  std::optional<std::uint32_t> find(const std::string& name) const {
+    const auto it = index_.find(name);
+    if (it == index_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  std::size_t size() const { return names_.size(); }
+  const std::vector<std::string>& names() const { return names_; }
+  const std::vector<ComponentModel>& models() const { return models_; }
+
+  /// P(component up) at time t by level; the limit when t < 0.
+  std::vector<double> probs_up(double t) const {
+    std::vector<double> p(models_.size());
+    for (std::size_t i = 0; i < models_.size(); ++i) {
+      p[i] = t < 0.0 ? models_[i].prob_up_limit() : models_[i].prob_up_at(t);
+    }
+    return p;
+  }
+
+  /// The value `prob` gives each component, by level. Throws
+  /// InvalidArgument prefixed with `context` when a component is missing or
+  /// a value lies outside [0,1].
+  std::vector<double> probs_from(const std::map<std::string, double>& prob,
+                                 std::string_view context) const {
+    std::vector<double> p(names_.size());
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      const auto it = prob.find(names_[i]);
+      if (it == prob.end()) {
+        throw InvalidArgument(std::string(context) +
+                              ": missing probability for '" + names_[i] +
+                              "'");
+      }
+      if (!(it->second >= 0.0 && it->second <= 1.0)) {
+        throw InvalidArgument(std::string(context) +
+                              ": probability out of [0,1]");
+      }
+      p[i] = it->second;
+    }
+    return p;
+  }
+
+  /// Level sets (e.g. bdd::Manager::minimal_solutions) as name sets.
+  std::vector<std::vector<std::string>> name_sets(
+      const std::vector<std::vector<std::uint32_t>>& sets) const {
+    std::vector<std::vector<std::string>> out;
+    out.reserve(sets.size());
+    for (const auto& set : sets) {
+      std::vector<std::string>& named = out.emplace_back();
+      named.reserve(set.size());
+      for (const auto v : set) named.push_back(names_[v]);
+    }
+    return out;
+  }
+
+ private:
+  std::vector<std::string> names_;
+  std::vector<ComponentModel> models_;
+  std::unordered_map<std::string, std::uint32_t> index_;
 };
 
 }  // namespace relkit

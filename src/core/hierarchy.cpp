@@ -38,12 +38,14 @@ double Hierarchy::value(const std::string& name) const {
     return m->second;
   }
   const auto d = definitions_.find(name);
-  detail::require(d != definitions_.end(),
-                  "Hierarchy::value: unknown quantity '" + name + "'");
-  detail::require_model(!in_progress_.count(name),
-                        "Hierarchy::value: cyclic dependency through '" +
-                            name +
-                            "' — use solve_fixed_point for cyclic systems");
+  if (d == definitions_.end()) {
+    throw InvalidArgument("Hierarchy::value: unknown quantity '" + name +
+                          "'");
+  }
+  if (in_progress_.count(name)) {
+    throw ModelError("Hierarchy::value: cyclic dependency through '" + name +
+                     "' — use solve_fixed_point for cyclic systems");
+  }
   in_progress_.insert(name);
   double v;
   try {
@@ -66,11 +68,14 @@ FixedPointResult Hierarchy::solve_fixed_point(
   detail::require(opts.damping >= 0.0 && opts.damping < 1.0,
                   "solve_fixed_point: damping in [0,1)");
   for (const auto& [name, fn] : updates) {
-    detail::require(parameters_.count(name),
-                    "solve_fixed_point: variable '" + name +
-                        "' must be initialized with set_parameter");
-    detail::require(fn != nullptr, "solve_fixed_point: null update for '" +
-                                       name + "'");
+    if (!parameters_.count(name)) {
+      throw InvalidArgument("solve_fixed_point: variable '" + name +
+                            "' must be initialized with set_parameter");
+    }
+    if (fn == nullptr) {
+      throw InvalidArgument("solve_fixed_point: null update for '" + name +
+                            "'");
+    }
   }
 
   detail::require(opts.max_damping >= opts.damping &&

@@ -370,42 +370,14 @@ Dft::Dft(NodePtr top, std::map<std::string, double> rates) {
   std::function<ftree::NodePtr(const Node&)> build =
       [&](const Node& node) -> ftree::NodePtr {
     switch (node.kind()) {
-      case Node::Kind::kBasic: {
+      case Node::Kind::kBasic:
         if (!events.count(node.name())) {
           events.emplace(node.name(),
                          ftree::EventModel::with_lifetime(
                              exponential(rates.at(node.name()))));
         }
         return ftree::Node::basic(node.name());
-      }
-      case Node::Kind::kAnd: {
-        std::vector<ftree::NodePtr> ch;
-        for (const auto& c : node.children()) ch.push_back(build(*c));
-        return ftree::Node::and_gate(std::move(ch));
-      }
-      case Node::Kind::kOr: {
-        std::vector<ftree::NodePtr> ch;
-        for (const auto& c : node.children()) ch.push_back(build(*c));
-        return ftree::Node::or_gate(std::move(ch));
-      }
-      case Node::Kind::kKofN: {
-        std::vector<ftree::NodePtr> ch;
-        for (const auto& c : node.children()) ch.push_back(build(*c));
-        return ftree::Node::k_of_n_gate(node.k(), std::move(ch));
-      }
-      case Node::Kind::kPand: {
-        std::vector<double> in_rates;
-        for (const auto& c : node.children()) {
-          in_rates.push_back(rates.at(c->name()));
-        }
-        if (events.count(node.name())) {
-          throw ModelError("Dft: duplicate gate name '" + node.name() + "'");
-        }
-        events.emplace(node.name(), ftree::EventModel::with_lifetime(
-                                        pand_lifetime(in_rates)));
-        ++modules_;
-        return ftree::Node::basic(node.name());
-      }
+      case Node::Kind::kPand:
       case Node::Kind::kSpare: {
         std::vector<double> in_rates;
         for (const auto& c : node.children()) {
@@ -416,12 +388,24 @@ Dft::Dft(NodePtr top, std::map<std::string, double> rates) {
         }
         events.emplace(node.name(),
                        ftree::EventModel::with_lifetime(
-                           spare_lifetime(in_rates, node.dormancy())));
+                           node.kind() == Node::Kind::kPand
+                               ? pand_lifetime(in_rates)
+                               : spare_lifetime(in_rates, node.dormancy())));
         ++modules_;
         return ftree::Node::basic(node.name());
       }
+      default: {
+        std::vector<ftree::NodePtr> ch;
+        for (const auto& c : node.children()) ch.push_back(build(*c));
+        if (node.kind() == Node::Kind::kAnd) {
+          return ftree::Node::and_gate(std::move(ch));
+        }
+        if (node.kind() == Node::Kind::kOr) {
+          return ftree::Node::or_gate(std::move(ch));
+        }
+        return ftree::Node::k_of_n_gate(node.k(), std::move(ch));
+      }
     }
-    throw ModelError("Dft: unknown node kind");
   };
 
   const ftree::NodePtr static_top = build(*top);

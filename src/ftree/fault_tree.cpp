@@ -51,64 +51,39 @@ FaultTree::FaultTree(NodePtr top, std::map<std::string, EventModel> events)
   detail::require_model(root_ != nullptr, "FaultTree: null top node");
   coherent_ = root_->coherent();
 
-  std::function<void(const Node&)> collect = [&](const Node& n) {
+  obs::Span span("ftree.build");
+  // Events take their variable levels in first-appearance DFS order.
+  std::function<bdd::NodeRef(const Node&)> build = [&](const Node& n) {
     if (n.kind() == Node::Kind::kBasic) {
       const auto it = events.find(n.event_name());
-      detail::require_model(it != events.end(),
-                            "FaultTree: unknown basic event '" +
-                                n.event_name() + "'");
-      if (!index_.count(n.event_name())) {
-        index_.emplace(n.event_name(),
-                       static_cast<std::uint32_t>(names_.size()));
-        names_.push_back(n.event_name());
-        models_.push_back(it->second);
+      if (it == events.end()) {
+        throw ModelError("FaultTree: unknown basic event '" + n.event_name() +
+                         "'");
       }
-      return;
+      return mgr_.var(table_.intern(it->first, it->second));
     }
-    for (const auto& c : n.children()) collect(*c);
-  };
-  collect(*root_);
-
-  obs::Span span("ftree.build");
-  span.set("events", static_cast<std::uint64_t>(names_.size()));
-
-  std::function<bdd::NodeRef(const Node&)> build = [&](const Node& n) {
+    std::vector<bdd::NodeRef> refs;
+    refs.reserve(n.children().size());
+    for (const auto& c : n.children()) refs.push_back(build(*c));
     switch (n.kind()) {
-      case Node::Kind::kBasic:
-        return mgr_.var(index_.at(n.event_name()));
-      case Node::Kind::kAnd: {
-        std::vector<bdd::NodeRef> refs;
-        refs.reserve(n.children().size());
-        for (const auto& c : n.children()) refs.push_back(build(*c));
+      case Node::Kind::kAnd:
         return mgr_.and_all(refs);
-      }
-      case Node::Kind::kOr: {
-        std::vector<bdd::NodeRef> refs;
-        refs.reserve(n.children().size());
-        for (const auto& c : n.children()) refs.push_back(build(*c));
+      case Node::Kind::kOr:
         return mgr_.or_all(refs);
-      }
-      case Node::Kind::kKofN: {
-        std::vector<bdd::NodeRef> refs;
-        refs.reserve(n.children().size());
-        for (const auto& c : n.children()) refs.push_back(build(*c));
+      case Node::Kind::kKofN:
         return mgr_.at_least(n.k(), refs);
-      }
-      case Node::Kind::kNot:
-        return mgr_.apply_not(build(*n.children()[0]));
+      default:
+        return mgr_.apply_not(refs[0]);
     }
-    return bdd::Manager::zero();
   };
   top_ref_ = build(*root_);
+  span.set("events", static_cast<std::uint64_t>(table_.size()));
   span.set("bdd_nodes", mgr_.node_count(top_ref_));
 }
 
 std::vector<double> FaultTree::event_probs(double t) const {
-  std::vector<double> q(models_.size());
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    q[i] = 1.0 - (t < 0.0 ? models_[i].prob_up_limit()
-                          : models_[i].prob_up_at(t));
-  }
+  std::vector<double> q = table_.probs_up(t);
+  for (double& x : q) x = 1.0 - x;
   return q;
 }
 
@@ -123,35 +98,15 @@ double FaultTree::top_probability_limit() const {
 
 double FaultTree::top_probability(
     const std::map<std::string, double>& q) const {
-  std::vector<double> p(models_.size());
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    const auto it = q.find(names_[i]);
-    if (it == q.end()) {
-      throw InvalidArgument(
-          "FaultTree::top_probability: missing probability for '" + names_[i] +
-          "'");
-    }
-    detail::require(it->second >= 0.0 && it->second <= 1.0,
-                    "FaultTree::top_probability: probability out of [0,1]");
-    p[i] = it->second;
-  }
-  return mgr_.prob(top_ref_, p);
+  return mgr_.prob(top_ref_,
+                   table_.probs_from(q, "FaultTree::top_probability"));
 }
 
 std::vector<std::vector<std::string>> FaultTree::minimal_cut_sets(
     std::size_t limit) const {
   detail::require_model(coherent_,
                         "minimal_cut_sets: tree contains NOT gates");
-  const auto raw = mgr_.minimal_solutions(top_ref_, limit);
-  std::vector<std::vector<std::string>> out;
-  out.reserve(raw.size());
-  for (const auto& cut : raw) {
-    std::vector<std::string> named;
-    named.reserve(cut.size());
-    for (const auto v : cut) named.push_back(names_[v]);
-    out.push_back(std::move(named));
-  }
-  return out;
+  return table_.name_sets(mgr_.minimal_solutions(top_ref_, limit));
 }
 
 std::vector<std::vector<std::string>> FaultTree::minimal_cut_sets_mocus(
@@ -244,7 +199,7 @@ std::vector<std::vector<std::string>> FaultTree::minimal_cut_sets_mocus(
   cuts.reserve(rows.size());
   for (const Row& row : rows) {
     std::set<std::uint32_t> idx;
-    for (const Node* n : row) idx.insert(index_.at(n->event_name()));
+    for (const Node* n : row) idx.insert(*table_.find(n->event_name()));
     cuts.emplace_back(idx.begin(), idx.end());
   }
   std::sort(cuts.begin(), cuts.end(),
@@ -271,15 +226,7 @@ std::vector<std::vector<std::string>> FaultTree::minimal_cut_sets_mocus(
     }
   }
 
-  std::vector<std::vector<std::string>> out;
-  out.reserve(minimal.size());
-  for (const auto& cut : minimal) {
-    std::vector<std::string> named;
-    named.reserve(cut.size());
-    for (const auto v : cut) named.push_back(names_[v]);
-    out.push_back(std::move(named));
-  }
-  return out;
+  return table_.name_sets(minimal);
 }
 
 std::vector<ImportanceRow> FaultTree::importance(double t) const {
@@ -287,11 +234,11 @@ std::vector<ImportanceRow> FaultTree::importance(double t) const {
   const double q_top = mgr_.prob(top_ref_, q);
 
   std::vector<ImportanceRow> rows;
-  rows.reserve(names_.size());
-  for (std::size_t i = 0; i < names_.size(); ++i) {
+  rows.reserve(table_.size());
+  for (std::size_t i = 0; i < table_.size(); ++i) {
     const auto var = static_cast<std::uint32_t>(i);
     ImportanceRow row;
-    row.event = names_[i];
+    row.event = table_.names()[i];
     const bdd::NodeRef f1 = mgr_.restrict_var(top_ref_, var, true);
     const bdd::NodeRef f0 = mgr_.restrict_var(top_ref_, var, false);
     const double q1 = mgr_.prob(f1, q);
@@ -316,10 +263,9 @@ std::size_t FaultTree::bdd_node_count() const {
 }
 
 std::uint32_t FaultTree::event_index(const std::string& name) const {
-  const auto it = index_.find(name);
-  detail::require(it != index_.end(),
-                  "FaultTree::event_index: unknown event '" + name + "'");
-  return it->second;
+  if (const auto level = table_.find(name)) return *level;
+  throw InvalidArgument("FaultTree::event_index: unknown event '" + name +
+                        "'");
 }
 
 GeneratedTree generate_wide_tree(std::uint32_t clusters, std::uint32_t k,

@@ -3,7 +3,10 @@
 // The tutorial's second non-state-space model type: the top event is system
 // failure, internal gates are AND / OR / k-of-n (k inputs failing fires the
 // gate) / NOT, and leaves are basic events. Repeated basic events are
-// handled exactly via BDD compilation. Two independent minimal-cut-set
+// handled exactly via BDD compilation, which gives each event its BDD level
+// in first-appearance DFS order (a ComponentTable, as for RBDs and
+// reliability graphs) during the one walk that builds the top-event
+// function. Two independent minimal-cut-set
 // algorithms are provided (BDD minimal solutions, and the classical MOCUS
 // top-down expansion) so each can validate the other, and MOCUS works even
 // when the BDD would blow up.
@@ -85,11 +88,15 @@ class FaultTree {
   /// Compiles `top` over the basic-event behaviour models.
   FaultTree(NodePtr top, std::map<std::string, EventModel> events);
 
-  std::size_t event_count() const { return names_.size(); }
-  const std::vector<std::string>& event_names() const { return names_; }
+  std::size_t event_count() const { return table_.size(); }
+  const std::vector<std::string>& event_names() const {
+    return table_.names();
+  }
   /// Basic-event behaviour models, aligned with event_names() (used by
   /// the CLI to build a SystemSimulator for --rare-event cross-checks).
-  const std::vector<EventModel>& event_models() const { return models_; }
+  const std::vector<EventModel>& event_models() const {
+    return table_.models();
+  }
   bool coherent() const { return coherent_; }
 
   /// Top-event probability at time t (unreliability / unavailability).
@@ -130,9 +137,7 @@ class FaultTree {
   bdd::NodeRef top_ref_ = bdd::Manager::zero();
   NodePtr root_;
   bool coherent_ = true;
-  std::vector<std::string> names_;
-  std::map<std::string, std::uint32_t> index_;
-  std::vector<EventModel> models_;
+  ComponentTable table_;
 };
 
 /// Scalable synthetic fault tree with the shape of the tutorial's Boeing 787

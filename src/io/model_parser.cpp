@@ -5,6 +5,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -139,6 +140,44 @@ double parse_number(const std::string& tok, std::size_t line, std::size_t col,
     // std::exception and passes through.
     fail(line, col, std::string("bad ") + what + " '" + tok + "'");
   }
+}
+
+/// Resolves `top` (a gate or an event) into the tree of an ftree or rbd
+/// model: `leaf(name)` makes an event leaf, `gate(spec, children)` a gate
+/// over its resolved children. Unknown references are reported where they
+/// are used, cycles at the gate that closes them, and, unless `allow_not`,
+/// a 'not' gate at the gate before its children.
+template <class Leaf, class Gate>
+auto resolve_gates(const std::string& top, std::size_t top_line,
+                   std::size_t top_col,
+                   const std::map<std::string, ComponentModel>& events,
+                   const std::map<std::string, GateSpec>& gates,
+                   bool allow_not, Leaf leaf, Gate gate) {
+  using Ptr = decltype(leaf(top));
+  std::set<std::string> visiting;  // gates on the current path
+  std::function<Ptr(const std::string&, std::size_t, std::size_t)> build =
+      [&](const std::string& name, std::size_t from_line,
+          std::size_t from_col) -> Ptr {
+    if (events.count(name)) return leaf(name);
+    const auto it = gates.find(name);
+    if (it == gates.end()) {
+      fail(from_line, from_col, "unknown reference '" + name + "'");
+    }
+    const GateSpec& g = it->second;
+    if (!visiting.insert(name).second) {
+      fail(g.line, g.col, "cyclic gate definition through '" + name + "'");
+    }
+    if (!allow_not && g.kind == "not") {
+      fail(g.line, g.col, "'not' gates are not allowed in RBD models");
+    }
+    std::vector<Ptr> children;
+    for (const auto& child : g.children) {
+      children.push_back(build(child, g.line, g.col));
+    }
+    visiting.erase(name);
+    return gate(g, std::move(children));
+  };
+  return build(top, top_line, top_col);
 }
 
 /// Availability of an n-unit pool with per-unit failure rate lambda, one
@@ -443,71 +482,27 @@ ParsedModel parse_model(std::istream& input) {
     }
 
     if (model_kind == "ftree") {
-      // Build the ftree AST with cycle detection.
-      std::map<std::string, ftree::EventModel> event_models;
-      for (const auto& [name, model] : events) {
-        event_models.emplace(name, model);
-      }
-      std::map<std::string, int> visiting;  // 0 none, 1 in progress
-      std::function<ftree::NodePtr(const std::string&, std::size_t,
-                                   std::size_t)>
-          build = [&](const std::string& name, std::size_t from_line,
-                      std::size_t from_col) -> ftree::NodePtr {
-        if (events.count(name)) return ftree::Node::basic(name);
-        const auto it = gates.find(name);
-        if (it == gates.end()) {
-          fail(from_line, from_col, "unknown reference '" + name + "'");
-        }
-        if (visiting[name] == 1) {
-          fail(it->second.line, it->second.col,
-               "cyclic gate definition through '" + name + "'");
-        }
-        visiting[name] = 1;
-        const GateSpec& g = it->second;
-        std::vector<ftree::NodePtr> children;
-        for (const auto& child : g.children) {
-          children.push_back(build(child, g.line, g.col));
-        }
-        visiting[name] = 0;
-        if (g.kind == "and") return ftree::Node::and_gate(std::move(children));
-        if (g.kind == "or") return ftree::Node::or_gate(std::move(children));
-        if (g.kind == "not") return ftree::Node::not_gate(children[0]);
-        return ftree::Node::k_of_n_gate(g.k, std::move(children));
-      };
-      const ftree::NodePtr top = build(top_name, top_line, top_col);
-      out.fault_tree = std::make_unique<ftree::FaultTree>(
-          top, std::move(event_models));
+      const ftree::NodePtr top = resolve_gates(
+          top_name, top_line, top_col, events, gates, /*allow_not=*/true,
+          [](const std::string& name) { return ftree::Node::basic(name); },
+          [](const GateSpec& g, std::vector<ftree::NodePtr> ch) {
+            if (g.kind == "and") return ftree::Node::and_gate(std::move(ch));
+            if (g.kind == "or") return ftree::Node::or_gate(std::move(ch));
+            if (g.kind == "not") return ftree::Node::not_gate(ch[0]);
+            return ftree::Node::k_of_n_gate(g.k, std::move(ch));
+          });
+      out.fault_tree =
+          std::make_unique<ftree::FaultTree>(top, std::move(events));
     } else {
-      std::map<std::string, int> visiting;
-      std::function<rbd::BlockPtr(const std::string&, std::size_t,
-                                  std::size_t)>
-          build = [&](const std::string& name, std::size_t from_line,
-                      std::size_t from_col) -> rbd::BlockPtr {
-        if (events.count(name)) return rbd::Block::component(name);
-        const auto it = gates.find(name);
-        if (it == gates.end()) {
-          fail(from_line, from_col, "unknown reference '" + name + "'");
-        }
-        if (visiting[name] == 1) {
-          fail(it->second.line, it->second.col,
-               "cyclic gate definition through '" + name + "'");
-        }
-        visiting[name] = 1;
-        const GateSpec& g = it->second;
-        if (g.kind == "not") {
-          fail(g.line, g.col, "'not' gates are not allowed in RBD models");
-        }
-        std::vector<rbd::BlockPtr> children;
-        for (const auto& child : g.children) {
-          children.push_back(build(child, g.line, g.col));
-        }
-        visiting[name] = 0;
-        if (g.kind == "and") return rbd::Block::series(std::move(children));
-        if (g.kind == "or") return rbd::Block::parallel(std::move(children));
-        return rbd::Block::k_of_n(g.k, std::move(children));
-      };
-      const rbd::BlockPtr top = build(top_name, top_line, top_col);
-      out.rbd = std::make_unique<rbd::Rbd>(top, events);
+      const rbd::BlockPtr top = resolve_gates(
+          top_name, top_line, top_col, events, gates, /*allow_not=*/false,
+          [](const std::string& name) { return rbd::Block::component(name); },
+          [](const GateSpec& g, std::vector<rbd::BlockPtr> ch) {
+            if (g.kind == "and") return rbd::Block::series(std::move(ch));
+            if (g.kind == "or") return rbd::Block::parallel(std::move(ch));
+            return rbd::Block::k_of_n(g.k, std::move(ch));
+          });
+      out.rbd = std::make_unique<rbd::Rbd>(top, std::move(events));
     }
   } catch (const LineError& e) {
     errors.add(e.diag);

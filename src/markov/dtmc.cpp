@@ -12,8 +12,9 @@ namespace relkit::markov {
 
 std::size_t Dtmc::add_state(std::string name) {
   detail::require(!name.empty(), "Dtmc::add_state: empty name");
-  detail::require(!index_.count(name),
-                  "Dtmc::add_state: duplicate state '" + name + "'");
+  if (index_.count(name)) {
+    throw InvalidArgument("Dtmc::add_state: duplicate state '" + name + "'");
+  }
   const std::size_t id = names_.size();
   index_.emplace(name, id);
   names_.push_back(std::move(name));
@@ -41,9 +42,8 @@ const std::string& Dtmc::state_name(std::size_t s) const {
 
 std::size_t Dtmc::state_index(const std::string& name) const {
   const auto it = index_.find(name);
-  detail::require(it != index_.end(),
-                  "Dtmc::state_index: unknown state '" + name + "'");
-  return it->second;
+  if (it != index_.end()) return it->second;
+  throw InvalidArgument("Dtmc::state_index: unknown state '" + name + "'");
 }
 
 double Dtmc::row_sum(std::size_t s) const {
@@ -55,10 +55,10 @@ bool Dtmc::is_absorbing(std::size_t s) const { return row_sum(s) == 0.0; }
 
 void Dtmc::validate_rows() const {
   for (std::size_t s = 0; s < names_.size(); ++s) {
-    detail::require_model(
-        row_sums_[s] == 0.0 || std::abs(row_sums_[s] - 1.0) < 1e-9,
-        "Dtmc: row for state '" + names_[s] +
-            "' sums to neither 0 (absorbing) nor 1");
+    if (!(row_sums_[s] == 0.0 || std::abs(row_sums_[s] - 1.0) < 1e-9)) {
+      throw ModelError("Dtmc: row for state '" + names_[s] +
+                       "' sums to neither 0 (absorbing) nor 1");
+    }
   }
 }
 
@@ -133,9 +133,10 @@ DtmcAbsorbingAnalysis Dtmc::absorbing_analysis(
   detail::require_model(!absorbing_states.empty(),
                         "Dtmc::absorbing_analysis: no absorbing state");
   for (std::size_t s : absorbing_states) {
-    detail::require_model(pi0[s] == 0.0,
-                          "Dtmc::absorbing_analysis: initial mass on "
-                          "absorbing state '" + names_[s] + "'");
+    if (pi0[s] != 0.0) {
+      throw ModelError("Dtmc::absorbing_analysis: initial mass on "
+                       "absorbing state '" + names_[s] + "'");
+    }
   }
 
   // v = pi0_T (I - Q_TT)^{-1}: expected visits per transient state.

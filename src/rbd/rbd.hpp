@@ -12,6 +12,11 @@
 //   * a lifetime distribution (reliability analysis, no repair),
 //   * exponential failure + repair rates (availability analysis).
 //
+// Compilation walks the diagram once, giving each component its BDD level
+// in first-appearance DFS order (a ComponentTable) while it builds the
+// success function. The failure function over "down" variables, which
+// yields the minimal cut sets, is that BDD's dual.
+//
 // Measures: reliability R(t), MTTF, steady-state and instantaneous
 // availability, Birnbaum / criticality / Fussell-Vesely importance, minimal
 // cut sets, and the BDD itself for inspection.
@@ -84,13 +89,15 @@ class Rbd {
   Rbd(BlockPtr root, std::map<std::string, ComponentModel> components);
 
   /// Number of distinct components.
-  std::size_t component_count() const { return names_.size(); }
+  std::size_t component_count() const { return table_.size(); }
   /// Component names in variable order.
-  const std::vector<std::string>& component_names() const { return names_; }
+  const std::vector<std::string>& component_names() const {
+    return table_.names();
+  }
   /// Component behaviour models, aligned with component_names() (used by
   /// the CLI to build a SystemSimulator for --rare-event cross-checks).
   const std::vector<ComponentModel>& component_models() const {
-    return models_;
+    return table_.models();
   }
 
   /// P(system up) with every component at its prob_up_at(t).
@@ -124,15 +131,10 @@ class Rbd {
   std::size_t bdd_node_count() const;
 
  private:
-  std::vector<double> probs_at(double t) const;
-  double prob_vector_eval(const std::vector<double>& p) const;
-
   mutable bdd::Manager mgr_;
   bdd::NodeRef success_ = bdd::Manager::zero();
-  bdd::NodeRef failure_ = bdd::Manager::zero();  // over "down" variables
-  std::vector<std::string> names_;
-  std::map<std::string, std::uint32_t> index_;
-  std::vector<ComponentModel> models_;
+  bdd::NodeRef failure_ = bdd::Manager::zero();  // dual(success_): "down"
+  ComponentTable table_;
 };
 
 }  // namespace relkit::rbd

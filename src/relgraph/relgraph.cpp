@@ -24,16 +24,7 @@ void ReliabilityGraph::add_edge(const std::string& name, std::size_t u,
                   "add_edge: vertex out of range");
   detail::require(u != v, "add_edge: self-loops are not allowed");
   detail::require(!compiled_, "add_edge: graph already compiled");
-  std::uint32_t comp;
-  const auto it = index_.find(name);
-  if (it == index_.end()) {
-    comp = static_cast<std::uint32_t>(names_.size());
-    index_.emplace(name, comp);
-    names_.push_back(name);
-    models_.push_back(std::move(model));
-  } else {
-    comp = it->second;
-  }
+  const std::uint32_t comp = table_.intern(name, model);
   adj_[u].push_back({v, comp});
   arcs_.push_back({u, v, comp});
 }
@@ -42,7 +33,7 @@ void ReliabilityGraph::add_undirected_edge(const std::string& name,
                                            std::size_t u, std::size_t v,
                                            ComponentModel model) {
   add_edge(name, u, v, model);
-  add_edge(name, v, u, models_[index_.at(name)]);
+  add_edge(name, v, u, model);
 }
 
 std::vector<std::vector<std::uint32_t>> ReliabilityGraph::enumerate_paths()
@@ -90,24 +81,16 @@ void ReliabilityGraph::ensure_compiled() const {
   compiled_ = true;
 }
 
-std::vector<double> ReliabilityGraph::probs_at(double t) const {
-  std::vector<double> p(models_.size());
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    p[i] = t < 0.0 ? models_[i].prob_up_limit() : models_[i].prob_up_at(t);
-  }
-  return p;
-}
-
 double ReliabilityGraph::reliability(double t) const {
   ensure_compiled();
-  return mgr_.prob(up_, probs_at(t));
+  return mgr_.prob(up_, table_.probs_up(t));
 }
 
 double ReliabilityGraph::reliability_factoring(double t) const {
-  const std::vector<double> p = probs_at(t);
+  const std::vector<double> p = table_.probs_up(t);
 
   // state: 0 = unconditioned, 1 = perfect, 2 = failed (per component).
-  std::vector<std::uint8_t> state(models_.size(), 0);
+  std::vector<std::uint8_t> state(table_.size(), 0);
 
   // Reachability of sink from source using arcs whose component state
   // passes `ok`; optionally records the first unconditioned component on
@@ -153,31 +136,13 @@ double ReliabilityGraph::reliability_factoring(double t) const {
 std::vector<std::vector<std::string>> ReliabilityGraph::minimal_path_sets(
     std::size_t limit) const {
   ensure_compiled();
-  const auto raw = mgr_.minimal_solutions(up_, limit);
-  std::vector<std::vector<std::string>> out;
-  out.reserve(raw.size());
-  for (const auto& path : raw) {
-    std::vector<std::string> named;
-    named.reserve(path.size());
-    for (const auto v : path) named.push_back(names_[v]);
-    out.push_back(std::move(named));
-  }
-  return out;
+  return table_.name_sets(mgr_.minimal_solutions(up_, limit));
 }
 
 std::vector<std::vector<std::string>> ReliabilityGraph::minimal_cut_sets(
     std::size_t limit) const {
   ensure_compiled();
-  const auto raw = mgr_.minimal_solutions(mgr_.dual(up_), limit);
-  std::vector<std::vector<std::string>> out;
-  out.reserve(raw.size());
-  for (const auto& cut : raw) {
-    std::vector<std::string> named;
-    named.reserve(cut.size());
-    for (const auto v : cut) named.push_back(names_[v]);
-    out.push_back(std::move(named));
-  }
-  return out;
+  return table_.name_sets(mgr_.minimal_solutions(mgr_.dual(up_), limit));
 }
 
 std::size_t ReliabilityGraph::bdd_node_count() const {

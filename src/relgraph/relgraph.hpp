@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -32,8 +31,8 @@ class ReliabilityGraph {
                    std::size_t sink);
 
   /// Adds a directed edge u -> v carried by component `name`. The same name
-  /// may carry several edges (shared-failure wiring); edge direction only
-  /// affects path enumeration.
+  /// may carry several edges (shared-failure wiring) and keeps the model of
+  /// its first edge; edge direction only affects path enumeration.
   void add_edge(const std::string& name, std::size_t u, std::size_t v,
                 ComponentModel model);
 
@@ -42,7 +41,7 @@ class ReliabilityGraph {
                            std::size_t v, ComponentModel model);
 
   std::size_t vertex_count() const { return adj_.size(); }
-  std::size_t component_count() const { return names_.size(); }
+  std::size_t component_count() const { return table_.size(); }
 
   /// P(source connected to sink) at time t (steady state when t < 0),
   /// via BDD over the enumerated minimal paths.
@@ -71,14 +70,11 @@ class ReliabilityGraph {
   };
 
   void ensure_compiled() const;
-  std::vector<double> probs_at(double t) const;
   std::vector<std::vector<std::uint32_t>> enumerate_paths() const;
 
   std::size_t source_, sink_;
   std::vector<std::vector<Arc>> adj_;
-  std::vector<std::string> names_;
-  std::map<std::string, std::uint32_t> index_;
-  std::vector<ComponentModel> models_;
+  ComponentTable table_;
   // For factoring: flat arc list (u, v, comp).
   struct FlatArc {
     std::size_t u, v;

@@ -32,10 +32,11 @@ void Mrgp::set_exit_branch(markov::StateId exit_state,
                            std::size_t regeneration_index) {
   detail::require(exit_state < chain_.state_count(),
                   "Mrgp::set_exit_branch: state out of range");
-  detail::require_model(chain_.is_absorbing(exit_state),
-                        "Mrgp::set_exit_branch: '" +
-                            chain_.state_name(exit_state) +
-                            "' is not an exit (absorbing) state");
+  if (!chain_.is_absorbing(exit_state)) {
+    throw ModelError("Mrgp::set_exit_branch: '" +
+                     chain_.state_name(exit_state) +
+                     "' is not an exit (absorbing) state");
+  }
   exit_branch_[exit_state] = regeneration_index;
 }
 
@@ -107,10 +108,11 @@ Mrgp::CycleAnalysis Mrgp::analyze_cycle(std::size_t regen_index) const {
   for (std::size_t a = 0; a < n; ++a) {
     if (exit_mass[a] <= 1e-14) continue;
     const auto it = exit_branch_.find(a);
-    detail::require_model(it != exit_branch_.end(),
-                          "Mrgp: subordinated exit state '" +
-                              chain_.state_name(a) +
-                              "' reachable but has no exit branch");
+    if (it == exit_branch_.end()) {
+      throw ModelError("Mrgp: subordinated exit state '" +
+                       chain_.state_name(a) +
+                       "' reachable but has no exit branch");
+    }
     detail::require(it->second < regens_.size(),
                     "Mrgp: exit branch index out of range");
     out.next_regen_prob[it->second] += exit_mass[a];
@@ -119,11 +121,12 @@ Mrgp::CycleAnalysis Mrgp::analyze_cycle(std::size_t regen_index) const {
   // Sanity: branch mass must be a probability distribution.
   double total = 0.0;
   for (double p : out.next_regen_prob) total += p;
-  detail::require_model(std::abs(total - 1.0) < 1e-6,
-                        "Mrgp: cycle branch probabilities sum to " +
-                            std::to_string(total) +
-                            " (numerical quadrature too coarse or model "
-                            "inconsistent)");
+  if (!(std::abs(total - 1.0) < 1e-6)) {
+    throw ModelError("Mrgp: cycle branch probabilities sum to " +
+                     std::to_string(total) +
+                     " (numerical quadrature too coarse or model "
+                     "inconsistent)");
+  }
   for (double& p : out.next_regen_prob) p /= total;
   return out;
 }

@@ -14,8 +14,10 @@ namespace relkit::semimarkov {
 
 StateId SemiMarkov::add_state(std::string name) {
   detail::require(!name.empty(), "SemiMarkov::add_state: empty name");
-  detail::require(!index_.count(name),
-                  "SemiMarkov::add_state: duplicate state '" + name + "'");
+  if (index_.count(name)) {
+    throw InvalidArgument("SemiMarkov::add_state: duplicate state '" + name +
+                          "'");
+  }
   const StateId id = names_.size();
   index_.emplace(name, id);
   names_.push_back(std::move(name));
@@ -61,9 +63,9 @@ const std::string& SemiMarkov::state_name(StateId s) const {
 
 StateId SemiMarkov::state_index(const std::string& name) const {
   const auto it = index_.find(name);
-  detail::require(it != index_.end(),
-                  "SemiMarkov::state_index: unknown state '" + name + "'");
-  return it->second;
+  if (it != index_.end()) return it->second;
+  throw InvalidArgument("SemiMarkov::state_index: unknown state '" + name +
+                        "'");
 }
 
 bool SemiMarkov::is_absorbing(StateId s) const {
@@ -75,9 +77,10 @@ void SemiMarkov::validate(StateId s) const {
   if (mode_[s] != Mode::kKernel) return;
   double total = 0.0;
   for (const auto& t : out_[s]) total += t.prob;
-  detail::require_model(std::abs(total - 1.0) < 1e-9,
-                        "SemiMarkov: branch probabilities out of state '" +
-                            names_[s] + "' sum to " + std::to_string(total));
+  if (!(std::abs(total - 1.0) < 1e-9)) {
+    throw ModelError("SemiMarkov: branch probabilities out of state '" +
+                     names_[s] + "' sum to " + std::to_string(total));
+  }
 }
 
 double SemiMarkov::kernel_density(StateId s, std::size_t branch,
@@ -127,9 +130,10 @@ std::vector<std::pair<StateId, double>> SemiMarkov::branch_probabilities(
     out.emplace_back(ts[b].to, p);
     accounted += p;
   }
-  detail::require_model(accounted > 1e-12,
-                        "SemiMarkov: race probabilities vanish in state '" +
-                            names_[s] + "'");
+  if (!(accounted > 1e-12)) {
+    throw ModelError("SemiMarkov: race probabilities vanish in state '" +
+                     names_[s] + "'");
+  }
   // Normalize tiny numerical drift.
   for (auto& [to, p] : out) p /= accounted;
   return out;
@@ -173,9 +177,10 @@ std::vector<double> SemiMarkov::steady_state() const {
     embedded.add_state(names_[s]);
   }
   for (StateId s = 0; s < n; ++s) {
-    detail::require_model(!out_[s].empty(),
-                          "SemiMarkov::steady_state: absorbing state '" +
-                              names_[s] + "' in an irreducible analysis");
+    if (out_[s].empty()) {
+      throw ModelError("SemiMarkov::steady_state: absorbing state '" +
+                       names_[s] + "' in an irreducible analysis");
+    }
     // Merge parallel branches to the same successor.
     std::map<StateId, double> merged;
     for (const auto& [to, p] : branch_probabilities(s)) merged[to] += p;
@@ -185,9 +190,10 @@ std::vector<double> SemiMarkov::steady_state() const {
     }
     // Renormalize implicitly: if self-loop mass existed, scale the rest.
     const double self_mass = merged.count(s) ? merged[s] : 0.0;
-    detail::require_model(self_mass < 1.0 - 1e-12,
-                          "SemiMarkov::steady_state: state '" + names_[s] +
-                              "' only jumps to itself");
+    if (!(self_mass < 1.0 - 1e-12)) {
+      throw ModelError("SemiMarkov::steady_state: state '" + names_[s] +
+                       "' only jumps to itself");
+    }
   }
   // Row sums may now be < 1 when self-loops were dropped; Dtmc requires
   // rows to sum to 1, so rebuild with normalization.
@@ -238,9 +244,10 @@ std::vector<double> SemiMarkov::mean_first_passage(
   std::vector<double> b(m, 0.0);
   for (std::size_t r = 0; r < m; ++r) {
     const StateId s = rows[r];
-    detail::require_model(!out_[s].empty(),
-                          "mean_first_passage: absorbing state '" +
-                              names_[s] + "' outside the target set");
+    if (out_[s].empty()) {
+      throw ModelError("mean_first_passage: absorbing state '" + names_[s] +
+                       "' outside the target set");
+    }
     a(r, r) = 1.0;
     b[r] = mean_sojourn(s);
     for (const auto& [to, p] : branch_probabilities(s)) {

@@ -11,8 +11,9 @@ namespace relkit::spn {
 
 PlaceId Srn::add_place(std::string name, std::uint32_t initial_tokens) {
   detail::require(!name.empty(), "Srn::add_place: empty name");
-  detail::require(!place_index_.count(name),
-                  "Srn::add_place: duplicate place '" + name + "'");
+  if (place_index_.count(name)) {
+    throw InvalidArgument("Srn::add_place: duplicate place '" + name + "'");
+  }
   const PlaceId id = places_.size();
   place_index_.emplace(name, id);
   places_.push_back(std::move(name));
@@ -84,9 +85,8 @@ const std::string& Srn::place_name(PlaceId p) const {
 
 PlaceId Srn::place_index(const std::string& name) const {
   const auto it = place_index_.find(name);
-  detail::require(it != place_index_.end(),
-                  "Srn::place_index: unknown place '" + name + "'");
-  return it->second;
+  if (it != place_index_.end()) return it->second;
+  throw InvalidArgument("Srn::place_index: unknown place '" + name + "'");
 }
 
 bool Srn::enabled(TransId t, const Marking& m) const {

@@ -29,8 +29,10 @@ UncertaintyResult propagate(const std::vector<ParamSpec>& params,
   detail::require(model != nullptr, "propagate: null model");
   detail::require(n >= 2, "propagate: need at least 2 samples");
   for (const auto& p : params) {
-    detail::require(p.dist != nullptr,
-                    "propagate: null distribution for '" + p.name + "'");
+    if (p.dist == nullptr) {
+      throw InvalidArgument("propagate: null distribution for '" + p.name +
+                            "'");
+    }
     detail::require(!p.name.empty(), "propagate: empty parameter name");
   }
   if (jobs == 0) jobs = parallel::default_jobs();

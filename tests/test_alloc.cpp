@@ -1,10 +1,12 @@
-// Allocation guard for state-space construction. This executable replaces
-// the global operator new with a counting one (the reason it is a binary of
-// its own), then pins how many heap allocations the per-element entry
-// points make: a passing check must make none, adding states must not
-// allocate per state, and adding transitions or triplets may only grow
-// their vectors geometrically. Timing tests on a shared host cannot catch a
-// regression here; a count can.
+// Allocation guard for state-space construction and the per-element paths
+// around it. This executable replaces the global operator new with a
+// counting one (the reason it is a binary of its own), then pins how many
+// heap allocations the per-element entry points make: a passing check must
+// make none, adding states must not allocate per state, adding transitions
+// or triplets may only grow their vectors geometrically, and validating a
+// chain's rows or evaluating a BDD must not build a message per state or
+// node. Timing tests on a shared host cannot catch a regression here; a
+// count can.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,9 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "bdd/bdd.hpp"
 #include "common/error.hpp"
 #include "common/sparse.hpp"
 #include "markov/ctmc.hpp"
+#include "markov/dtmc.hpp"
 
 namespace {
 
@@ -116,6 +120,45 @@ TEST(AllocGuard, SparseBuilderAddGrowsGeometrically) {
   });
   EXPECT_LT(n, 64u);
   EXPECT_EQ(b.build().nnz(), kCalls);
+}
+
+TEST(AllocGuard, BddProbAllocatesOnlyItsMemo) {
+  bdd::Manager m;
+  std::vector<bdd::NodeRef> vars;
+  for (std::uint32_t i = 0; i < 64; ++i) vars.push_back(m.var(i));
+  const bdd::NodeRef f = m.at_least(32, vars);
+  const std::vector<double> p(64, 0.5);
+  const double warm = m.prob(f, p);
+  double again = 0.0;
+  const std::size_t n = allocations_during([&] { again = m.prob(f, p); });
+  EXPECT_EQ(again, warm);
+  // One memo entry per node plus the memo's buckets and the stack; no
+  // message per node.
+  EXPECT_LT(n, m.node_count(f) + 64);
+  // A vector that misses a level still throws the same type and text.
+  try {
+    m.prob(m.var(3), std::vector<double>(2, 0.5));
+    ADD_FAILURE() << "prob did not throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(),
+                 "prob: probability vector does not cover variable level 3");
+  }
+}
+
+TEST(AllocGuard, DtmcRowValidationDoesNotAllocatePerState) {
+  constexpr std::size_t kStates = 10000;
+  markov::Dtmc chain;
+  for (std::size_t s = 0; s < kStates; ++s) {
+    chain.add_state("s" + std::to_string(s));
+  }
+  for (std::size_t s = 0; s + 1 < kStates; ++s) {
+    chain.add_transition(s, s + 1, 1.0);  // the last state absorbs
+  }
+  std::size_t nnz = 0;
+  const std::size_t n =
+      allocations_during([&] { nnz = chain.sparse_matrix().nnz(); });
+  EXPECT_LT(n, 64u);
+  EXPECT_EQ(nnz, kStates);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "ftree/bounds.hpp"
 #include "ftree/fault_tree.hpp"
+#include "rbd/rbd.hpp"
 
 namespace relkit::ftree {
 namespace {
@@ -20,6 +21,17 @@ FaultTree simple_tree() {
   return FaultTree(top, {{"A", EventModel::fixed(1.0 - 0.1)},
                          {"B", EventModel::fixed(1.0 - 0.2)},
                          {"C", EventModel::fixed(1.0 - 0.05)}});
+}
+
+/// Text of the `E` that `fn` throws ("" when it throws nothing).
+template <class E, class Fn>
+std::string thrown(Fn&& fn) {
+  try {
+    fn();
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(FtreeBasics, TopProbabilityClosedForm) {
@@ -36,11 +48,26 @@ TEST(FtreeBasics, ExplicitProbabilities) {
   EXPECT_NEAR(ft.top_probability({{"A", 0.0}, {"B", 1.0}, {"C", 0.0}}), 0.0,
               1e-15);
   EXPECT_THROW(ft.top_probability({{"A", 0.5}}), InvalidArgument);
+  EXPECT_EQ(thrown<InvalidArgument>(
+                [&] { ft.top_probability({{"B", 0.5}, {"C", 0.5}}); }),
+            "FaultTree::top_probability: missing probability for 'A'");
+  EXPECT_EQ(thrown<InvalidArgument>([&] {
+              ft.top_probability({{"A", 0.5}, {"B", -0.1}, {"C", 0.5}});
+            }),
+            "FaultTree::top_probability: probability out of [0,1]");
 }
 
 TEST(FtreeBasics, UnknownEventThrows) {
   EXPECT_THROW(FaultTree(Node::basic("X"), {{"Y", EventModel::fixed(0.5)}}),
                ModelError);
+  EXPECT_EQ(thrown<ModelError>([] {
+              FaultTree(Node::basic("X"), {{"Y", EventModel::fixed(0.5)}});
+            }),
+            "FaultTree: unknown basic event 'X'");
+  const FaultTree ft = simple_tree();
+  EXPECT_EQ(ft.event_index("A"), 0u);
+  EXPECT_EQ(thrown<InvalidArgument>([&] { ft.event_index("X"); }),
+            "FaultTree::event_index: unknown event 'X'");
 }
 
 TEST(FtreeBasics, GateValidation) {
@@ -241,9 +268,10 @@ INSTANTIATE_TEST_SUITE_P(Widths, BoundsSweep,
                          ::testing::Values(2u, 4u, 8u, 16u, 32u));
 
 // Property: on RANDOM coherent trees (random gates over a small event set,
-// with repeated events), the BDD and MOCUS cut sets agree exactly, and the
-// BDD top probability matches brute-force enumeration over all 2^n event
-// outcomes.
+// with repeated events), the BDD and MOCUS cut sets agree exactly, the
+// dual RBD of each tree agrees with it on cut sets, availability and
+// Birnbaum importance, and the BDD top probability matches brute-force
+// enumeration over all 2^n event outcomes.
 TEST(FtreeProperty, RandomCoherentTreesCrossValidate) {
   relkit::Rng rng(8080);
   for (int trial = 0; trial < 25; ++trial) {
@@ -257,31 +285,64 @@ TEST(FtreeProperty, RandomCoherentTreesCrossValidate) {
       events.emplace(names.back(), EventModel::fixed(1.0 - q[i]));
     }
     // Random tree: build 3-5 random gates bottom-up over events + earlier
-    // gates.
+    // gates. `blocks` mirrors `pool` as the dual RBD over the same leaves:
+    // AND -> parallel, OR -> series, k-of-n failing -> (n-k+1)-of-n working.
     std::vector<NodePtr> pool;
-    for (const auto& nm : names) pool.push_back(Node::basic(nm));
+    std::vector<rbd::BlockPtr> blocks;
+    for (const auto& nm : names) {
+      pool.push_back(Node::basic(nm));
+      blocks.push_back(rbd::Block::component(nm));
+    }
     const int n_gates = 3 + static_cast<int>(rng.below(3));
     for (int g = 0; g < n_gates; ++g) {
       const std::size_t width = 2 + rng.below(3);
       std::vector<NodePtr> children;
+      std::vector<rbd::BlockPtr> block_children;
       for (std::size_t c = 0; c < width; ++c) {
-        children.push_back(pool[rng.below(pool.size())]);
+        const std::size_t pick = rng.below(pool.size());
+        children.push_back(pool[pick]);
+        block_children.push_back(blocks[pick]);
       }
       NodePtr gate;
+      rbd::BlockPtr block;
       switch (rng.below(3)) {
         case 0:
           gate = Node::and_gate(children);
+          block = rbd::Block::parallel(block_children);
           break;
         case 1:
           gate = Node::or_gate(children);
+          block = rbd::Block::series(block_children);
           break;
-        default:
-          gate = Node::k_of_n_gate(
-              1 + static_cast<std::uint32_t>(rng.below(width)), children);
+        default: {
+          const auto k = 1 + static_cast<std::uint32_t>(rng.below(width));
+          gate = Node::k_of_n_gate(k, children);
+          block = rbd::Block::k_of_n(
+              static_cast<std::uint32_t>(width) - k + 1, block_children);
+        }
       }
       pool.push_back(gate);
+      blocks.push_back(block);
     }
     const FaultTree ft(pool.back(), events);
+    const rbd::Rbd dual_rbd(blocks.back(), events);
+
+    // (c) The dual RBD finds the tree's cut sets from its own success BDD,
+    // and its availability and Birnbaum values mirror the tree's
+    // (dR/dp_i = dQ/dq_i).
+    EXPECT_EQ(dual_rbd.minimal_cut_sets(), ft.minimal_cut_sets())
+        << "trial " << trial;
+    EXPECT_NEAR(dual_rbd.availability(), 1.0 - ft.top_probability_limit(),
+                1e-12)
+        << "trial " << trial;
+    ASSERT_EQ(dual_rbd.component_names(), ft.event_names())
+        << "trial " << trial;
+    const auto rbd_rows = dual_rbd.importance(-1.0);
+    const auto ft_rows = ft.importance(-1.0);
+    for (std::size_t i = 0; i < ft_rows.size(); ++i) {
+      EXPECT_NEAR(rbd_rows[i].birnbaum, ft_rows[i].birnbaum, 1e-12)
+          << "trial " << trial << " event " << ft_rows[i].event;
+    }
 
     // (a) MOCUS == BDD cut sets (when the tree references >= 1 event).
     if (ft.event_count() > 0) {

@@ -7,7 +7,9 @@
 //   * case-study values (webservice/cluster/raid/bridge/georedundant) are
 //     pinned to 1e-12 relative, loose enough to survive benign
 //     last-bit noise in the BDD/GTH paths, tight enough to catch any real
-//     numerical change;
+//     numerical change; each shipped model's minimal cut sets are pinned
+//     exactly (names and order), and its steady-state importance rows
+//     (RBD and fault-tree models) to 1e-12 relative;
 //   * the jobs = 1 stationary solve is pinned EXACTLY (EXPECT_EQ on every
 //     component) — the determinism contract says jobs = 1 is the
 //     historical sequential path bit for bit, so any drift here is a
@@ -35,6 +37,54 @@ void expect_rel(double expected, double actual, const char* what) {
   EXPECT_NEAR(expected, actual, 1e-12 * scale) << what;
 }
 
+using NameSets = std::vector<std::vector<std::string>>;
+
+/// All 3-subsets of prefix1..prefix6, in lexicographic order.
+NameSets three_of_six(const std::string& prefix) {
+  NameSets out;
+  for (int a = 1; a <= 6; ++a) {
+    for (int b = a + 1; b <= 6; ++b) {
+      for (int c = b + 1; c <= 6; ++c) {
+        out.push_back({prefix + std::to_string(a), prefix + std::to_string(b),
+                       prefix + std::to_string(c)});
+      }
+    }
+  }
+  return out;
+}
+
+/// One importance row: the component, then its measures in declaration
+/// order.
+struct Row {
+  std::string name;
+  std::vector<double> measures;
+};
+
+Row row_of(const rbd::ImportanceRow& r) {
+  return {r.component, {r.birnbaum, r.criticality, r.fussell_vesely}};
+}
+
+Row row_of(const ftree::ImportanceRow& r) {
+  return {r.event,
+          {r.birnbaum, r.criticality, r.fussell_vesely, r.raw, r.rrw}};
+}
+
+template <class ImportanceRow>
+void expect_importance(const std::vector<ImportanceRow>& rows,
+                       const std::vector<Row>& pinned) {
+  ASSERT_EQ(rows.size(), pinned.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row got = row_of(rows[i]);
+    EXPECT_EQ(got.name, pinned[i].name);
+    ASSERT_EQ(got.measures.size(), pinned[i].measures.size());
+    for (std::size_t j = 0; j < got.measures.size(); ++j) {
+      expect_rel(pinned[i].measures[j], got.measures[j],
+                 (got.name + " importance measure " + std::to_string(j))
+                     .c_str());
+    }
+  }
+}
+
 }  // namespace
 
 TEST(Golden, WebserviceFaultTree) {
@@ -44,6 +94,19 @@ TEST(Golden, WebserviceFaultTree) {
              "steady-state top probability");
   expect_rel(0.0020118490657664266, m.fault_tree->top_probability(100.0),
              "top probability at t=100");
+  EXPECT_EQ(m.fault_tree->minimal_cut_sets(),
+            (NameSets{{"db"}, {"web1", "web2"}}));
+  expect_importance(
+      m.fault_tree->importance(-1.0),
+      {{"web1",
+        {0.0039761115219759651, 0.0078738917497360034, 0.0078738917497361074,
+         2.9684729374340026, 1.0079363819621909}},
+       {"web2",
+        {0.0039761115219759651, 0.0078738917497360034, 0.0078738917497361074,
+         2.9684729374340026, 1.0079363819621909}},
+       {"db",
+        {0.99998412723607566, 0.99211036046676448, 0.99211036046676448,
+         497.05518023336907, 126.74850299401552}}});
 }
 
 TEST(Golden, ClusterHierarchicalAvailability) {
@@ -53,6 +116,19 @@ TEST(Golden, ClusterHierarchicalAvailability) {
   ASSERT_NE(m.rbd, nullptr);
   expect_rel(0.9998765427117744, m.rbd->availability(),
              "cluster steady-state availability");
+  EXPECT_EQ(m.rbd->minimal_cut_sets(),
+            (NameSets{{"frontends"}, {"appservers"}, {"database"},
+                      {"switch"}}));
+  expect_importance(
+      m.rbd->importance(-1.0),
+      {{"frontends",
+        {0.9998767335362676, 0.0015456721589389682, 0.0015458627119688884}},
+       {"appservers",
+        {0.99989185190431229, 0.12400395924746727, 0.1240173714900261}},
+       {"database",
+        {0.999884509855541, 0.064533604140695713, 0.064541057996807302}},
+       {"switch",
+        {0.99997653036604561, 0.80989673196513512, 0.80991574039109593}}});
 }
 
 TEST(Golden, GeoredundantRepeatedSubchain) {
@@ -66,6 +142,25 @@ TEST(Golden, GeoredundantRepeatedSubchain) {
   expect_rel(0.99999998996380135, m.rbd->availability(),
              "georedundant steady-state availability");
   EXPECT_GT(cache.hits(), hits_before);
+  EXPECT_EQ(m.rbd->minimal_cut_sets(),
+            (NameSets{{"siteA_pool", "siteB_pool"},
+                      {"siteA_pool", "siteB_switch"},
+                      {"siteA_switch", "siteB_pool"},
+                      {"siteA_switch", "siteB_switch"}}));
+  expect_importance(
+      m.rbd->importance(-1.0),
+      {{"siteA_pool",
+        {0.00010017081285418339, 0.001904844832237606,
+         0.0019050356795994126}},
+       {"siteA_switch",
+        {0.00010018081081619723, 0.99809496833375022,
+         0.99809534893889407}},
+       {"siteB_pool",
+        {0.00010017081285418339, 0.001904844832237606,
+         0.0019050356795994126}},
+       {"siteB_switch",
+        {0.00010018081081619723, 0.99809496833375022,
+         0.99809534893889407}}});
 }
 
 TEST(Golden, RaidRbd) {
@@ -74,6 +169,37 @@ TEST(Golden, RaidRbd) {
   expect_rel(0.0, m.rbd->availability(), "raid availability");
   expect_rel(0.99949900149110316, m.rbd->reliability(100.0),
              "raid reliability at t=100");
+  NameSets cuts{{"psu"}, {"ctrlA", "ctrlB"}};
+  for (auto& triple : three_of_six("d")) cuts.push_back(std::move(triple));
+  EXPECT_EQ(m.rbd->minimal_cut_sets(), cuts);
+  // Lifetime components are all down in the limit: every Birnbaum value
+  // vanishes and F-V is the cut-sum approximation capped at 1.
+  expect_importance(m.rbd->importance(-1.0),
+                    {{"d1", {0, 0, 1}},
+                     {"d2", {0, 0, 1}},
+                     {"d3", {0, 0, 1}},
+                     {"d4", {0, 0, 1}},
+                     {"d5", {0, 0, 1}},
+                     {"d6", {0, 0, 1}},
+                     {"ctrlA", {0, 0, 1}},
+                     {"ctrlB", {0, 0, 1}},
+                     {"psu", {0, 0, 0.00049999999999994493}}});
+}
+
+TEST(Golden, SipClusterRbd) {
+  const auto m = io::parse_model_file(model_path("sip_cluster.rbd"));
+  ASSERT_NE(m.rbd, nullptr);
+  NameSets cuts{{"proxy1", "proxy2"}};
+  for (auto& triple : three_of_six("app")) cuts.push_back(std::move(triple));
+  EXPECT_EQ(m.rbd->minimal_cut_sets(), cuts);
+  const std::vector<double> proxy{9.9990000999694573e-05,
+                                  0.99975007742064192, 0.99975007742286193};
+  const std::vector<double> app{2.4993750624702216e-08,
+                                0.00012495626155139208,
+                                0.00012497500749202297};
+  std::vector<Row> rows{{"proxy1", proxy}, {"proxy2", proxy}};
+  for (int i = 1; i <= 6; ++i) rows.push_back({"app" + std::to_string(i), app});
+  expect_importance(m.rbd->importance(-1.0), rows);
 }
 
 TEST(Golden, BridgeRelgraph) {
@@ -83,6 +209,9 @@ TEST(Golden, BridgeRelgraph) {
              "bridge steady-state s-t reliability");
   expect_rel(0.97848000000000002, m.graph->reliability_factoring(-1.0),
              "bridge factoring cross-check");
+  EXPECT_EQ(m.graph->minimal_cut_sets(),
+            (NameSets{{"A", "C"}, {"B", "D"}, {"A", "D", "E"},
+                      {"C", "B", "E"}}));
 }
 
 // The bit-identical pin for the sequential state-space path: a fixed

@@ -9,6 +9,17 @@
 namespace relkit::rbd {
 namespace {
 
+/// Text of the `E` that `fn` throws ("" when it throws nothing).
+template <class E, class Fn>
+std::string thrown(Fn&& fn) {
+  try {
+    fn();
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "";
+}
+
 Rbd make_series_parallel() {
   // (A series B) parallel C.
   const auto root = Block::parallel(
@@ -34,11 +45,21 @@ TEST(RbdBasics, ProbUpExplicit) {
   EXPECT_THROW(rbd.prob_up({{"A", 0.5}}), InvalidArgument);
   EXPECT_THROW(rbd.prob_up({{"A", 0.5}, {"B", 2.0}, {"C", 0.1}}),
                InvalidArgument);
+  EXPECT_EQ(thrown<InvalidArgument>(
+                [&] { rbd.prob_up({{"B", 0.5}, {"C", 0.5}}); }),
+            "Rbd::prob_up: missing probability for 'A'");
+  EXPECT_EQ(thrown<InvalidArgument>([&] {
+              rbd.prob_up({{"A", 0.5}, {"B", 2.0}, {"C", 0.1}});
+            }),
+            "Rbd::prob_up: probability out of [0,1]");
 }
 
 TEST(RbdBasics, UnknownComponentThrows) {
   const auto root = Block::component("X");
   EXPECT_THROW(Rbd(root, {{"Y", ComponentModel::fixed(0.5)}}), ModelError);
+  EXPECT_EQ(thrown<ModelError>(
+                [&] { Rbd(root, {{"Y", ComponentModel::fixed(0.5)}}); }),
+            "Rbd: leaf references unknown component 'X'");
 }
 
 TEST(RbdBasics, EmptyBlocksThrow) {

@@ -66,6 +66,15 @@ TEST(RelGraph, SharedComponentAcrossEdges) {
   g.add_edge("shared", 1, 2, ComponentModel::fixed(0.7));
   EXPECT_NEAR(g.reliability(-1.0), 0.7, 1e-15);
   EXPECT_NEAR(g.reliability_factoring(-1.0), 0.7, 1e-15);
+
+  // A later edge of the same component carrying a different model is still
+  // that one component with its first model.
+  ReliabilityGraph h(3, 0, 2);
+  h.add_edge("shared", 0, 1, ComponentModel::fixed(0.7));
+  h.add_undirected_edge("shared", 1, 2, ComponentModel::fixed(0.2));
+  EXPECT_EQ(h.component_count(), 1u);
+  EXPECT_NEAR(h.reliability(-1.0), 0.7, 1e-15);
+  EXPECT_NEAR(h.reliability_factoring(-1.0), 0.7, 1e-15);
 }
 
 TEST(RelGraph, ValidationErrors) {
