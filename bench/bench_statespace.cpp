@@ -19,7 +19,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "core/relkit.hpp"
 #include "markov/solution_cache.hpp"
@@ -192,34 +194,44 @@ void print_solver_tier_table() {
 
 // Threads table: the parallel state-space kernels (SOR residual, power
 // matvec, uniformization matvec) at jobs = 1/2/4 on one large chain. The
-// solution cache is held off so every row measures a real solve; results
-// are identical across rows by the determinism contract
-// (docs/parallelism.md).
+// solution cache is held off so every row measures a real solve. The match
+// column compares the whole SOR and transient vectors with jobs 1 bit for
+// bit: every jobs value must give the same bits (docs/parallelism.md).
 void print_threads_table() {
   const std::size_t n = 5000;
   const markov::Ctmc c = birth_death(n);
   const auto pi0 = c.point_mass(0);
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
   std::printf("== parallel state-space kernels (%zu-state chain) =========\n",
               n);
   std::printf("%-7s %-14s %-16s %-14s\n", "jobs", "SOR [ms]",
-              "transient [ms]", "pi[0] match");
+              "transient [ms]", "bits = jobs 1");
   markov::SolutionCache::instance().set_enabled(false);
-  double pi0_ref = -1.0;
+  std::vector<double> sor_ref, transient_ref;
   for (unsigned jobs : {1u, 2u, 4u}) {
     markov::SteadyStateOptions opts;
     opts.dense_threshold = 0;
     opts.sor.tol = 1e-10;
     opts.jobs = jobs;
     auto t0 = std::chrono::steady_clock::now();
-    const double pi0_sor = c.steady_state(opts)[0];
+    const auto sor = c.steady_state(opts);
     const double t_sor = ms(t0);
-    if (jobs == 1) pi0_ref = pi0_sor;
     t0 = std::chrono::steady_clock::now();
     const auto pi = c.transient(pi0, 50.0, 1e-12, jobs);
     benchmark::DoNotOptimize(pi);
     const double t_tr = ms(t0);
+    if (jobs == 1) {
+      sor_ref = sor;
+      transient_ref = pi;
+    }
     std::printf("%-7u %-14.2f %-16.2f %-14s\n", jobs, t_sor, t_tr,
-                pi0_sor == pi0_ref ? "yes" : "NO");
+                same_bits(sor, sor_ref) && same_bits(pi, transient_ref)
+                    ? "yes"
+                    : "NO");
   }
   markov::SolutionCache::instance().set_enabled(true);
   std::printf("\n");

@@ -244,7 +244,10 @@ PowerResult power_steady_state(const SparseMatrix& p,
   robust::SolveReport report;
   report.note_attempt("power");
 
+  // pi P is a product on P^T, held once for the whole solve.
+  const SparseMatrix pt = p.transposed();
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
+  std::vector<double> next(n);
   std::vector<double> best = pi;
   double best_delta = std::numeric_limits<double>::infinity();
 
@@ -259,7 +262,7 @@ PowerResult power_steady_state(const SparseMatrix& p,
 
   for (std::size_t it = 0; it < max_iters; ++it) {
     steps_counter.add();
-    std::vector<double> next = p.multiply_left(pi, lease.get());
+    pt.multiply(pi, next, lease.get());
     double delta = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       next[i] = (1.0 - opts.theta) * pi[i] + opts.theta * next[i];

@@ -83,9 +83,9 @@ struct PowerOptions {
   /// (theta in (0, 1]).
   double theta = 0.9;
   robust::Budget budget;
-  /// Parallelism degree for the per-step vector-matrix product.
-  /// 0 = parallel::default_jobs(); 1 = force sequential (the historical
-  /// bit-identical path).
+  /// Parallelism degree for the per-step vector-matrix product (a
+  /// row-parallel product on P^T, so every value gives the same bits).
+  /// 0 = parallel::default_jobs(); 1 = force sequential.
   unsigned jobs = 0;
 };
 

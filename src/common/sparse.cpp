@@ -10,97 +10,41 @@
 
 namespace relkit {
 
-std::vector<double> SparseMatrix::multiply(const std::vector<double>& x) const {
-  detail::require(x.size() == cols_, "SparseMatrix::multiply: size mismatch");
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      acc += values_[k] * x[cols_idx_[k]];
-    }
-    y[r] = acc;
-  }
-  return y;
-}
-
-std::vector<double> SparseMatrix::multiply_left(
-    const std::vector<double>& x) const {
-  detail::require(x.size() == rows_,
-                  "SparseMatrix::multiply_left: size mismatch");
-  std::vector<double> y(cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      y[cols_idx_[k]] += xr * values_[k];
-    }
-  }
-  return y;
-}
-
 std::vector<double> SparseMatrix::multiply(const std::vector<double>& x,
                                            parallel::ThreadPool* pool) const {
-  if (pool == nullptr || pool->jobs() <= 1) return multiply(x);
-  detail::require(x.size() == cols_, "SparseMatrix::multiply: size mismatch");
-
-  obs::Span span("markov.matvec");
-  obs::HwCounterGroup hw_counters(span);
-  span.set("rows", rows_);
-  span.set("nnz", nnz());
-  span.set("jobs", static_cast<std::uint64_t>(pool->jobs()));
-  span.set("kind", "right");
-
-  // Row-parallel: y[r] is written by exactly one chunk and every in-row
-  // accumulation keeps the sequential order, so the product is bit-identical
-  // to the pool-free path for any worker count.
   std::vector<double> y(rows_, 0.0);
-  pool->for_chunks(rows_, parallel::default_chunk(rows_),
-                   [&](std::size_t begin, std::size_t end) {
-                     for (std::size_t r = begin; r < end; ++r) {
-                       double acc = 0.0;
-                       for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1];
-                            ++k) {
-                         acc += values_[k] * x[cols_idx_[k]];
-                       }
-                       y[r] = acc;
-                     }
-                   });
+  multiply(x, y, pool);
   return y;
 }
 
-std::vector<double> SparseMatrix::multiply_left(
-    const std::vector<double>& x, parallel::ThreadPool* pool) const {
-  if (pool == nullptr || pool->jobs() <= 1) return multiply_left(x);
-  detail::require(x.size() == rows_,
-                  "SparseMatrix::multiply_left: size mismatch");
+void SparseMatrix::multiply(const std::vector<double>& x,
+                            std::vector<double>& y,
+                            parallel::ThreadPool* pool) const {
+  detail::require(x.size() == cols_, "SparseMatrix::multiply: size mismatch");
+  detail::require(&x != &y, "SparseMatrix::multiply: y aliases x");
+  y.resize(rows_);
+  // y[r] is written by exactly one chunk and accumulates its row in stored
+  // order, so the chunked product is the sequential one bit for bit.
+  const auto rows = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      double acc = 0.0;
+      for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+        acc += values_[k] * x[cols_idx_[k]];
+      }
+      y[r] = acc;
+    }
+  };
+  if (pool == nullptr || pool->jobs() <= 1) {
+    rows(0, rows_);
+    return;
+  }
 
   obs::Span span("markov.matvec");
   obs::HwCounterGroup hw_counters(span);
   span.set("rows", rows_);
   span.set("nnz", nnz());
   span.set("jobs", static_cast<std::uint64_t>(pool->jobs()));
-  span.set("kind", "left");
-
-  // Scatter product: each chunk accumulates into a private vector; partials
-  // merge in chunk-index order, which replays the sequential per-entry
-  // accumulation order (rows ascend within a chunk and across chunks).
-  return parallel::reduce_chunks<std::vector<double>>(
-      *pool, rows_, parallel::default_chunk(rows_),
-      std::vector<double>(cols_, 0.0),
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<double> part(cols_, 0.0);
-        for (std::size_t r = begin; r < end; ++r) {
-          const double xr = x[r];
-          if (xr == 0.0) continue;
-          for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-            part[cols_idx_[k]] += xr * values_[k];
-          }
-        }
-        return part;
-      },
-      [](std::vector<double>& acc, const std::vector<double>& part) {
-        for (std::size_t c = 0; c < acc.size(); ++c) acc[c] += part[c];
-      });
+  pool->for_chunks(rows_, parallel::default_chunk(rows_), rows);
 }
 
 bool SparseMatrix::all_finite() const {
@@ -133,16 +77,6 @@ SparseMatrix SparseMatrix::transposed() const {
     }
   }
   return b.build();
-}
-
-std::vector<std::vector<double>> SparseMatrix::to_dense() const {
-  std::vector<std::vector<double>> d(rows_, std::vector<double>(cols_, 0.0));
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      d[r][cols_idx_[k]] += values_[k];
-    }
-  }
-  return d;
 }
 
 void SparseBuilder::add(std::size_t r, std::size_t c, double value) {

@@ -4,12 +4,11 @@
 // uniformization) need only row-oriented access and matrix-vector products,
 // so RelKit uses a plain CSR representation assembled from triplets.
 //
-// The matvec products accept an optional parallel::ThreadPool and then run
-// row-chunked on it. Determinism contract (docs/parallelism.md): a null
-// pool (or a 1-job pool) is the verbatim historical sequential loop, and
-// any worker count produces the same result because chunk boundaries
-// depend only on the row count and per-chunk partials merge in chunk-index
-// order.
+// There is one product, y = A x, row-chunked on an optional
+// parallel::ThreadPool: each y[r] sums its row in stored order in exactly
+// one chunk, so every worker count gives the sequential bits
+// (docs/parallelism.md). x A is that product on A^T, which callers build
+// once per solve.
 #pragma once
 
 #include <cstddef>
@@ -40,25 +39,15 @@ class SparseMatrix {
   double value(std::size_t k) const { return values_[k]; }
   double& value(std::size_t k) { return values_[k]; }
 
-  /// y = A x  (returns y).
-  std::vector<double> multiply(const std::vector<double>& x) const;
-
-  /// y = x A  (row vector times matrix; the natural product for probability
-  /// vectors over a generator/transition matrix).
-  std::vector<double> multiply_left(const std::vector<double>& x) const;
-
-  /// y = A x, row-chunked on `pool` (each output entry is produced by
-  /// exactly one chunk, so the result is bit-identical to the sequential
-  /// product for every worker count). pool == nullptr runs sequentially.
+  /// y = A x (returns y), row-chunked on `pool` when it has more than one
+  /// worker; pool == nullptr runs sequentially. Same bits either way.
   std::vector<double> multiply(const std::vector<double>& x,
-                               parallel::ThreadPool* pool) const;
+                               parallel::ThreadPool* pool = nullptr) const;
 
-  /// y = x A on `pool`: each row chunk scatters into a private partial
-  /// vector and the partials are summed in chunk-index order, which
-  /// reproduces the sequential accumulation order per output entry.
-  /// pool == nullptr runs sequentially (the historical loop, verbatim).
-  std::vector<double> multiply_left(const std::vector<double>& x,
-                                    parallel::ThreadPool* pool) const;
+  /// y = A x into `y`, resized to rows(); `y` must not be `x`. Loops that
+  /// step a vector swap two such buffers instead of allocating per product.
+  void multiply(const std::vector<double>& x, std::vector<double>& y,
+                parallel::ThreadPool* pool = nullptr) const;
 
   /// Entry (r, c), or 0 if absent (binary search within the row).
   double at(std::size_t r, std::size_t c) const;
@@ -73,9 +62,6 @@ class SparseMatrix {
   /// Largest absolute stored value (0 for an empty matrix); the natural
   /// rate scale for residual acceptance thresholds.
   double max_abs() const;
-
-  /// Dense copy (tests / small direct solves).
-  std::vector<std::vector<double>> to_dense() const;
 
  private:
   friend class SparseBuilder;

@@ -280,8 +280,10 @@ GeneratedTree generate_wide_tree(std::uint32_t clusters, std::uint32_t k,
     std::vector<NodePtr> leaves;
     leaves.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
-      std::string name =
-          "C" + std::to_string(c) + "_E" + std::to_string(i);
+      std::string name = "C";
+      name += std::to_string(c);
+      name += "_E";
+      name += std::to_string(i);
       leaves.push_back(Node::basic(name));
       out.events.emplace(std::move(name), EventModel::fixed(1.0 - q));
     }

@@ -123,6 +123,19 @@ SparseMatrix Ctmc::sparse_generator() const {
   return b.build();
 }
 
+Ctmc::TransposedGenerator Ctmc::transposed_generator() const {
+  const std::size_t n = state_count();
+  auto& injector = testing::FaultInjector::instance();
+  SparseBuilder bt(n, n);
+  std::vector<double> diag(n, 0.0);
+  for (const auto& t : transitions_) {
+    const double rate = injector.tap("ctmc.rate", t.rate);
+    bt.add(t.to, t.from, rate);
+    diag[t.from] -= rate;
+  }
+  return {bt.build(), std::move(diag)};
+}
+
 std::vector<double> Ctmc::point_mass(StateId s) const {
   detail::require(s < state_count(), "Ctmc::point_mass: out of range");
   std::vector<double> pi0(state_count(), 0.0);
@@ -208,16 +221,7 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
     span.set("cache", "miss");
   }
 
-  // Transposed off-diagonal generator + diagonal, the form every method in
-  // the fallback chain consumes.
-  SparseBuilder bt(n, n);
-  std::vector<double> diag(n, 0.0);
-  for (const auto& t : transitions_) {
-    const double rate = injector.tap("ctmc.rate", t.rate);
-    bt.add(t.to, t.from, rate);
-    diag[t.from] -= rate;
-  }
-
+  const TransposedGenerator g = transposed_generator();
   robust::RobustSteadyOptions robust_opts;
   robust_opts.dense_primary = opts.dense_threshold;
   robust_opts.dense_fallback =
@@ -235,7 +239,7 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
       robust_opts.budget.deadline, robust::ambient_deadline());
   robust_opts.jobs = opts.jobs;
   robust::RobustResult r =
-      robust::robust_steady_state(bt.build(), diag, robust_opts);
+      robust::robust_steady_state(g.qt, g.diag, robust_opts);
   if (use_cache) cache.insert(std::move(key), {r.pi, r.report});
   if (report) *report = std::move(r.report);
   return std::move(r.pi);
@@ -243,68 +247,182 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
 
 namespace {
 
-// Shared uniformization machinery: returns the DTMC matrix P = I + Q/q and
-// the uniformization rate q (slightly above the max exit rate so that P has
-// strictly positive diagonal, improving convergence for stiff chains).
-struct Uniformized {
-  SparseMatrix p;
-  double q;
+/// One time point's Poisson window and the running sum of its weights.
+struct Window {
+  PoissonWeights pw;
+  std::size_t end = 0;  ///< steps the point needs: pw.left + window length
+  double cdf = 0.0;     ///< window weights consumed so far
 };
 
-Uniformized uniformize(const SparseMatrix& generator,
-                       const std::vector<double>& exit_rates) {
-  double qmax = 0.0;
-  for (double r : exit_rates) qmax = std::max(qmax, r);
-  const double q = qmax > 0.0 ? qmax * 1.02 : 1.0;
-  const std::size_t n = exit_rates.size();
-  SparseBuilder b(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    double diag = 1.0;
-    for (std::size_t k = generator.row_begin(r); k < generator.row_end(r);
-         ++k) {
-      const std::size_t c = generator.col(k);
-      const double v = generator.value(k);
-      if (c == r) {
-        diag += v / q;
-      } else {
-        b.add(r, c, v / q);
+/// What run_series accumulates at each time point.
+enum Measures : unsigned { kPi = 1, kCumulative = 2 };
+
+/// The one uniformization series behind Ctmc::transient, cumulative_time
+/// and transient_series: with v_n = pi0 P^n and a point's Poisson weights
+/// w_n (mean q t, CDF(n) = their sum up to n), pi(t) = sum_n w_n v_n and
+/// L(t) = (1/q) sum_n (1 - CDF(n)) v_n. Each point adds its own window's
+/// terms in step order, so it gets a one-point series' bits; v steps once
+/// per n for all of them. Fills and records `report`.
+std::vector<TransientPoint> run_series(const robust::Uniformized& u,
+                                       const std::vector<double>& pi0,
+                                       const std::vector<double>& times,
+                                       double eps, unsigned jobs,
+                                       unsigned measures, const char* context,
+                                       obs::Span& span,
+                                       robust::SolveReport& report) {
+  static obs::Counter& steps_counter =
+      obs::counter("markov.uniformization_steps");
+  auto& injector = testing::FaultInjector::instance();
+  const std::size_t n = pi0.size();
+  const bool want_pi = (measures & kPi) != 0;
+  const bool want_cum = (measures & kCumulative) != 0;
+  const parallel::PoolLease lease(jobs);
+  span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
+
+  report.method = "uniformization";
+  report.attempts = {"uniformization"};
+  // `order` lists the points with t > 0 by descending window end, ties in
+  // input order, so the points still open at step s are a prefix of it and
+  // order[0] has the longest window.
+  std::vector<TransientPoint> out(times.size());
+  std::vector<Window> win(times.size());
+  std::vector<std::size_t> order;
+  for (std::size_t k = 0; k < times.size(); ++k) {
+    if (want_pi) out[k].pi = times[k] == 0.0 ? pi0 : std::vector<double>(n);
+    if (want_cum) out[k].cumulative.assign(n, 0.0);
+    if (times[k] == 0.0) continue;  // pi0 and zeros, verbatim
+    // Overflow guard: a Poisson mean that is non-finite or large enough to
+    // make the step loop effectively unbounded throws with the initial
+    // state (pi) or zeros (L) as the partial.
+    const double mean = injector.tap("uniformize.qt", u.q * times[k]);
+    if (!std::isfinite(mean) || mean < 0.0 || mean > kMaxPoissonMean) {
+      report.warn("q*t = " + std::to_string(mean) +
+                  " exceeds the uniformization guard (max " +
+                  std::to_string(kMaxPoissonMean) + ")");
+      robust::record_last_report(report);
+      throw robust::ConvergenceError(
+          std::string(context) + ": uniformization infeasible, q*t = " +
+              std::to_string(mean) +
+              " (stiff chain x long horizon); use steady_state() or split "
+              "the interval",
+          want_pi ? pi0 : out[k].cumulative, report);
+    }
+    win[k].pw = poisson_weights(mean, eps);
+    win[k].end = win[k].pw.left + win[k].pw.weights.size();
+    order.push_back(k);
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return win[a].end != win[b].end ? win[a].end > win[b].end : a < b;
+  });
+  const std::size_t steps = order.empty() ? 0 : win[order[0]].end;
+  steps_counter.add(steps);
+  span.set("steps", steps);
+  span.set("q", u.q);
+
+  // The convergence series is the longest window's unprocessed Poisson tail
+  // mass, which decays from 1 toward eps as the window closes.
+  const robust::Deadline deadline = robust::ambient_deadline();
+  std::vector<double> v = pi0;  // pi0 P^s
+  std::vector<double> next(n);
+  std::size_t open = order.size();
+  for (std::size_t s = 0; s < steps; ++s) {
+    while (win[order[open - 1]].end <= s) --open;
+    for (std::size_t i = 0; i < open; ++i) {
+      Window& w = win[order[i]];
+      TransientPoint& p = out[order[i]];
+      if (s >= w.pw.left) {
+        const double wt =
+            injector.tap("uniformize.weight", w.pw.weights[s - w.pw.left]);
+        w.cdf += wt;
+        if (want_pi) {
+          for (std::size_t j = 0; j < n; ++j) p.pi[j] += wt * v[j];
+        }
+      }
+      if (want_cum) {
+        const double factor = (1.0 - w.cdf) / u.q;
+        if (factor > 0.0) {
+          for (std::size_t j = 0; j < n; ++j) {
+            p.cumulative[j] += factor * v[j];
+          }
+        }
       }
     }
-    b.add(r, r, diag);
+    const Window& longest = win[order[0]];
+    report.convergence.record(s + 1, std::max(0.0, 1.0 - longest.cdf));
+    if (s + 1 == steps) break;
+    if ((s & 15u) == 0 && deadline.expired()) {
+      // Ambient deadline (CLI --timeout-ms / serve request budget): stop
+      // and hand back the longest point's best partial — for pi, the window
+      // accumulated so far, renormalized when it carries any mass, else the
+      // initial state; for L, the time accumulated so far.
+      report.iterations = s + 1;
+      report.warn("deadline expired after " + std::to_string(s + 1) + " of " +
+                  std::to_string(steps) + " uniformization steps");
+      const TransientPoint& p = out[order[0]];
+      std::vector<double> partial =
+          want_pi ? (longest.cdf > 0.0 ? p.pi : pi0) : p.cumulative;
+      if (want_pi && longest.cdf > 0.0) {
+        for (double& x : partial) x /= longest.cdf;
+      }
+      robust::record_last_report(report);
+      throw robust::ConvergenceError(
+          std::string(context) + ": deadline expired after " +
+              std::to_string(s + 1) + " of " + std::to_string(steps) +
+              " uniformization steps",
+          std::move(partial), report);
+    }
+    u.pt.multiply(v, next, lease.get());
+    v.swap(next);
   }
-  return {b.build(), q};
+
+  // Post-solve verification: pi(t) must be a finite probability vector
+  // (small drift is renormalized), and the sojourns in L(t) must be finite
+  // and add up to t (small drift is rescaled). NaN/Inf is never returned.
+  report.iterations = steps;
+  for (const std::size_t k : order) {
+    if (want_pi) {
+      double mass = 0.0;
+      for (const double x : out[k].pi) mass += x;
+      report.residual = std::max(std::abs(mass - 1.0), report.residual);
+      robust::repair_distribution(out[k].pi, report, context);
+    }
+    if (want_cum) {
+      std::vector<double>& acc = out[k].cumulative;
+      if (!robust::all_finite(acc)) {
+        report.warn("cumulative_time: non-finite entries in result");
+        robust::record_last_report(report);
+        throw robust::ConvergenceError(
+            std::string(context) +
+                ": result contains NaN/Inf — refusing to return it silently",
+            acc, report);
+      }
+      const double t = times[k];
+      double total = 0.0;
+      for (double& x : acc) {
+        if (x < 0.0) x = 0.0;
+        total += x;
+      }
+      const double residual = std::abs(total - t) / t;
+      report.residual = std::max(residual, report.residual);
+      if (total > 0.0 && residual > 1e-9) {
+        report.warn("cumulative_time: rescaled (sum of sojourns drifted to " +
+                    std::to_string(total) + " over horizon " +
+                    std::to_string(t) + ")");
+        for (double& x : acc) x *= t / total;
+      }
+    }
+  }
+  report.converged = true;
+  robust::record_last_report(report);
+  return out;
 }
 
 }  // namespace
 
-namespace {
-
-/// Overflow guard shared by the uniformization solvers: rejects Poisson
-/// means that are non-finite or large enough to make the step loop
-/// effectively unbounded. Throws ConvergenceError carrying `partial`.
-double guarded_poisson_mean(double q, double t, const char* context,
-                            const std::vector<double>& partial) {
-  double mean = testing::FaultInjector::instance().tap("uniformize.qt",
-                                                       q * t);
-  if (!std::isfinite(mean) || mean < 0.0 || mean > kMaxPoissonMean) {
-    robust::SolveReport report;
-    report.method = "uniformization";
-    report.attempts = {"uniformization"};
-    report.warn("q*t = " + std::to_string(mean) +
-                " exceeds the uniformization guard (max " +
-                std::to_string(kMaxPoissonMean) + ")");
-    robust::record_last_report(report);
-    throw robust::ConvergenceError(
-        std::string(context) + ": uniformization infeasible, q*t = " +
-            std::to_string(mean) +
-            " (stiff chain x long horizon); use steady_state() or split "
-            "the interval",
-        partial, report);
-  }
-  return mean;
+robust::Uniformized Ctmc::uniformized() const {
+  const TransposedGenerator g = transposed_generator();
+  return robust::uniformize(g.qt, g.diag);
 }
-
-}  // namespace
 
 std::vector<double> Ctmc::transient(const std::vector<double>& pi0, double t,
                                     double eps, unsigned jobs) const {
@@ -315,12 +433,10 @@ std::vector<double> Ctmc::transient(const std::vector<double>& pi0, double t,
   obs::Span span("markov.transient");
   span.set("states", state_count());
   span.set("t", t);
-  static obs::Counter& steps_counter =
-      obs::counter("markov.uniformization_steps");
 
-  auto& injector = testing::FaultInjector::instance();
   auto& cache = SolutionCache::instance();
-  const bool use_cache = cache.enabled() && !injector.active();
+  const bool use_cache =
+      cache.enabled() && !testing::FaultInjector::instance().active();
   CacheKey key;
   if (use_cache) {
     key.add(SolutionCache::kTransientTag);
@@ -342,73 +458,12 @@ std::vector<double> Ctmc::transient(const std::vector<double>& pi0, double t,
     span.set("cache", "miss");
   }
 
-  const parallel::PoolLease lease(jobs);
-  span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
-  const auto [p, q] = uniformize(sparse_generator(), exit_rates_);
-  const double mean = guarded_poisson_mean(q, t, "Ctmc::transient", pi0);
-  const PoissonWeights pw = poisson_weights(mean, eps);
-
-  // The convergence series of a uniformized solve is the unprocessed
-  // Poisson tail mass, which decays from 1 toward eps as the window closes.
-  robust::ConvergenceTrace trace;
-  std::vector<double> v = pi0;  // pi0 P^n
-  std::vector<double> out(state_count(), 0.0);
-  const std::size_t steps = pw.left + pw.weights.size();
-  steps_counter.add(steps);
-  span.set("steps", steps);
-  span.set("q", q);
-  const robust::Deadline deadline = robust::ambient_deadline();
-  double window_mass = 0.0;
-  for (std::size_t n = 0; n < steps; ++n) {
-    if (n >= pw.left) {
-      const double w =
-          injector.tap("uniformize.weight", pw.weights[n - pw.left]);
-      window_mass += w;
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += w * v[i];
-    }
-    trace.record(n + 1, std::max(0.0, 1.0 - window_mass));
-    if (n + 1 == steps) break;
-    if ((n & 15u) == 0 && deadline.expired()) {
-      // Ambient deadline (CLI --timeout-ms / serve request budget): stop
-      // and hand back the best partial — the window accumulated so far,
-      // renormalized when it carries any mass, else the initial state.
-      robust::SolveReport report;
-      report.method = "uniformization";
-      report.attempts = {"uniformization"};
-      report.iterations = n + 1;
-      report.convergence = std::move(trace);
-      report.warn("deadline expired after " + std::to_string(n + 1) + " of " +
-                  std::to_string(steps) + " uniformization steps");
-      std::vector<double> partial = window_mass > 0.0 ? out : pi0;
-      if (window_mass > 0.0) {
-        for (double& x : partial) x /= window_mass;
-      }
-      robust::record_last_report(report);
-      throw robust::ConvergenceError(
-          "Ctmc::transient: deadline expired after " + std::to_string(n + 1) +
-              " of " + std::to_string(steps) + " uniformization steps",
-          std::move(partial), report);
-    }
-    v = p.multiply_left(v, lease.get());
-  }
-
-  // Post-solve verification: the result must be a finite probability
-  // vector; small drift is renormalized, NaN/Inf is never returned.
   robust::SolveReport report;
-  report.convergence = std::move(trace);
-  report.method = "uniformization";
-  report.attempts = {"uniformization"};
-  report.iterations = steps;
-  const double mass = [&] {
-    double s = 0.0;
-    for (const double x : out) s += x;
-    return s;
-  }();
-  report.residual = std::abs(mass - 1.0);
-  robust::repair_distribution(out, report, "Ctmc::transient");
-  report.converged = true;
-  robust::record_last_report(report);
-  if (use_cache) cache.insert(std::move(key), {out, report});
+  std::vector<double> out = std::move(
+      run_series(uniformized(), pi0, {t}, eps, jobs, kPi, "Ctmc::transient",
+                 span, report)[0]
+          .pi);
+  if (use_cache) cache.insert(std::move(key), {out, std::move(report)});
   return out;
 }
 
@@ -417,76 +472,31 @@ std::vector<double> Ctmc::cumulative_time(const std::vector<double>& pi0,
                                           unsigned jobs) const {
   check_distribution(pi0);
   detail::require(t >= 0.0, "Ctmc::cumulative_time: t must be >= 0");
-  std::vector<double> acc(state_count(), 0.0);
-  if (t == 0.0) return acc;
+  if (t == 0.0) return std::vector<double>(state_count(), 0.0);
 
   obs::Span span("markov.cumulative");
   span.set("states", state_count());
   span.set("t", t);
-  static obs::Counter& steps_counter =
-      obs::counter("markov.uniformization_steps");
-
-  const parallel::PoolLease lease(jobs);
-  span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
-  const auto [p, q] = uniformize(sparse_generator(), exit_rates_);
-  const double mean = guarded_poisson_mean(q, t, "Ctmc::cumulative_time",
-                                           acc);
-  const PoissonWeights pw = poisson_weights(mean, eps);
-
-  // L(t) = (1/q) sum_{n>=0} (1 - CDF_Poisson(n)) pi0 P^n.
-  // With the normalized window, CDF(n) = sum of weights up to n; beyond the
-  // window's right end the factor is 0, so iterate to the window end.
-  auto& injector = testing::FaultInjector::instance();
-  robust::ConvergenceTrace trace;
-  std::vector<double> v = pi0;
-  double cdf = 0.0;
-  const std::size_t steps = pw.left + pw.weights.size();
-  steps_counter.add(steps);
-  span.set("steps", steps);
-  span.set("q", q);
-  for (std::size_t n = 0; n < steps; ++n) {
-    if (n >= pw.left) {
-      cdf += injector.tap("uniformize.weight", pw.weights[n - pw.left]);
-    }
-    trace.record(n + 1, std::max(0.0, 1.0 - cdf));
-    const double factor = (1.0 - cdf) / q;
-    if (factor > 0.0) {
-      for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += factor * v[i];
-    }
-    if (n + 1 == steps) break;
-    v = p.multiply_left(v, lease.get());
-  }
-
-  // Verification: total sojourn time over [0, t] must equal t; repair small
-  // drift by rescaling, never return NaN/Inf.
   robust::SolveReport report;
-  report.convergence = std::move(trace);
-  report.method = "uniformization";
-  report.attempts = {"uniformization"};
-  report.iterations = steps;
-  if (!robust::all_finite(acc)) {
-    report.warn("cumulative_time: non-finite entries in result");
-    robust::record_last_report(report);
-    throw robust::ConvergenceError(
-        "Ctmc::cumulative_time: result contains NaN/Inf — refusing to "
-        "return it silently",
-        acc, report);
+  return std::move(run_series(uniformized(), pi0, {t}, eps, jobs,
+                              kCumulative, "Ctmc::cumulative_time", span,
+                              report)[0]
+                       .cumulative);
+}
+
+std::vector<TransientPoint> Ctmc::transient_series(
+    const std::vector<double>& pi0, const std::vector<double>& times,
+    double eps, unsigned jobs) const {
+  check_distribution(pi0);
+  for (const double t : times) {
+    detail::require(t >= 0.0, "Ctmc::transient_series: t must be >= 0");
   }
-  double total = 0.0;
-  for (double& x : acc) {
-    if (x < 0.0) x = 0.0;
-    total += x;
-  }
-  report.residual = std::abs(total - t) / t;
-  if (total > 0.0 && report.residual > 1e-9) {
-    report.warn("cumulative_time: rescaled (sum of sojourns drifted to " +
-                std::to_string(total) + " over horizon " +
-                std::to_string(t) + ")");
-    for (double& x : acc) x *= t / total;
-  }
-  report.converged = true;
-  robust::record_last_report(report);
-  return acc;
+  obs::Span span("markov.transient");
+  span.set("states", state_count());
+  span.set("points", times.size());
+  robust::SolveReport report;
+  return run_series(uniformized(), pi0, times, eps, jobs, kPi | kCumulative,
+                    "Ctmc::transient_series", span, report);
 }
 
 AbsorbingAnalysis Ctmc::absorbing_analysis(
@@ -687,7 +697,7 @@ std::vector<double> transient_sensitivity(const Ctmc& chain, const Matrix& dq,
   }
   if (t == 0.0) return std::vector<double>(n, 0.0);
 
-  const SparseMatrix q = chain.sparse_generator();
+  const SparseMatrix qt = chain.sparse_generator().transposed();  // p Q = Q^T p
   // Step size from the uniformization rate: h ~ 0.1 / q_max keeps RK4 well
   // inside its stability region for this linear system.
   double qmax = 1.0;
@@ -705,8 +715,8 @@ std::vector<double> transient_sensitivity(const Ctmc& chain, const Matrix& dq,
   const auto deriv = [&](const std::vector<double>& p,
                          const std::vector<double>& s,
                          std::vector<double>& dp, std::vector<double>& ds) {
-    dp = q.multiply_left(p);
-    ds = q.multiply_left(s);
+    qt.multiply(p, dp);
+    qt.multiply(s, ds);
     for (std::size_t c = 0; c < n; ++c) {
       double acc = 0.0;
       for (std::size_t r = 0; r < n; ++r) acc += p[r] * dq(r, c);

@@ -11,6 +11,7 @@
 //   * transient        — uniformization with stable Poisson weights
 //   * cumulative       — expected total time per state in [0, t]
 //                        (uniformization integral form)
+//   * transient series — both measures at many time points from one series
 //   * absorbing chains — mean time to absorption (MTTF), per-state expected
 //                        sojourns, absorption probabilities, reliability(t)
 //   * reward models    — expected reward rate (instantaneous, steady-state),
@@ -64,9 +65,8 @@ struct SteadyStateOptions {
   robust::Budget budget;
   /// Parallelism degree for the state-space kernels (SOR residual
   /// evaluation, power-iteration matvec, verification residual).
-  /// 0 = parallel::default_jobs(); 1 = force the bit-identical sequential
-  /// path. Never part of the solution-cache key (results are
-  /// jobs-independent by the determinism contract).
+  /// 0 = parallel::default_jobs(); 1 = force the sequential path. Never
+  /// part of the solution-cache key: every value gives the same bits.
   unsigned jobs = 0;
   /// Consult/populate the process-wide markov::SolutionCache. The cache can
   /// also be disabled globally (CLI --no-solver-cache).
@@ -83,6 +83,14 @@ struct AbsorbingAnalysis {
   /// Probability of eventually being absorbed into each absorbing state
   /// (0 for transient states).
   std::vector<double> absorption_probability;
+};
+
+/// Both transient measures at one time point of Ctmc::transient_series.
+struct TransientPoint {
+  /// State distribution at t, as Ctmc::transient returns it.
+  std::vector<double> pi;
+  /// Expected time per state in [0, t], as Ctmc::cumulative_time returns it.
+  std::vector<double> cumulative;
 };
 
 /// A finite CTMC over index-addressed states, optionally named.
@@ -122,7 +130,8 @@ class Ctmc {
   /// State distribution at time t from initial distribution pi0
   /// (uniformization; eps is the Poisson truncation mass). `jobs`
   /// parallelizes the per-step vector-matrix product (0 = default_jobs(),
-  /// 1 = sequential); results are memoized in the SolutionCache.
+  /// 1 = sequential; every value gives the same bits); results are
+  /// memoized in the SolutionCache.
   std::vector<double> transient(const std::vector<double>& pi0, double t,
                                 double eps = 1e-12, unsigned jobs = 0) const;
 
@@ -131,6 +140,15 @@ class Ctmc {
   std::vector<double> cumulative_time(const std::vector<double>& pi0,
                                       double t, double eps = 1e-12,
                                       unsigned jobs = 0) const;
+
+  /// transient() and cumulative_time() at every entry of `times` (any
+  /// order, repeats allowed, each >= 0) from one uniformization series, one
+  /// TransientPoint per entry in input order. Each entry equals the
+  /// single-point calls bit for bit, and t = 0 gives pi0 and zeros. Not
+  /// memoized; holds 2K state vectors for K times.
+  std::vector<TransientPoint> transient_series(
+      const std::vector<double>& pi0, const std::vector<double>& times,
+      double eps = 1e-12, unsigned jobs = 0) const;
 
   /// Absorbing-chain analysis from initial distribution pi0. Throws
   /// ModelError if the chain has no absorbing state reachable or if a
@@ -145,7 +163,7 @@ class Ctmc {
   /// Dense generator matrix (diagnostics, tests, small direct methods).
   Matrix dense_generator() const;
 
-  /// Sparse generator (CSR) and its transpose; built on demand.
+  /// Sparse generator (CSR), built on demand.
   SparseMatrix sparse_generator() const;
 
   /// Initial distribution concentrated on one state.
@@ -156,6 +174,17 @@ class Ctmc {
     StateId from, to;
     double rate;
   };
+
+  /// Q's off-diagonal part transposed (row i holds column i of Q) and its
+  /// diagonal: the form robust_steady_state and robust::uniformize take.
+  /// Taps "ctmc.rate" once per transition.
+  struct TransposedGenerator {
+    SparseMatrix qt;
+    std::vector<double> diag;
+  };
+  TransposedGenerator transposed_generator() const;
+  /// robust::uniformize of the above, for the uniformization series.
+  robust::Uniformized uniformized() const;
 
   void check_distribution(const std::vector<double>& pi0) const;
   bool is_anonymous(StateId s) const {

@@ -106,10 +106,14 @@ std::vector<double> Dtmc::transient(const std::vector<double>& pi0,
                                     std::size_t steps, unsigned jobs) const {
   detail::require(pi0.size() == names_.size(),
                   "Dtmc::transient: distribution size mismatch");
-  const SparseMatrix p = sparse_matrix();
+  const SparseMatrix pt = sparse_matrix().transposed();  // v P = P^T v
   const parallel::PoolLease lease(jobs);
   std::vector<double> v = pi0;
-  for (std::size_t i = 0; i < steps; ++i) v = p.multiply_left(v, lease.get());
+  std::vector<double> next(v.size());
+  for (std::size_t i = 0; i < steps; ++i) {
+    pt.multiply(v, next, lease.get());
+    v.swap(next);
+  }
   return v;
 }
 

@@ -49,7 +49,8 @@ class Dtmc {
 
   /// Stationary distribution of an irreducible aperiodic chain. `jobs`
   /// parallelizes the power-iteration matvec above the dense threshold
-  /// (0 = parallel::default_jobs(), 1 = sequential).
+  /// (0 = parallel::default_jobs(), 1 = sequential; the same bits either
+  /// way).
   std::vector<double> steady_state(std::size_t dense_threshold = 512,
                                    unsigned jobs = 0) const;
 

@@ -33,24 +33,6 @@ Matrix densify(const SparseMatrix& qt, const std::vector<double>& diag) {
   return q;
 }
 
-/// Uniformized DTMC P = I + Q/q built from the transposed generator;
-/// returned in natural (row = row of P) orientation for multiply_left.
-SparseMatrix uniformized_dtmc(const SparseMatrix& qt,
-                              const std::vector<double>& diag) {
-  const std::size_t n = qt.rows();
-  double qmax = 0.0;
-  for (const double d : diag) qmax = std::max(qmax, -d);
-  const double q = qmax > 0.0 ? qmax * 1.02 : 1.0;
-  SparseBuilder bt(n, n);  // builds P^T, transposed at the end
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = qt.row_begin(i); k < qt.row_end(i); ++k) {
-      bt.add(i, qt.col(k), qt.value(k) / q);
-    }
-    bt.add(i, i, 1.0 + diag[i] / q);
-  }
-  return bt.build().transposed();
-}
-
 /// Clamps negative entries to 0 and rescales to sum 1. False when no
 /// probability mass is left.
 bool clamp_normalize(std::vector<double>& v) {
@@ -148,6 +130,22 @@ bool all_finite(const std::vector<double>& v) {
     if (!std::isfinite(x)) return false;
   }
   return true;
+}
+
+Uniformized uniformize(const SparseMatrix& qt,
+                       const std::vector<double>& diag) {
+  const std::size_t n = qt.rows();
+  double qmax = 0.0;
+  for (const double d : diag) qmax = std::max(qmax, -d);
+  const double q = qmax > 0.0 ? qmax * 1.02 : 1.0;
+  SparseBuilder bt(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = qt.row_begin(i); k < qt.row_end(i); ++k) {
+      bt.add(i, qt.col(k), qt.value(k) / q);
+    }
+    bt.add(i, i, 1.0 + diag[i] / q);
+  }
+  return {bt.build(), q};
 }
 
 void repair_distribution(std::vector<double>& v, SolveReport& report,
@@ -412,7 +410,8 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
                                 bicgstab_run(Preconditioner::kJacobi)};
   const Attempt power{"power", "power", "power", {},
                       [&, power_opts = inherit(opts.power)] {
-    PowerResult r = power_steady_state(uniformized_dtmc(qt, diag), power_opts);
+    PowerResult r =
+        power_steady_state(uniformize(qt, diag).pt.transposed(), power_opts);
     return Candidate{std::move(r.pi), r.iterations,
                      std::move(r.report.convergence)};
   }};

@@ -142,6 +142,18 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
                                  const std::vector<double>& diag,
                                  const RobustSteadyOptions& opts = {});
 
+/// The uniformized DTMC P = I + Q/q of a CTMC, stored transposed (pi P is
+/// `pt.multiply(pi)`), with q = 1.02 x the largest exit rate (1 when every
+/// state absorbs) so that P's diagonal is strictly positive.
+struct Uniformized {
+  SparseMatrix pt;
+  double q = 1.0;
+};
+
+/// The one builder of P, from the form robust_steady_state takes; the power
+/// entry of the chain and CTMC uniformization both use it.
+Uniformized uniformize(const SparseMatrix& qt, const std::vector<double>& diag);
+
 /// max_i |(pi Q)_i| for a candidate stationary vector (common/linsolve.hpp),
 /// the residual every attempt is verified with.
 using relkit::steady_state_residual;

@@ -64,24 +64,27 @@ Mrgp::CycleAnalysis Mrgp::analyze_cycle(std::size_t regen_index) const {
       }
     }
   } else {
-    // Quadrature nodes over the timer distribution: exact single node for
-    // a deterministic timer, midpoint quantiles otherwise.
-    std::vector<std::pair<double, double>> nodes;  // (t, weight)
+    // Equally weighted quadrature nodes over the timer distribution: exact
+    // single node for a deterministic timer, midpoint quantiles otherwise.
+    // One series gives L(t) and pi(t) at every node.
+    std::vector<double> times;
     if (const auto* det =
             dynamic_cast<const Deterministic*>(regen.rule.timer.get())) {
-      nodes.emplace_back(det->value(), 1.0);
+      times.push_back(det->value());
     } else {
       constexpr std::size_t kNodes = 192;
       for (std::size_t k = 0; k < kNodes; ++k) {
         const double p = (static_cast<double>(k) + 0.5) / kNodes;
-        nodes.emplace_back(regen.rule.timer->quantile(p), 1.0 / kNodes);
+        times.push_back(regen.rule.timer->quantile(p));
       }
     }
+    const double w = 1.0 / static_cast<double>(times.size());
 
     const SparseMatrix q = chain_.sparse_generator();
-    for (const auto& [t, w] : nodes) {
-      const auto cum = chain_.cumulative_time(pi0, t);
-      const auto pit = chain_.transient(pi0, t);
+    for (const markov::TransientPoint& node :
+         chain_.transient_series(pi0, times)) {
+      const auto& cum = node.cumulative;
+      const auto& pit = node.pi;
       for (std::size_t j = 0; j < n; ++j) {
         if (chain_.is_absorbing(j)) continue;
         out.time_in_state[j] += w * cum[j];
@@ -147,7 +150,9 @@ std::vector<double> Mrgp::steady_state() const {
   } else {
     markov::Dtmc embedded;
     for (std::size_t r = 0; r < m; ++r) {
-      embedded.add_state("r" + std::to_string(r));
+      std::string name = "r";
+      name += std::to_string(r);
+      embedded.add_state(std::move(name));
     }
     for (std::size_t r = 0; r < m; ++r) {
       for (std::size_t r2 = 0; r2 < m; ++r2) {

@@ -5,8 +5,8 @@
 // make none, adding states must not allocate per state, adding transitions
 // or triplets may only grow their vectors geometrically, and validating a
 // chain's rows or evaluating a BDD must not build a message per state or
-// node. Timing tests on a shared host cannot catch a regression here; a
-// count can.
+// node, and a uniformization step must not allocate. Timing tests on a
+// shared host cannot catch a regression here; a count can.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +20,7 @@
 #include "common/sparse.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
+#include "markov/solution_cache.hpp"
 
 namespace {
 
@@ -159,6 +160,36 @@ TEST(AllocGuard, DtmcRowValidationDoesNotAllocatePerState) {
       allocations_during([&] { nnz = chain.sparse_matrix().nnz(); });
   EXPECT_LT(n, 64u);
   EXPECT_EQ(nnz, kStates);
+}
+
+TEST(AllocGuard, TransientStepsDoNotAllocate) {
+  constexpr std::size_t kStates = 1000;
+  markov::Ctmc chain;
+  chain.add_states(kStates);
+  for (std::size_t s = 0; s + 1 < kStates; ++s) {
+    chain.add_transition(s, s + 1, 1.0);
+    chain.add_transition(s + 1, s, 1.5);
+  }
+  const std::vector<double> pi0 = chain.point_mass(0);
+  // The cache would add its key and entry; this counts the solve itself.
+  markov::SolutionCache::instance().set_enabled(false);
+  for (const double t : {10.0, 100.0}) {
+    std::vector<double> pi, time_in_state;
+    // Building P and the Poisson window allocates a fixed amount; the
+    // series steps on two reused buffers (t = 100 takes ~370 steps).
+    EXPECT_LT(allocations_during(
+                  [&] { pi = chain.transient(pi0, t, 1e-12, 1); }),
+              100u)
+        << "transient at t = " << t;
+    EXPECT_LT(allocations_during([&] {
+                time_in_state = chain.cumulative_time(pi0, t, 1e-12, 1);
+              }),
+              100u)
+        << "cumulative_time at t = " << t;
+    EXPECT_EQ(pi.size(), kStates);
+    EXPECT_EQ(time_in_state.size(), kStates);
+  }
+  markov::SolutionCache::instance().set_enabled(true);
 }
 
 }  // namespace

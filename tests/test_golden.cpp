@@ -13,16 +13,20 @@
 //   * the jobs = 1 stationary solve is pinned EXACTLY (EXPECT_EQ on every
 //     component) — the determinism contract says jobs = 1 is the
 //     historical sequential path bit for bit, so any drift here is a
-//     broken contract, not noise.
+//     broken contract, not noise. So is the rejuvenation example's MRGP
+//     under a deterministic and a Weibull timer, which runs the
+//     uniformization series at one and at 192 quadrature nodes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "common/distributions.hpp"
 #include "io/model_parser.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/solution_cache.hpp"
+#include "semimarkov/mrgp.hpp"
 
 using namespace relkit;
 
@@ -243,5 +247,57 @@ TEST(Golden, Jobs1SteadyStateBits) {
   ASSERT_EQ(pi.size(), pinned.size());
   for (std::size_t i = 0; i < pi.size(); ++i) {
     EXPECT_EQ(pi[i], pinned[i]) << "state " << i;
+  }
+}
+
+// The two-phase aging MRGP of examples/rejuvenation.cpp (robust -> fragile
+// -> crashed, one non-resetting rejuvenation timer) solved under a
+// deterministic(800) timer (one uniformization node) and a Weibull(3, 400)
+// timer (192 quantile nodes). Pinned EXACTLY, component by component.
+TEST(Golden, MrgpTimers) {
+  const auto solve = [](DistPtr timer) {
+    markov::Ctmc sub;
+    const auto robust = sub.add_state("robust");
+    const auto fragile = sub.add_state("fragile");
+    const auto crashed = sub.add_state("crashed");
+    const auto rejuving = sub.add_state("rejuving");
+    const auto rejuv_ok = sub.add_state("rejuv_ok");
+    const auto fixing = sub.add_state("fixing");
+    const auto fixed = sub.add_state("fixed");
+    sub.add_transition(robust, fragile, 1.0 / 500.0);
+    sub.add_transition(fragile, crashed, 1.0 / 250.0);
+    sub.add_transition(rejuving, rejuv_ok, 1.0 / erlang(4, 4.0 / 0.1)->mean());
+    sub.add_transition(fixing, fixed, 1.0 / lognormal(0.7, 0.8)->mean());
+    semimarkov::Mrgp mrgp(std::move(sub));
+    semimarkov::RegenerationRule live;
+    live.timer = std::move(timer);
+    live.timer_branch.assign(7, 1);
+    const auto reg_live = mrgp.add_regeneration(robust, live);
+    mrgp.add_regeneration(rejuving, {});
+    const auto reg_fix = mrgp.add_regeneration(fixing, {});
+    mrgp.set_exit_branch(crashed, reg_fix);
+    mrgp.set_exit_branch(rejuv_ok, reg_live);
+    mrgp.set_exit_branch(fixed, reg_live);
+    return mrgp.steady_state();
+  };
+  const std::vector<double> det = solve(deterministic(800.0));
+  const std::vector<double> det_pinned = {
+      0.71246927023178175, 0.28431210269685148,   0.0,
+      6.4815733244229747e-05, 0.0, 0.0031538113381226326,
+      0.0,
+  };
+  ASSERT_EQ(det.size(), det_pinned.size());
+  for (std::size_t i = 0; i < det.size(); ++i) {
+    EXPECT_EQ(det[i], det_pinned[i]) << "deterministic timer, state " << i;
+  }
+  const std::vector<double> weib = solve(weibull(3.0, 400.0));
+  const std::vector<double> weib_pinned = {
+      0.78910644101916827, 0.20834628910669753,   0.0,
+      0.00023613052196572238, 0.0, 0.0023111393521684049,
+      0.0,
+  };
+  ASSERT_EQ(weib.size(), weib_pinned.size());
+  for (std::size_t i = 0; i < weib.size(); ++i) {
+    EXPECT_EQ(weib[i], weib_pinned[i]) << "Weibull timer, state " << i;
   }
 }

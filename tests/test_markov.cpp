@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "markov/ctmc.hpp"
+#include "markov/solution_cache.hpp"
 
 namespace relkit::markov {
 namespace {
@@ -228,6 +231,73 @@ TEST(CtmcCumulative, MatchesQuadratureOfTransient) {
     integral += c.transient(c.point_mass(0), u)[0] * t / steps;
   }
   EXPECT_NEAR(acc[0], integral, 1e-4);
+}
+
+/// Same length and the same bits in every entry (0.0 vs -0.0 and NaN
+/// payloads included, unlike ==).
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Seeded random chain of 3-24 states: a forward path through every state
+/// plus random extra transitions. With `absorbing`, the last state has no
+/// exit.
+Ctmc random_chain(std::uint64_t seed, bool absorbing) {
+  Rng rng(seed);
+  const std::size_t n = 3 + static_cast<std::size_t>(rng.uniform() * 22);
+  const auto rate = [&] { return 0.01 + 5.0 * rng.uniform(); };
+  const auto pick = [&](std::size_t m) {
+    return static_cast<std::size_t>(rng.uniform() * static_cast<double>(m));
+  };
+  Ctmc c;
+  c.add_states(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) c.add_transition(i, i + 1, rate());
+  if (!absorbing) c.add_transition(n - 1, 0, rate());
+  const std::size_t sources = absorbing ? n - 1 : n;
+  for (std::size_t e = 0; e < 2 * n; ++e) {
+    const std::size_t from = pick(sources);
+    const std::size_t to = pick(n);
+    if (from != to) c.add_transition(from, to, rate());
+  }
+  return c;
+}
+
+// transient_series runs one uniformization series for many time points;
+// each of its entries must be what the single-point calls return, bit for
+// bit. 60 seeded chains (every third absorbing), cache off, times unsorted
+// with a repeat and t = 0, from a point mass and from a spread start.
+TEST(TransientSeries, EqualsSinglePointCallsBitForBit) {
+  SolutionCache::instance().set_enabled(false);
+  const std::vector<double> times = {3.0, 0.25, 0.0, 40.0, 3.0, 1e-3, 12.5};
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    const Ctmc c = random_chain(seed, seed % 3 == 0);
+    std::vector<double> pi0 = c.point_mass(0);
+    if (seed % 2 == 1) {
+      pi0.assign(c.state_count(), 0.0);
+      pi0[0] = 0.5;
+      pi0[1] = 0.25;
+      pi0[2] = 0.25;
+    }
+    const std::vector<TransientPoint> series = c.transient_series(pi0, times);
+    ASSERT_EQ(series.size(), times.size());
+    for (std::size_t k = 0; k < times.size(); ++k) {
+      EXPECT_TRUE(same_bits(series[k].pi, c.transient(pi0, times[k])))
+          << "pi, seed " << seed << ", t = " << times[k];
+      EXPECT_TRUE(
+          same_bits(series[k].cumulative, c.cumulative_time(pi0, times[k])))
+          << "L, seed " << seed << ", t = " << times[k];
+    }
+  }
+  SolutionCache::instance().set_enabled(true);
+}
+
+TEST(TransientSeries, ValidatesInputs) {
+  const Ctmc c = two_state(0.3, 1.1);
+  EXPECT_TRUE(c.transient_series(c.point_mass(0), {}).empty());
+  EXPECT_THROW(c.transient_series(c.point_mass(0), {1.0, -1.0}),
+               InvalidArgument);
+  EXPECT_THROW(c.transient_series({0.5, 0.4}, {1.0}), InvalidArgument);
 }
 
 TEST(CtmcAbsorbing, TwoComponentSeriesMttf) {

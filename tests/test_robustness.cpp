@@ -430,6 +430,26 @@ TEST(Uniformization, InjectedNanNeverEscapesSilently) {
   EXPECT_THROW(chain.transient(pi0, 0.7), robust::ConvergenceError);
 }
 
+// The ambient deadline (CLI --timeout-ms, relkit_serve request budgets)
+// stops the cumulative measure as it stops the transient one: a deadline
+// that has already passed ends either series at its first check.
+TEST(Uniformization, CumulativeHonoursAmbientDeadline) {
+  const auto chain = birth_death_chain(50, 1.0, 2.0);
+  const auto pi0 = chain.point_mass(0);
+  const robust::ScopedDeadline expired(robust::Deadline::after_seconds(-1.0));
+  try {
+    chain.cumulative_time(pi0, 5000.0);
+    FAIL() << "expected ConvergenceError";
+  } catch (const robust::ConvergenceError& e) {
+    EXPECT_NE(std::string(e.what()).find("Ctmc::cumulative_time: deadline"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.partial_result().size(), chain.state_count());
+    EXPECT_FALSE(e.report().warnings.empty());
+  }
+  EXPECT_THROW(chain.transient(pi0, 5000.0), robust::ConvergenceError);
+}
+
 TEST(Uniformization, GeneratorNanDetectedAtSteadyState) {
   FaultInjectionScope scope;
   scope->inject_nan("ctmc.rate");

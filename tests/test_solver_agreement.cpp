@@ -18,7 +18,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/krylov.hpp"
@@ -27,6 +29,7 @@
 #include "common/reorder.hpp"
 #include "common/sparse.hpp"
 #include "markov/ctmc.hpp"
+#include "markov/dtmc.hpp"
 #include "markov/solution_cache.hpp"
 #include "robust/report.hpp"
 #include "robust/robust.hpp"
@@ -137,6 +140,42 @@ markov::Ctmc make_ncd_chain(std::size_t index) {
     c.add_transition(first_state[next], first_state[b], weak(rng));
   }
   return c;
+}
+
+// k x k product-form grid: state (i, j) = i k + j, each coordinate a
+// birth-death walk whose rates drift gently with the other coordinate.
+markov::Ctmc grid_chain(std::size_t k) {
+  markov::Ctmc c;
+  c.add_states(k * k);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t s = i * k + j;
+      if (i + 1 < k) c.add_transition(s, s + k, 0.7 + 0.001 * j);
+      if (i > 0) c.add_transition(s, s - k, 1.1);
+      if (j + 1 < k) c.add_transition(s, s + 1, 0.5 + 0.002 * i);
+      if (j > 0) c.add_transition(s, s - 1, 0.9);
+    }
+  }
+  return c;
+}
+
+// Lazy random walk on a k x k torus (an aperiodic, irreducible DTMC).
+markov::Dtmc torus_walk(std::size_t k) {
+  markov::Dtmc d;
+  for (std::size_t s = 0; s < k * k; ++s) {
+    d.add_state("d" + std::to_string(s));
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t s = i * k + j;
+      d.add_transition(s, s, 0.2);
+      d.add_transition(s, ((i + 1) % k) * k + j, 0.3);
+      d.add_transition(s, i * k + (j + 1) % k, 0.1 + 0.001 * i);
+      d.add_transition(s, ((i + k - 1) % k) * k + j, 0.2);
+      d.add_transition(s, i * k + (j + k - 1) % k, 0.2 - 0.001 * i);
+    }
+  }
+  return d;
 }
 
 // --- the four solvers -------------------------------------------------------
@@ -274,6 +313,51 @@ TEST(SolverAgreement, JobsOneAndFourAgree) {
     ASSERT_EQ(seq.size(), par.size());
     for (std::size_t i = 0; i < seq.size(); ++i) {
       ASSERT_NEAR(seq[i], par[i], 1e-14) << "chain " << chain;
+    }
+  }
+}
+
+// Every jobs value returns the jobs = 1 bits. Each product is row-parallel
+// (x A runs as A^T x), so no kernel groups a sum by chunk: uniformization
+// (transient and cumulative), forced power, and the DTMC transient and
+// stationary solves, plus forced SOR and BiCGSTAB, whose chunked loops
+// already reduced in a fixed order. Runs under TSan via the `tsan` label.
+TEST(SolverAgreement, JobsDoNotChangeBits) {
+  const CacheOffGuard guard;
+  const markov::Ctmc big = grid_chain(120);
+  const markov::Ctmc small = grid_chain(40);
+  const markov::Dtmc walk = torus_walk(30);
+  const auto forced = [&](robust::SolverChoice solver, unsigned jobs) {
+    markov::SteadyStateOptions opts;
+    opts.dense_threshold = 0;
+    opts.solver = solver;
+    opts.jobs = jobs;
+    opts.use_cache = false;
+    return small.steady_state(opts);
+  };
+  const std::vector<std::string> what = {
+      "transient", "cumulative_time", "forced power", "forced SOR",
+      "forced BiCGSTAB", "Dtmc::transient", "Dtmc::steady_state"};
+  std::vector<std::vector<double>> ref;
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    const std::vector<std::vector<double>> got = {
+        big.transient(big.point_mass(0), 3.0, 1e-12, jobs),
+        big.cumulative_time(big.point_mass(0), 3.0, 1e-12, jobs),
+        forced(robust::SolverChoice::kPower, jobs),
+        forced(robust::SolverChoice::kSor, jobs),
+        forced(robust::SolverChoice::kBicgstab, jobs),
+        walk.transient(walk.point_mass(0), 200, jobs),
+        walk.steady_state(0, jobs)};
+    if (jobs == 1) {
+      ref = got;
+      continue;
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].size(), ref[i].size()) << what[i];
+      EXPECT_EQ(std::memcmp(got[i].data(), ref[i].data(),
+                            got[i].size() * sizeof(double)),
+                0)
+          << what[i] << " at jobs " << jobs << " differs from jobs 1";
     }
   }
 }
