@@ -12,6 +12,7 @@
 #include "obs/hw_counters.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
+#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit {
@@ -117,8 +118,9 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
 
   auto& injector = testing::FaultInjector::instance();
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t max_iters = injector.cap(
-      "bicgstab.max_iters", opts.budget.cap_iterations(opts.max_iters));
+  const std::size_t max_iters =
+      injector.cap("bicgstab.max_iters", opts.max_iters);
+  const robust::Deadline deadline = robust::ambient_deadline();
 
   const parallel::PoolLease lease(opts.jobs);
   obs::Span span("solver.bicgstab");
@@ -382,7 +384,7 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
         }
         if (res < opts.tol) return finish(it);
       }
-      if (opts.budget.deadline.expired()) {
+      if (deadline.expired()) {
         report.warn("deadline expired after " + std::to_string(it) +
                     " iterations");
         throw give_up("bicgstab_steady_state: deadline expired after " +

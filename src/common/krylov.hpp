@@ -16,8 +16,8 @@
 // A reverse Cuthill-McKee permutation (common/reorder.hpp) is applied
 // before factoring/iterating and inverted on the result: bandwidth
 // reduction improves both matvec locality and the quality of the ILU0
-// pattern. The contracts match the other iterative kernels: a
-// robust::Budget (deadline / iteration cap) is honored, progress is
+// pattern. The contracts match the other iterative kernels: max_iters and
+// the ambient deadline (robust::ScopedDeadline) are honored, progress is
 // recorded into a ConvergenceTrace, and non-convergence throws
 // robust::ConvergenceError carrying the best normalized iterate.
 #pragma once
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "common/sparse.hpp"
-#include "robust/budget.hpp"
 #include "robust/report.hpp"
 
 namespace relkit {
@@ -51,7 +50,6 @@ struct BicgstabOptions {
   /// Apply the RCM bandwidth-reducing permutation before solving (inverted
   /// on the result; pure locality/ILU-quality, never changes the answer).
   bool use_rcm = true;
-  robust::Budget budget;  ///< deadline / iteration cap (default unlimited)
   /// Parallelism degree for the matvec kernels. 0 = the process-wide
   /// parallel::default_jobs(); 1 = force the bit-identical sequential path
   /// (the dot products and triangular solves are sequential at any jobs,
@@ -72,8 +70,8 @@ struct BicgstabResult {
 /// entries; any accidental diagonal entries are folded into `diag`) and
 /// the diagonal of Q (all entries < 0). Throws robust::ConvergenceError —
 /// best normalized iterate + report with ConvergenceTrace — when the
-/// iteration exhausts its budget, the deadline expires, or the iterate
-/// degenerates.
+/// iteration reaches max_iters, the ambient deadline expires, or the
+/// iterate degenerates.
 BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
                                      const std::vector<double>& diag,
                                      const BicgstabOptions& opts = {});

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
+#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit {
@@ -103,8 +104,8 @@ SorResult sor_steady_state(const SparseMatrix& qt,
 
   auto& injector = testing::FaultInjector::instance();
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t max_iters =
-      injector.cap("sor.max_iters", opts.budget.cap_iterations(opts.max_iters));
+  const std::size_t max_iters = injector.cap("sor.max_iters", opts.max_iters);
+  const robust::Deadline deadline = robust::ambient_deadline();
 
   const parallel::PoolLease lease(opts.jobs);
   obs::Span span("solver.sor");
@@ -171,7 +172,7 @@ SorResult sor_steady_state(const SparseMatrix& qt,
     for (double& x : pi) x /= total;
 
     if (it % 8 == 0 || it <= 4) {
-      if (opts.budget.deadline.expired()) {
+      if (deadline.expired()) {
         report.iterations = it;
         report.warn("deadline expired after " + std::to_string(it) +
                     " sweeps");
@@ -232,8 +233,8 @@ PowerResult power_steady_state(const SparseMatrix& p,
 
   auto& injector = testing::FaultInjector::instance();
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t max_iters = injector.cap(
-      "power.max_iters", opts.budget.cap_iterations(opts.max_iters));
+  const std::size_t max_iters = injector.cap("power.max_iters", opts.max_iters);
+  const robust::Deadline deadline = robust::ambient_deadline();
 
   const parallel::PoolLease lease(opts.jobs);
   obs::Span span("solver.power");
@@ -291,7 +292,7 @@ PowerResult power_steady_state(const SparseMatrix& p,
       span.set("converged", true);
       return {std::move(pi), it + 1, delta, std::move(report)};
     }
-    if ((it & 63u) == 0 && opts.budget.deadline.expired()) {
+    if ((it & 63u) == 0 && deadline.expired()) {
       report.warn("deadline expired after " + std::to_string(it) + " steps");
       throw give_up("power_steady_state: deadline expired after " +
                         std::to_string(it) + " steps",

@@ -7,9 +7,10 @@
 //  * large sparse chains — successive over-relaxation (SOR) / Gauss-Seidel
 //    sweeps on pi Q = 0 with periodic normalization.
 //
-// Iterative solvers honor a robust::Budget (wall-clock deadline and/or
-// iteration cap) and on non-convergence throw robust::ConvergenceError
-// carrying the best iterate and a SolveReport instead of discarding work.
+// Iterative solvers stop at their own iteration cap (max_iters) and at the
+// ambient deadline (robust::ScopedDeadline), and on non-convergence throw
+// robust::ConvergenceError carrying the best iterate and a SolveReport
+// instead of discarding work.
 // For automatic fallback between methods use robust::robust_steady_state.
 #pragma once
 
@@ -18,7 +19,6 @@
 
 #include "common/matrix.hpp"
 #include "common/sparse.hpp"
-#include "robust/budget.hpp"
 #include "robust/report.hpp"
 
 namespace relkit {
@@ -49,7 +49,6 @@ struct SorOptions {
   double tol = 1e-12;        ///< Convergence: max |pi Q| componentwise.
   std::size_t max_iters = 200000;
   bool adaptive_omega = true;  ///< Probe omega in [1.0, 1.9] while iterating.
-  robust::Budget budget;       ///< Deadline / sweep cap (default unlimited).
   /// Parallelism degree for the residual evaluation (the Gauss-Seidel
   /// sweep itself is inherently sequential; the residual is a Jacobi-style
   /// pass over fixed pi, so its rows chunk freely). 0 = the process-wide
@@ -69,8 +68,8 @@ struct SorResult {
 /// generator in CSR form (row i of `qt` holds column i of Q, off-diagonal
 /// entries only) and the diagonal of Q. Throws robust::ConvergenceError —
 /// carrying the best iterate and a report — if the iteration does not reach
-/// tol within the sweep budget or the deadline, or if the iterate becomes
-/// non-finite.
+/// tol within max_iters sweeps or before the ambient deadline, or if the
+/// iterate becomes non-finite.
 SorResult sor_steady_state(const SparseMatrix& qt,
                            const std::vector<double>& diag,
                            const SorOptions& opts = {});
@@ -82,7 +81,6 @@ struct PowerOptions {
   /// Damping: pi <- (1-theta) pi + theta pi P breaks periodicity
   /// (theta in (0, 1]).
   double theta = 0.9;
-  robust::Budget budget;
   /// Parallelism degree for the per-step vector-matrix product (a
   /// row-parallel product on P^T, so every value gives the same bits).
   /// 0 = parallel::default_jobs(); 1 = force sequential.

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "markov/solution_cache.hpp"
 #include "obs/obs.hpp"
+#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit::core {
@@ -84,9 +85,9 @@ FixedPointResult Hierarchy::solve_fixed_point(
 
   auto& injector = relkit::testing::FaultInjector::instance();
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t max_iterations = injector.cap(
-      "fixed_point.max_iters",
-      opts.budget.cap_iterations(opts.max_iterations));
+  const std::size_t max_iterations =
+      injector.cap("fixed_point.max_iters", opts.max_iterations);
+  const robust::Deadline deadline = robust::ambient_deadline();
 
   obs::Span span("hierarchy.fixed_point");
   span.set("variables", static_cast<std::uint64_t>(updates.size()));
@@ -171,7 +172,7 @@ FixedPointResult Hierarchy::solve_fixed_point(
 
   for (std::size_t it = 1; it <= max_iterations; ++it) {
     iter_counter.add();
-    if (opts.budget.deadline.expired()) {
+    if (deadline.expired()) {
       report.warn("deadline expired after " + std::to_string(it - 1) +
                   " iterations");
       throw fail("deadline expired (residual " +

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "robust/budget.hpp"
 #include "robust/report.hpp"
 
 namespace relkit::core {
@@ -59,9 +58,6 @@ struct FixedPointOptions {
   /// instead of grinding to max_iterations.
   bool adaptive_damping = true;
   double max_damping = 0.9375;
-  /// Wall-clock / iteration budget (default unlimited). On exhaustion a
-  /// robust::ConvergenceError carries the current variable values.
-  robust::Budget budget;
 };
 
 class Hierarchy {
@@ -90,9 +86,10 @@ class Hierarchy {
   ///
   /// Divergence and oscillation are detected (no residual improvement over
   /// a window) and answered by escalating damping when
-  /// opts.adaptive_damping is set. On failure throws
-  /// robust::ConvergenceError whose partial_result() holds the best-seen
-  /// variable values in `updates` order.
+  /// opts.adaptive_damping is set. On failure — max_iterations rounds, or
+  /// the ambient deadline (robust::ScopedDeadline) expiring between
+  /// rounds — throws robust::ConvergenceError whose partial_result() holds
+  /// the best-seen variable values in `updates` order.
   ///
   /// Simpler overload: give explicit update functions per variable.
   FixedPointResult solve_fixed_point(

@@ -9,6 +9,7 @@
 #include "markov/solution_cache.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
+#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit::markov {
@@ -158,7 +159,7 @@ void Ctmc::check_distribution(const std::vector<double>& pi0) const {
 namespace {
 
 /// Serializes the solver options that can change a steady-state answer.
-/// Budgets and `jobs` are deliberately excluded (see solution_cache.hpp).
+/// The deadline and `jobs` are deliberately excluded (see solution_cache.hpp).
 void key_steady_options(CacheKey& key, const SteadyStateOptions& opts) {
   key.add(opts.dense_threshold);
   key.add(opts.gth_fallback_threshold);
@@ -230,13 +231,6 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
   robust_opts.bicgstab = opts.bicgstab;
   robust_opts.ncd = opts.ncd;
   robust_opts.solver = opts.solver;
-  robust_opts.budget = opts.budget;
-  // The thread's ambient deadline (CLI --timeout-ms, relkit_serve request
-  // deadlines) binds every solve, including ones reached through paths that
-  // carry no options — the earliest deadline wins. Never part of the cache
-  // key: a hit trivially satisfies any deadline.
-  robust_opts.budget.deadline = robust::Deadline::earliest(
-      robust_opts.budget.deadline, robust::ambient_deadline());
   robust_opts.jobs = opts.jobs;
   robust::RobustResult r =
       robust::robust_steady_state(g.qt, g.diag, robust_opts);
@@ -351,7 +345,7 @@ std::vector<TransientPoint> run_series(const robust::Uniformized& u,
     report.convergence.record(s + 1, std::max(0.0, 1.0 - longest.cdf));
     if (s + 1 == steps) break;
     if ((s & 15u) == 0 && deadline.expired()) {
-      // Ambient deadline (CLI --timeout-ms / serve request budget): stop
+      // Ambient deadline (CLI --timeout-ms / serve request deadline): stop
       // and hand back the longest point's best partial — for pi, the window
       // accumulated so far, renormalized when it carries any mass, else the
       // initial state; for L, the time accumulated so far.

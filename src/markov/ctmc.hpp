@@ -33,7 +33,6 @@
 #include "common/linsolve.hpp"
 #include "common/matrix.hpp"
 #include "common/sparse.hpp"
-#include "robust/budget.hpp"
 #include "robust/report.hpp"
 #include "robust/robust.hpp"
 
@@ -61,8 +60,6 @@ struct SteadyStateOptions {
   /// Dense GTH is allowed as a *last resort* up to this size even when the
   /// chain is above dense_threshold (O(n^3) beats no answer).
   std::size_t gth_fallback_threshold = 2048;
-  /// Wall-clock / sweep budget for the whole solve (default unlimited).
-  robust::Budget budget;
   /// Parallelism degree for the state-space kernels (SOR residual
   /// evaluation, power-iteration matvec, verification residual).
   /// 0 = parallel::default_jobs(); 1 = force the sequential path. Never

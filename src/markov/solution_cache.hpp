@@ -13,9 +13,10 @@
 //     horizon, truncation mass, and initial distribution) is stored and
 //     compared on lookup, so a 64-bit hash collision can never alias two
 //     different chains;
-//   * budgets and `jobs` are deliberately NOT part of the key: the
+//   * the deadline and `jobs` are deliberately NOT part of the key: the
 //     determinism contract (docs/parallelism.md) makes results independent
-//     of the worker count, and a cache hit trivially satisfies any budget;
+//     of the worker count, and a cache hit trivially satisfies any
+//     deadline (iteration caps are solver options, which are in the key);
 //   * solves made while testing::FaultInjector is armed bypass the cache in
 //     both directions (no lookup, no insert), because injected faults act
 //     inside the solver where the key cannot see them.

@@ -23,9 +23,10 @@
 //     from the parent stream in spawn order) before any chunk runs. See
 //     docs/parallelism.md for the full determinism contract.
 //   * Cooperative cancellation: an optional cancel() predicate (typically
-//     robust::Budget deadline checks) is polled between chunks; once it
-//     returns true no further chunks start, in-flight chunks finish, and
-//     for_chunks reports how many chunks ran.
+//     a test of the caller's copy of robust::ambient_deadline(), which is
+//     unset on workers) is polled between chunks; once it returns true no
+//     further chunks start, in-flight chunks finish, and for_chunks
+//     reports how many chunks ran.
 //   * Observability: every fan-out opens a `parallel.region` span
 //     (items/chunk/jobs/chunks-run attrs), bumps the `pool.tasks` counter
 //     per chunk, and accumulates `pool.steal_idle_ns` — nanoseconds workers

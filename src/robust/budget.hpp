@@ -1,17 +1,20 @@
-// Solve budgets: wall-clock deadlines and iteration caps.
+// Solve deadlines: one wall-clock bound for a whole analysis.
 //
-// Every long-running RelKit solver (SOR, power iteration, fixed-point
-// iteration, the Monte Carlo simulator) accepts a Budget so production
-// callers can bound worst-case latency. When a budget is exhausted the
-// solver throws robust::ConvergenceError carrying its best partial result
-// and a SolveReport instead of discarding the work done so far.
+// An entry point (relkit_cli --timeout-ms, a relkit_serve request)
+// installs a ScopedDeadline; every long-running solver (SOR, power
+// iteration, BiCGSTAB, A/D, the steady-state fallback chain, the
+// uniformization series, fixed-point iteration, the Monte Carlo and
+// rare-event simulators) copies ambient_deadline() once at entry and stops
+// when that copy expires, throwing robust::ConvergenceError carrying its
+// best partial result and a SolveReport instead of discarding the work
+// done so far. Iteration caps are each solver's own options field
+// (max_iters, max_sweeps, max_iterations, max_cycles, replications).
 //
 // Header-only so the base `common` module can use it without a link
 // dependency on the robust module.
 #pragma once
 
 #include <chrono>
-#include <cstddef>
 #include <limits>
 
 namespace relkit::robust {
@@ -21,12 +24,21 @@ class Deadline {
  public:
   Deadline() = default;
 
-  /// Deadline `seconds` from now (negative = already expired).
+  /// Deadline `seconds` from now: <= 0 is already expired, and a bound
+  /// the clock cannot represent from now (+inf included) is unlimited.
   static Deadline after_seconds(double seconds) {
     Deadline d;
     d.armed_ = true;
-    d.end_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                std::chrono::duration<double>(seconds));
+    d.end_ = Clock::now();
+    if (!(seconds > 0.0)) return d;
+    // Clock ticks are int64 nanoseconds, so compare in ticks before
+    // converting: a cast past the clock's last instant would overflow.
+    const double ticks = std::chrono::duration<double, Clock::period>(
+                             std::chrono::duration<double>(seconds))
+                             .count();
+    const auto room = (Clock::time_point::max() - d.end_).count();
+    if (ticks >= static_cast<double>(room)) return Deadline();
+    d.end_ += Clock::duration(static_cast<Clock::duration::rep>(ticks));
     return d;
   }
 
@@ -60,10 +72,13 @@ inline Deadline& ambient_deadline_slot() {
 }  // namespace detail
 
 /// The calling thread's ambient deadline (unlimited unless a ScopedDeadline
-/// is active). Solvers that accept a Budget merge this in with
-/// Deadline::earliest, so a deadline installed at an entry point binds every
-/// nested solve — including the hierarchical `event ... markov` submodels
-/// the model parser solves on the spot, which never see caller options.
+/// is active) and the only deadline a solver reads. A solver copies it once
+/// at entry, on the caller's thread, so a deadline installed at an entry
+/// point binds every nested solve — including the hierarchical
+/// `event ... markov` submodels the model parser solves on the spot, which
+/// never see caller options. The slot is thread-local and unset on pool
+/// workers: work handed to them tests the caller's copy, or installs it
+/// with a ScopedDeadline of its own.
 inline const Deadline& ambient_deadline() {
   return detail::ambient_deadline_slot();
 }
@@ -90,25 +105,6 @@ class ScopedDeadline {
 
  private:
   Deadline previous_;
-};
-
-/// Combined wall-clock / iteration budget threaded through solvers.
-/// `max_iterations` counts whatever unit the solver iterates over (SOR
-/// sweeps, power steps, fixed-point rounds, simulation replications);
-/// 0 means "use the solver's own default".
-struct Budget {
-  Deadline deadline;
-  std::size_t max_iterations = 0;
-
-  bool unlimited() const {
-    return deadline.unlimited() && max_iterations == 0;
-  }
-
-  /// The effective iteration limit given a solver's own default.
-  std::size_t cap_iterations(std::size_t solver_default) const {
-    if (max_iterations == 0) return solver_default;
-    return max_iterations < solver_default ? max_iterations : solver_default;
-  }
 };
 
 }  // namespace relkit::robust

@@ -12,6 +12,7 @@
 #include "common/matrix.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
+#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit::robust {
@@ -114,8 +115,8 @@ AdResult ad_steady_state(const SparseMatrix& qt,
 
   auto& injector = testing::FaultInjector::instance();
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t max_sweeps =
-      injector.cap("ad.max_sweeps", opts.budget.cap_iterations(opts.max_sweeps));
+  const std::size_t max_sweeps = injector.cap("ad.max_sweeps", opts.max_sweeps);
+  const Deadline deadline = ambient_deadline();
   const std::size_t b_count = partition.blocks;
 
   const parallel::PoolLease lease(opts.jobs);
@@ -177,7 +178,7 @@ AdResult ad_steady_state(const SparseMatrix& qt,
   std::vector<double> xi(b_count, 0.0);
   for (std::size_t sweep = 1; sweep <= max_sweeps; ++sweep) {
     sweeps_counter.add();
-    if (opts.budget.deadline.expired()) {
+    if (deadline.expired()) {
       report.warn("deadline expired after " + std::to_string(sweep - 1) +
                   " sweeps");
       throw give_up("ad_steady_state: deadline expired after " +

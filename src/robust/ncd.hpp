@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/sparse.hpp"
-#include "robust/budget.hpp"
 #include "robust/report.hpp"
 
 namespace relkit::robust {
@@ -45,7 +44,6 @@ struct AdOptions {
   /// Convergence target: max_i |(pi Q)_i| of the normalized iterate.
   double tol = 1e-10;
   std::size_t max_sweeps = 200;
-  Budget budget;      ///< deadline / sweep cap (default unlimited)
   unsigned jobs = 0;  ///< matvec parallelism; 0 = process default
 };
 
@@ -70,9 +68,9 @@ struct AdResult {
 /// disaggregation using `partition` (from detect_ncd_blocks). Each sweep
 /// solves the B-block coupling chain by dense GTH, then each block's
 /// censored system by dense LU (block Gauss-Seidel order), so memory is
-/// O(max_block_size^2 + B^2). Honors the budget and ConvergenceTrace
-/// contracts; throws ConvergenceError with the best normalized iterate on
-/// non-convergence. Requires partition.blocks >= 2.
+/// O(max_block_size^2 + B^2). Honors max_sweeps, the ambient deadline and
+/// the ConvergenceTrace contract; throws ConvergenceError with the best
+/// normalized iterate on non-convergence. Requires partition.blocks >= 2.
 AdResult ad_steady_state(const SparseMatrix& qt,
                          const std::vector<double>& diag,
                          const NcdPartition& partition,

@@ -14,6 +14,7 @@
 #include "common/matrix.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
+#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit::robust {
@@ -195,6 +196,7 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
   relkit::detail::require(n >= 1, "robust_steady_state: empty generator");
 
   const auto start = std::chrono::steady_clock::now();
+  const Deadline deadline = ambient_deadline();
   auto& injector = testing::FaultInjector::instance();
   SolveReport report;
 
@@ -353,14 +355,11 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
   };
 
   // ---- the entries ---------------------------------------------------------
-  // Each method's options inherit the chain's jobs and, when one is set,
-  // its budget. Dense Q, the uniformized P and the NCD partition are built
-  // only when their entry runs.
+  // Each method's options inherit the chain's jobs. Dense Q, the
+  // uniformized P and the NCD partition are built only when their entry
+  // runs.
   const auto inherit = [&](auto o) {
     if (o.jobs == 0) o.jobs = opts.jobs;
-    if (opts.budget.max_iterations != 0 || !opts.budget.deadline.unlimited()) {
-      o.budget = opts.budget;
-    }
     return o;
   };
   const auto sor_run = [&](SorOptions o) {
@@ -496,8 +495,7 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
     const Attempt& a = chain[i];
     if (a.gate && !a.gate()) continue;
     if (auto r = run_attempt(a)) return std::move(*r);
-    if (a.stage != nullptr && i + 1 < chain.size() &&
-        opts.budget.deadline.expired()) {
+    if (a.stage != nullptr && i + 1 < chain.size() && deadline.expired()) {
       throw total_failure(std::string("deadline expired during ") + a.stage);
     }
   }

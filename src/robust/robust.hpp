@@ -46,7 +46,6 @@
 #include "common/krylov.hpp"
 #include "common/linsolve.hpp"
 #include "common/sparse.hpp"
-#include "robust/budget.hpp"
 #include "robust/ncd.hpp"
 #include "robust/report.hpp"
 
@@ -116,7 +115,6 @@ struct RobustSteadyOptions {
   /// kAuto consults the thread/process ambient solver (ScopedSolverChoice
   /// / set_default_solver); any other value forces that single method.
   SolverChoice solver = SolverChoice::kAuto;
-  Budget budget;  ///< overall budget; also forwarded to each attempt
   /// A candidate pi is accepted when max|pi Q| <= verify_tol * max(1, rate
   /// scale). Looser than the iterative tol on purpose: this is the "is the
   /// answer usable at all" bar, not the convergence target.

@@ -15,6 +15,7 @@
 #include "obs/hw_counters.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
+#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit::sim {
@@ -373,8 +374,8 @@ class CycleWalker {
 };
 
 /// Shared driver: runs regenerative cycles in deterministic batches until
-/// the relative-error target, the cycle cap, or the budget stops the run.
-/// Mirrors run_replications' budget/partial-estimate semantics, but merges
+/// the relative-error target, the cycle cap, or the ambient deadline stops
+/// the run. Mirrors run_replications' partial-estimate semantics, but merges
 /// identically for EVERY jobs value (the sequential path uses the same
 /// chunk decomposition and fold as the pool path).
 Estimate run_rare(const char* what, const RareEventModel& model, bool mttf,
@@ -405,17 +406,10 @@ Estimate run_rare(const char* what, const RareEventModel& model, bool mttf,
                  std::upper_bound(levels.begin(), levels.end(), phi0));
   }
 
-  // The options budget combined with the calling thread's ambient deadline
-  // (robust::ScopedDeadline), so relkit_cli --timeout-ms and serve deadlines
-  // bound rare-event runs like every other solve.
-  robust::Budget budget = opts.budget;
-  budget.deadline =
-      robust::Deadline::earliest(budget.deadline, robust::ambient_deadline());
-
   auto& injector = testing::FaultInjector::instance();
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t target =
-      injector.cap("sim.rare.cycles", budget.cap_iterations(opts.max_cycles));
+  const std::size_t target = injector.cap("sim.rare.cycles", opts.max_cycles);
+  const robust::Deadline deadline = robust::ambient_deadline();
 
   obs::Span span("sim.rare.estimate");
   obs::HwCounterGroup hw_counters(span);
@@ -435,7 +429,7 @@ Estimate run_rare(const char* what, const RareEventModel& model, bool mttf,
 
   std::size_t launched = 0;
   while (launched < target) {
-    if (budget.deadline.expired()) {
+    if (deadline.expired()) {
       stopped = true;
       stop_reason = "deadline expired";
       break;
@@ -466,16 +460,19 @@ Estimate run_rare(const char* what, const RareEventModel& model, bool mttf,
       // Sequential path: same chunk decomposition, same fold order as the
       // pool path, so the result is bit-identical for every jobs value.
       for (std::size_t b = 0; b < n; b += chunk) {
-        if (budget.deadline.expired()) {
+        if (deadline.expired()) {
           deadline_hit.store(true, std::memory_order_relaxed);
           break;
         }
         merge_fn(batch_stats, chunk_fn(b, std::min(b + chunk, n)));
       }
     } else {
+      // The cancel predicate tests the caller's copy: for_chunks polls it
+      // from whichever thread claims a chunk, and the ambient slot is unset
+      // on workers.
       batch_stats = parallel::reduce_chunks<BivariateStats>(
           *lease.get(), n, chunk, BivariateStats{}, chunk_fn, merge_fn, [&] {
-            if (!budget.deadline.expired()) return false;
+            if (!deadline.expired()) return false;
             deadline_hit.store(true, std::memory_order_relaxed);
             return true;
           });

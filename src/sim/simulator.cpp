@@ -12,6 +12,7 @@
 #include "common/error.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
+#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit::sim {
@@ -42,12 +43,12 @@ Estimate summarize(const OnlineStats& stats) {
   return e;
 }
 
-/// Runs up to `replications` independent replications of `one_rep` under
-/// the budget; each replication gets its own RNG stream split from `seed`
-/// in replication order, regardless of how many workers run them.
-/// A budget stop with >= 2 completed replications returns the partial
-/// estimate (budget_stopped set, warning recorded); with fewer it throws
-/// robust::ConvergenceError carrying the partial mean.
+/// Runs up to `replications` independent replications of `one_rep` until
+/// the ambient deadline; each replication gets its own RNG stream split
+/// from `seed` in replication order, regardless of how many workers run
+/// them. A deadline stop with >= 2 completed replications returns the
+/// partial estimate (budget_stopped set, warning recorded); with fewer it
+/// throws robust::ConvergenceError carrying the partial mean.
 ///
 /// Determinism contract (docs/parallelism.md): with
 /// parallel::default_jobs() == 1 this is the historical sequential loop,
@@ -57,14 +58,14 @@ Estimate summarize(const OnlineStats& stats) {
 /// >= 2 (and differs from the sequential result only in floating-point
 /// summation order, never in the sampled values).
 Estimate run_replications(const char* what, std::size_t replications,
-                          std::uint64_t seed, const robust::Budget& budget,
+                          std::uint64_t seed,
                           const std::function<double(Rng&)>& one_rep) {
   detail::require(replications >= 2,
                   std::string(what) + ": need >= 2 reps");
   auto& injector = testing::FaultInjector::instance();
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t target =
-      injector.cap("sim.replications", budget.cap_iterations(replications));
+  const std::size_t target = injector.cap("sim.replications", replications);
+  const robust::Deadline deadline = robust::ambient_deadline();
   const unsigned jobs = parallel::default_jobs();
 
   obs::Span span("sim.estimate");
@@ -79,7 +80,7 @@ Estimate run_replications(const char* what, std::size_t replications,
   std::string stop_reason;
   if (jobs <= 1) {
     for (std::size_t r = 0; r < target; ++r) {
-      if (budget.deadline.expired()) {
+      if (deadline.expired()) {
         stopped = true;
         stop_reason = "deadline expired";
         break;
@@ -108,8 +109,10 @@ Estimate run_replications(const char* what, std::size_t replications,
           return local;
         },
         [](OnlineStats& acc, const OnlineStats& chunk) { acc.merge(chunk); },
+        // Tests the caller's copy: for_chunks polls this from whichever
+        // thread claims a chunk, and the ambient slot is unset on workers.
         [&] {
-          if (!budget.deadline.expired()) return false;
+          if (!deadline.expired()) return false;
           deadline_hit.store(true, std::memory_order_relaxed);
           return true;
         });
@@ -227,10 +230,9 @@ SystemSimulator::RunResult SystemSimulator::run(double horizon,
 }
 
 Estimate SystemSimulator::availability_at(double t, std::size_t replications,
-                                          std::uint64_t seed,
-                                          const robust::Budget& budget) const {
+                                          std::uint64_t seed) const {
   detail::require(t >= 0.0, "availability_at: t must be >= 0");
-  return run_replications("availability_at", replications, seed, budget,
+  return run_replications("availability_at", replications, seed,
                           [&](Rng& stream) {
                             const RunResult res = run(t, false, stream);
                             return res.up_at_horizon ? 1.0 : 0.0;
@@ -238,31 +240,29 @@ Estimate SystemSimulator::availability_at(double t, std::size_t replications,
 }
 
 Estimate SystemSimulator::interval_availability(
-    double t, std::size_t replications, std::uint64_t seed,
-    const robust::Budget& budget) const {
+    double t, std::size_t replications, std::uint64_t seed) const {
   detail::require(t > 0.0, "interval_availability: t must be > 0");
   return run_replications("interval_availability", replications, seed,
-                          budget, [&](Rng& stream) {
+                          [&](Rng& stream) {
                             const RunResult res = run(t, false, stream);
                             return res.up_time / t;
                           });
 }
 
 Estimate SystemSimulator::reliability(double t, std::size_t replications,
-                                      std::uint64_t seed,
-                                      const robust::Budget& budget) const {
+                                      std::uint64_t seed) const {
   detail::require(t >= 0.0, "reliability: t must be >= 0");
-  return run_replications("reliability", replications, seed, budget,
+  return run_replications("reliability", replications, seed,
                           [&](Rng& stream) {
                             const RunResult res = run(t, true, stream);
                             return res.first_failure > t ? 1.0 : 0.0;
                           });
 }
 
-Estimate SystemSimulator::mttf(std::size_t replications, std::uint64_t seed,
-                               const robust::Budget& budget) const {
+Estimate SystemSimulator::mttf(std::size_t replications,
+                               std::uint64_t seed) const {
   return run_replications(
-      "mttf", replications, seed, budget, [&](Rng& stream) {
+      "mttf", replications, seed, [&](Rng& stream) {
         // Simulate until failure; expand the horizon geometrically if
         // needed.
         double horizon = 1.0;
@@ -358,11 +358,10 @@ spn::Marking SrnSimulator::play(
 
 Estimate SrnSimulator::transient_reward(const spn::RewardFn& reward, double t,
                                         std::size_t replications,
-                                        std::uint64_t seed,
-                                        const robust::Budget& budget) const {
+                                        std::uint64_t seed) const {
   detail::require(reward != nullptr, "transient_reward: null reward");
   return run_replications(
-      "transient_reward", replications, seed, budget, [&](Rng& stream) {
+      "transient_reward", replications, seed, [&](Rng& stream) {
         const spn::Marking at_t =
             play(t, stream, [](double, const spn::Marking&) {});
         return reward(at_t);
@@ -371,12 +370,11 @@ Estimate SrnSimulator::transient_reward(const spn::RewardFn& reward, double t,
 
 Estimate SrnSimulator::accumulated_reward(const spn::RewardFn& reward,
                                           double t, std::size_t replications,
-                                          std::uint64_t seed,
-                                          const robust::Budget& budget) const {
+                                          std::uint64_t seed) const {
   detail::require(reward != nullptr, "accumulated_reward: null reward");
   detail::require(t > 0.0, "accumulated_reward: t must be > 0");
   return run_replications(
-      "accumulated_reward", replications, seed, budget, [&](Rng& stream) {
+      "accumulated_reward", replications, seed, [&](Rng& stream) {
         double acc = 0.0;
         play(t, stream, [&](double interval, const spn::Marking& m) {
           acc += interval * reward(m);

@@ -19,8 +19,9 @@
 // still split in replication order and per-chunk accumulators merge in a
 // fixed chunk order, so for a given seed the estimate is identical for any
 // worker count >= 2, and jobs == 1 remains bit-identical to the historical
-// sequential loop (determinism contract: docs/parallelism.md). Budget
-// deadlines are polled between chunks, so cancellation keeps working.
+// sequential loop (determinism contract: docs/parallelism.md). The
+// ambient deadline (robust::ScopedDeadline), copied on the caller's thread,
+// is polled between chunks, so cancellation keeps working.
 #pragma once
 
 #include <functional>
@@ -29,7 +30,6 @@
 #include "common/distributions.hpp"
 #include "common/rng.hpp"
 #include "common/statistics.hpp"
-#include "robust/budget.hpp"
 #include "robust/report.hpp"
 #include "spn/srn.hpp"
 
@@ -40,9 +40,10 @@ struct Estimate {
   double mean = 0.0;
   double half_width = 0.0;  ///< 95% normal-approximation half-width
   std::size_t replications = 0;
-  /// True when a budget (deadline or replication cap) stopped the run
-  /// before the requested replication count; the estimate is still valid,
-  /// just wider. Details are in robust::last_report().
+  /// True when the run stopped short of its target — the ambient deadline
+  /// expired, or a rare-event run reached max_cycles before its
+  /// relative-error target; the estimate is still valid, just wider.
+  /// Details are in robust::last_report().
   bool budget_stopped = false;
   /// True when every observation of a Bernoulli estimator landed on the
   /// same side (zero observed failures, or zero observed successes): the
@@ -94,8 +95,6 @@ struct RareEventOptions {
   /// The estimate is identical for every jobs value (pre-split per-cycle
   /// streams, fixed chunk boundaries, ordered merge).
   unsigned jobs = 0;
-  /// Deadline / iteration budget (max_iterations also caps cycles).
-  robust::Budget budget;
 };
 
 /// One simulated component: lifetime distribution plus optional repair-time
@@ -113,37 +112,32 @@ class SystemSimulator {
  public:
   SystemSimulator(std::vector<SimComponent> components, StructureFn system_up);
 
-  /// P(system up at time t). All estimators honor `budget`
-  /// (budget.max_iterations caps replications, the deadline stops the run
-  /// early); a budget stop with >= 2 completed replications returns the
-  /// partial estimate with budget_stopped set, fewer throws
-  /// robust::ConvergenceError.
+  /// P(system up at time t). All estimators stop early at the ambient
+  /// deadline (robust::ScopedDeadline); a deadline stop with >= 2 completed
+  /// replications returns the partial estimate with budget_stopped set,
+  /// fewer throws robust::ConvergenceError.
   Estimate availability_at(double t, std::size_t replications,
-                           std::uint64_t seed,
-                           const robust::Budget& budget = {}) const;
+                           std::uint64_t seed) const;
 
   /// Fraction of [0, t] the system is up (expected interval availability).
   Estimate interval_availability(double t, std::size_t replications,
-                                 std::uint64_t seed,
-                                 const robust::Budget& budget = {}) const;
+                                 std::uint64_t seed) const;
 
   /// P(system never down during [0, t]) — reliability with repairable
   /// components; equal to availability_at for non-repairable ones.
   Estimate reliability(double t, std::size_t replications,
-                       std::uint64_t seed,
-                       const robust::Budget& budget = {}) const;
+                       std::uint64_t seed) const;
 
   /// Mean time to first system failure.
-  Estimate mttf(std::size_t replications, std::uint64_t seed,
-                const robust::Budget& budget = {}) const;
+  Estimate mttf(std::size_t replications, std::uint64_t seed) const;
 
   /// Steady-state unavailability 1 - A by rare-event regenerative
   /// simulation (RESTART splitting or failure-biasing IS, see
   /// docs/rare_events.md). Requires every component to have an exponential
   /// lifetime AND an exponential repair distribution (the component-state
   /// process must be a CTMC) and at most 64 components. Cycles regenerate
-  /// at the all-up state; the run stops at opts.relative_error or at the
-  /// cycle/budget cap (budget_stopped).
+  /// at the all-up state; the run stops at opts.relative_error, or at
+  /// opts.max_cycles or the ambient deadline (budget_stopped).
   Estimate unavailability_rare(std::uint64_t seed,
                                const RareEventOptions& opts = {}) const;
 
@@ -151,7 +145,7 @@ class SystemSimulator {
   /// simulation (same requirements as unavailability_rare). Uses the
   /// ratio identity MTTF = E[Z] / gamma over regeneration cycles. Throws
   /// robust::ConvergenceError when no failure was observed within the
-  /// budget (naive method on a nine-nines system will).
+  /// cycle cap (naive method on a nine-nines system will).
   Estimate mttf_rare(std::uint64_t seed,
                      const RareEventOptions& opts = {}) const;
 
@@ -176,13 +170,13 @@ class SrnSimulator {
 
   /// E[reward rate at time t].
   Estimate transient_reward(const spn::RewardFn& reward, double t,
-                            std::size_t replications, std::uint64_t seed,
-                            const robust::Budget& budget = {}) const;
+                            std::size_t replications,
+                            std::uint64_t seed) const;
 
   /// E[integral of reward over [0, t]].
   Estimate accumulated_reward(const spn::RewardFn& reward, double t,
-                              std::size_t replications, std::uint64_t seed,
-                              const robust::Budget& budget = {}) const;
+                              std::size_t replications,
+                              std::uint64_t seed) const;
 
  private:
   /// Advances the marking to time t; calls `observe(interval, marking)` for

@@ -8,6 +8,7 @@
 #include "common/statistics.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
+#include "robust/budget.hpp"
 
 namespace relkit::uncertainty {
 
@@ -101,9 +102,13 @@ UncertaintyResult propagate(const std::vector<ParamSpec>& params,
     }
     parallel::ThreadPool& pool =
         local_pool ? *local_pool : parallel::global_pool();
+    // The ambient slot is unset on pool workers: each chunk installs the
+    // caller's deadline, so a solve inside `model` stops at it on any thread.
+    const robust::Deadline deadline = robust::ambient_deadline();
     stats = parallel::reduce_chunks<OnlineStats>(
         pool, n, parallel::default_chunk(n), OnlineStats{},
         [&](std::size_t begin, std::size_t end) {
+          const robust::ScopedDeadline scoped(deadline);
           OnlineStats local;
           std::map<std::string, double> assignment;
           for (std::size_t i = begin; i < end; ++i) {

@@ -206,7 +206,7 @@ TEST(Bicgstab, DeadlineMidKrylovCarriesPartialAndTrace) {
   opts.precond = Preconditioner::kJacobi;
   opts.tol = 1e-10;
   opts.jobs = 1;
-  opts.budget.deadline = robust::Deadline::after_seconds(0.05);
+  const robust::ScopedDeadline deadline(robust::Deadline::after_seconds(0.05));
   try {
     bicgstab_steady_state(qt, diag, opts);
     FAIL() << "tol = 0 cannot converge";
@@ -238,7 +238,7 @@ TEST(Bicgstab, PreExpiredDeadlineStillPopulatesTrace) {
   BicgstabOptions opts;
   opts.tol = 0.0;
   opts.jobs = 1;
-  opts.budget.deadline = robust::Deadline::after_seconds(-1.0);
+  const robust::ScopedDeadline expired(robust::Deadline::after_seconds(-1.0));
   try {
     bicgstab_steady_state(qt, diag, opts);
     FAIL() << "expired deadline must abort";
@@ -248,8 +248,8 @@ TEST(Bicgstab, PreExpiredDeadlineStillPopulatesTrace) {
   }
 }
 
-// Iteration-cap exhaustion (budget.max_iterations) throws with the best
-// iterate rather than discarding the work.
+// Iteration-cap exhaustion (max_iters) throws with the best iterate rather
+// than discarding the work.
 TEST(Bicgstab, IterationCapThrowsWithBestIterate) {
   const std::size_t n = 400;
   SparseMatrix qt;
@@ -259,7 +259,7 @@ TEST(Bicgstab, IterationCapThrowsWithBestIterate) {
   opts.precond = Preconditioner::kJacobi;  // ILU0 is exact on a tridiagonal
   opts.tol = 1e-15;
   opts.jobs = 1;
-  opts.budget.max_iterations = 2;
+  opts.max_iters = 2;
   try {
     bicgstab_steady_state(qt, diag, opts);
     FAIL() << "2 Jacobi iterations cannot reach 1e-15";
@@ -304,10 +304,9 @@ TEST(Ncd, AdPreExpiredDeadlineThrowsPartial) {
   planted_ncd_system(4, 6, 1e-5, qt, diag);
   const robust::NcdPartition part = robust::detect_ncd_blocks(qt, diag, 0.05);
   ASSERT_GE(part.blocks, 2u);
-  robust::AdOptions opts;
-  opts.budget.deadline = robust::Deadline::after_seconds(-1.0);
+  const robust::ScopedDeadline expired(robust::Deadline::after_seconds(-1.0));
   try {
-    robust::ad_steady_state(qt, diag, part, opts);
+    robust::ad_steady_state(qt, diag, part);
     FAIL() << "expired deadline must abort";
   } catch (const robust::ConvergenceError& e) {
     EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos);

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <map>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "parallel/pool.hpp"
 #include "parallel/queue.hpp"
 #include "robust/budget.hpp"
+#include "robust/fault_injection.hpp"
 #include "robust/robust.hpp"
 #include "sim/simulator.hpp"
 #include "uncertainty/uncertainty.hpp"
@@ -304,9 +308,9 @@ TEST(ParallelSim, ExpiredDeadlineStillThrowsConvergenceError) {
   JobsGuard guard;
   parallel::set_default_jobs(4);
   const auto simulator = duplex();
-  relkit::robust::Budget budget;
-  budget.deadline = relkit::robust::Deadline::after_seconds(-1.0);
-  EXPECT_THROW(simulator.availability_at(10.0, 1000, 9, budget),
+  const relkit::robust::ScopedDeadline expired(
+      relkit::robust::Deadline::after_seconds(-1.0));
+  EXPECT_THROW(simulator.availability_at(10.0, 1000, 9),
                relkit::robust::ConvergenceError);
 }
 
@@ -314,9 +318,9 @@ TEST(ParallelSim, ReplicationCapReportsBudgetStop) {
   JobsGuard guard;
   parallel::set_default_jobs(4);
   const auto simulator = duplex();
-  relkit::robust::Budget budget;
-  budget.max_iterations = 100;
-  const auto est = simulator.availability_at(10.0, 1000, 11, budget);
+  relkit::testing::FaultInjectionScope scope;
+  scope->clamp_iterations("sim.replications", 100);
+  const auto est = simulator.availability_at(10.0, 1000, 11);
   EXPECT_TRUE(est.budget_stopped);
   EXPECT_EQ(est.replications, 100u);
 }
@@ -373,6 +377,32 @@ TEST(ParallelUncertainty, ParallelLhsAgreesWithSequentialStatistically) {
   // Different (equally valid) random sequences — agreement is statistical.
   EXPECT_NEAR(par.mean, seq.mean, 5.0 * seq.stddev / std::sqrt(4000.0));
   EXPECT_NEAR(par.stddev, seq.stddev, 0.1 * seq.stddev);
+}
+
+// At jobs > 1 the model runs on pool workers, whose ambient deadline slot
+// starts unset: propagate carries the caller's deadline to every
+// evaluation, so a solve inside the model stops at it on any thread.
+TEST(ParallelUncertainty, ModelSeesCallersDeadlineAtAnyJobs) {
+  const std::vector<uncertainty::ParamSpec> params{
+      {"a", relkit::uniform(0.0, 1.0)}};
+  const relkit::robust::ScopedDeadline deadline(
+      relkit::robust::Deadline::after_seconds(3600.0));
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    std::atomic<int> unbounded{0};
+    Rng rng(17);
+    (void)uncertainty::propagate(
+        params,
+        [&](const std::map<std::string, double>& p) {
+          // Long enough that every worker claims chunks.
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          if (relkit::robust::ambient_deadline().unlimited()) {
+            unbounded.fetch_add(1, std::memory_order_relaxed);
+          }
+          return p.at("a");
+        },
+        64, rng, uncertainty::Sampling::kMonteCarlo, jobs);
+    EXPECT_EQ(unbounded.load(), 0) << "jobs " << jobs;
+  }
 }
 
 }  // namespace

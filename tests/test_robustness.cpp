@@ -6,16 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/krylov.hpp"
 #include "common/linsolve.hpp"
 #include "common/sparse.hpp"
 #include "core/hierarchy.hpp"
 #include "markov/ctmc.hpp"
+#include "markov/dtmc.hpp"
 #include "markov/solution_cache.hpp"
 #include "obs/obs.hpp"
 #include "robust/budget.hpp"
@@ -59,6 +62,25 @@ markov::Ctmc stiff_near_reducible_chain() {
   chain.add_transition(1, 2, 3e-9);
   chain.add_transition(2, 1, 1e-9);
   return chain;
+}
+
+/// Q's off-diagonal part transposed and its diagonal: the form the
+/// iterative kernels take.
+void kernel_form(const markov::Ctmc& chain, SparseMatrix& qt,
+                 std::vector<double>& diag) {
+  const SparseMatrix q = chain.sparse_generator();
+  SparseBuilder b(q.rows(), q.cols());
+  diag.assign(q.rows(), 0.0);
+  for (std::size_t i = 0; i < q.rows(); ++i) {
+    for (std::size_t k = q.row_begin(i); k < q.row_end(i); ++k) {
+      if (q.col(k) == i) {
+        diag[i] += q.value(k);
+      } else {
+        b.add(q.col(k), i, q.value(k));
+      }
+    }
+  }
+  qt = b.build();
 }
 
 bool has_fallback(const robust::SolveReport& report,
@@ -466,17 +488,106 @@ TEST(Uniformization, GeneratorNanDetectedAtSteadyState) {
 // ---- budgets ----------------------------------------------------------------
 
 TEST(Budgets, CapSemantics) {
-  robust::Budget b;
-  EXPECT_TRUE(b.unlimited());
-  EXPECT_EQ(b.cap_iterations(100), 100u);
-  b.max_iterations = 7;
-  EXPECT_FALSE(b.unlimited());
-  EXPECT_EQ(b.cap_iterations(100), 7u);
-  EXPECT_EQ(b.cap_iterations(3), 3u);  // solver default still binds
-
   EXPECT_TRUE(robust::Deadline().unlimited());
   EXPECT_TRUE(robust::Deadline::after_seconds(-1.0).expired());
   EXPECT_FALSE(robust::Deadline::after_seconds(3600.0).expired());
+
+  // Clock ticks are int64 nanoseconds (about 292 years): a bound the clock
+  // cannot represent from now is unlimited, never wrapped into the past.
+  for (const double seconds :
+       {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    const robust::Deadline d = robust::Deadline::after_seconds(seconds);
+    EXPECT_FALSE(d.expired()) << seconds;
+    EXPECT_GT(d.remaining_seconds(), 1e9) << seconds;
+  }
+  for (const double seconds :
+       {0.0, -1e300, -std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(robust::Deadline::after_seconds(seconds).expired())
+        << seconds;
+  }
+}
+
+// The deadline contract, checked on every solver entry point instead of
+// documented for all of them: under an expired ambient deadline each one
+// throws ConvergenceError instead of running to completion.
+TEST(Deadlines, EveryEntryPointStopsAtAmbientDeadline) {
+  const markov::Ctmc chain = birth_death_chain(3000, 1.0, 1.3);
+  SparseMatrix qt;
+  std::vector<double> diag;
+  kernel_form(chain, qt, diag);
+  SparseMatrix ncd_qt;
+  std::vector<double> ncd_diag;
+  kernel_form(stiff_near_reducible_chain(), ncd_qt, ncd_diag);
+  const robust::NcdPartition part =
+      robust::detect_ncd_blocks(ncd_qt, ncd_diag, 0.05);
+  ASSERT_GE(part.blocks, 2u);
+  // A biased walk: its uniform start is not stationary, so power iteration
+  // reaches a deadline check (a symmetric ring would converge at step 0).
+  markov::Dtmc walk;
+  const std::size_t walk_n = 3000;
+  for (std::size_t i = 0; i < walk_n; ++i) {
+    walk.add_state("s" + std::to_string(i));
+  }
+  for (std::size_t i = 0; i < walk_n; ++i) {
+    walk.add_transition(i, i + 1 < walk_n ? i + 1 : i, 0.6);
+    walk.add_transition(i, i > 0 ? i - 1 : i, 0.4);
+  }
+  const sim::SystemSimulator simulator(
+      {{exponential(0.1), exponential(1.0)}},
+      [](const std::vector<bool>& s) { return s[0]; });
+  core::Hierarchy h;
+  h.set_parameter("x", 0.0);
+
+  const std::vector<std::pair<const char*, std::function<void()>>> entries{
+      {"sor_steady_state", [&] { (void)sor_steady_state(qt, diag); }},
+      {"power_steady_state",
+       [&] {
+         (void)power_steady_state(
+             robust::uniformize(qt, diag).pt.transposed(), PowerOptions{});
+       }},
+      {"bicgstab_steady_state",
+       [&] {
+         BicgstabOptions opts;
+         opts.precond = Preconditioner::kJacobi;
+         (void)bicgstab_steady_state(qt, diag, opts);
+       }},
+      {"robust_steady_state",
+       [&] { (void)robust::robust_steady_state(qt, diag); }},
+      {"ad_steady_state",
+       [&] { (void)robust::ad_steady_state(ncd_qt, ncd_diag, part); }},
+      {"Dtmc::steady_state", [&] { (void)walk.steady_state(512, 1); }},
+      {"solve_fixed_point",
+       [&] {
+         (void)h.solve_fixed_point({{"x", [](const core::Hierarchy& hh) {
+                                       return 0.5 * hh.value("x") + 1.0;
+                                     }}});
+       }},
+      {"availability_at",
+       [&] { (void)simulator.availability_at(5.0, 1000, 7); }},
+      {"unavailability_rare",
+       [&] { (void)simulator.unavailability_rare(11); }},
+      {"Ctmc::steady_state",
+       [&] {
+         markov::SteadyStateOptions opts;
+         opts.use_cache = false;
+         (void)chain.steady_state(opts);
+       }},
+  };
+  const robust::ScopedDeadline expired(robust::Deadline::after_seconds(-1.0));
+  for (const auto& [name, run] : entries) {
+    try {
+      run();
+      ADD_FAILURE() << name << " returned under an expired deadline";
+    } catch (const robust::ConvergenceError& e) {
+      // Stopped by the deadline, not by running into its iteration cap.
+      bool by_deadline =
+          std::string(e.what()).find("deadline") != std::string::npos;
+      for (const auto& w : e.report().warnings) {
+        by_deadline |= w.find("deadline") != std::string::npos;
+      }
+      EXPECT_TRUE(by_deadline) << name << ": " << e.what();
+    }
+  }
 }
 
 TEST(Budgets, SorDeadlineCarriesPartialResult) {
@@ -485,7 +596,7 @@ TEST(Budgets, SorDeadlineCarriesPartialResult) {
   markov::SteadyStateOptions opts;
   opts.solver = robust::SolverChoice::kSor;  // SOR alone, no fallback
   opts.dense_threshold = 0;
-  opts.sor.budget.deadline = robust::Deadline::after_seconds(-1.0);
+  const robust::ScopedDeadline expired(robust::Deadline::after_seconds(-1.0));
   try {
     chain.steady_state(opts);
     FAIL() << "expected ConvergenceError";
@@ -570,9 +681,9 @@ TEST(SimulatorBudgets, ReplicationCapStopsEarlyWithValidEstimate) {
   sim::SystemSimulator simulator(
       {{exponential(0.1), exponential(1.0)}},
       [](const std::vector<bool>& s) { return s[0]; });
-  robust::Budget budget;
-  budget.max_iterations = 16;
-  const auto est = simulator.availability_at(5.0, 1000, 7, budget);
+  FaultInjectionScope scope;
+  scope->clamp_iterations("sim.replications", 16);
+  const auto est = simulator.availability_at(5.0, 1000, 7);
   EXPECT_EQ(est.replications, 16u);
   EXPECT_TRUE(est.budget_stopped);
   EXPECT_GE(est.mean, 0.0);
@@ -585,9 +696,8 @@ TEST(SimulatorBudgets, ExpiredDeadlineThrowsConvergenceError) {
   sim::SystemSimulator simulator(
       {{exponential(0.1), exponential(1.0)}},
       [](const std::vector<bool>& s) { return s[0]; });
-  robust::Budget budget;
-  budget.deadline = robust::Deadline::after_seconds(-1.0);
-  EXPECT_THROW(simulator.availability_at(5.0, 1000, 7, budget),
+  const robust::ScopedDeadline expired(robust::Deadline::after_seconds(-1.0));
+  EXPECT_THROW(simulator.availability_at(5.0, 1000, 7),
                robust::ConvergenceError);
 }
 
@@ -673,13 +783,15 @@ TEST(CacheFaultInteraction, ExpiredDeadlinePartialIsNotCached) {
   markov::SteadyStateOptions opts;
   opts.dense_threshold = 0;         // force the deadline-checked SOR path
   opts.gth_fallback_threshold = 0;  // no dense last resort
-  opts.budget.deadline = robust::Deadline::after_seconds(-1.0);
-  EXPECT_THROW(chain.steady_state(opts), robust::ConvergenceError);
+  {
+    const robust::ScopedDeadline expired(
+        robust::Deadline::after_seconds(-1.0));
+    EXPECT_THROW(chain.steady_state(opts), robust::ConvergenceError);
+  }
   // Deadline-degraded partials must re-run on retry, never be replayed.
   EXPECT_EQ(cache.size(), 0u);
 
   // With the deadline lifted the same model solves and caches normally.
-  opts.budget.deadline = robust::Deadline();
   robust::SolveReport report;
   chain.steady_state(opts, &report);
   EXPECT_TRUE(report.converged);

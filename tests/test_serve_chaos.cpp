@@ -272,6 +272,26 @@ TEST_F(ServeChaosTest, ImpossibleDeadlineYieldsFlaggedDegradedResponse) {
   expect_recovered();
 }
 
+// 1e13 ms (about 317 years) is past what the steady clock can represent
+// from now: no deadline at all, never one that wrapped into the past.
+TEST_F(ServeChaosTest, HugeTimeoutIsNotAnExpiredDeadline) {
+  start();
+  // The iterative-path pool above, with rates unique to this test so no
+  // cache entry can answer it.
+  const std::string source =
+      "model rbd pool\n"
+      "event farm markov 640 600 0.0019 0.087\n"
+      "top farm\n";
+  const auto response =
+      post(solve_request(source, "", ",\"timeout_ms\":1e13"), 30000);
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_EQ(response.status, 200);
+  EXPECT_NE(response.body.find("\"ok\":true"), std::string::npos)
+      << response.body.substr(0, 300);
+  EXPECT_EQ(response.body.find("\"degraded\":true"), std::string::npos);
+  expect_recovered();
+}
+
 // ---- hostile clients -------------------------------------------------------
 
 TEST_F(ServeChaosTest, SlowClientIsEvicted) {

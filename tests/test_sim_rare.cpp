@@ -313,7 +313,7 @@ TEST(RareBudget, IterationCapReturnsPartialEstimate) {
   RareEventOptions opts;
   opts.method = RareMethod::kImportanceSampling;
   opts.relative_error = 1e-9;
-  opts.budget.max_iterations = 100;
+  opts.max_cycles = 100;
   const Estimate est = duplex(1e-2, 1.0).unavailability_rare(10, opts);
   EXPECT_EQ(est.replications, 100u);
   EXPECT_TRUE(est.budget_stopped);
@@ -324,7 +324,7 @@ TEST(RareBudget, IterationCapReturnsPartialEstimate) {
 
 TEST(RareBudget, ExpiredDeadlineThrowsConvergenceError) {
   RareEventOptions opts;
-  opts.budget.deadline = robust::Deadline::after_seconds(-1.0);
+  const robust::ScopedDeadline expired(robust::Deadline::after_seconds(-1.0));
   EXPECT_THROW((void)duplex(1e-2, 1.0).unavailability_rare(11, opts),
                robust::ConvergenceError);
 }

@@ -31,6 +31,7 @@
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/solution_cache.hpp"
+#include "robust/budget.hpp"
 #include "robust/report.hpp"
 #include "robust/robust.hpp"
 
@@ -424,7 +425,7 @@ TEST(SolverAgreement, DeadlineMidSolveAtJobsFourReturnsPartial) {
   opts.solver = robust::SolverChoice::kSor;
   opts.sor.tol = 1e-15;
   opts.jobs = 4;
-  opts.sor.budget.deadline = robust::Deadline::after_seconds(0.02);
+  const robust::ScopedDeadline deadline(robust::Deadline::after_seconds(0.02));
   try {
     c.steady_state(opts);
     FAIL() << "a 20ms deadline finished a 20000-state 1e-15 solve";

@@ -110,7 +110,7 @@ TEST(SolverLarge, AutoChainFallsThroughToBicgstabAt100kStates) {
   const markov::Ctmc c = alternating_banded(n);
   markov::SteadyStateOptions opts;
   opts.use_cache = false;
-  opts.sor.budget.max_iterations = 200;  // SOR cannot finish in 200 sweeps
+  opts.sor.max_iters = 200;  // SOR cannot finish in 200 sweeps
   robust::SolveReport report;
   const std::vector<double> pi = c.steady_state(opts, &report);
   EXPECT_TRUE(report.converged);

@@ -15,7 +15,11 @@ Checks, on the shipped example models:
     any order, and the per-error-class summary line comes last;
   * the exit-code table: malformed `--time` values, `--jobs 0` and an
     empty `--trace=` exit 4 (invalid argument); the removed
-    `--trace-format` and `--metrics-format` flags exit 1 (unknown flag).
+    `--trace-format` and `--metrics-format` flags exit 1 (unknown flag);
+  * the deadline exit class: under `--timeout-ms 1`, a pool whose SOR
+    solve takes well over 1 ms exits 5 with `DEGRADED: deadline exceeded`,
+    and under `--batch` its line has `"error_class":"deadline"` and the
+    run exits 5.
 
 Exit codes: 0 all checks pass, 1 a check failed (problems listed).
 """
@@ -131,6 +135,36 @@ def check_exit_codes(cli: str, model: str) -> list[str]:
     return problems
 
 
+def check_deadline(cli: str, tmp: str) -> list[str]:
+    # 2001 states, above the dense-solver threshold: the SOR solve takes
+    # about 15 ms unbounded (4-core host, RelWithDebInfo).
+    model = os.path.join(tmp, "farm.rbd")
+    with open(model, "w", encoding="utf-8") as f:
+        f.write("model rbd pool\n"
+                "event farm markov 2000 1900 0.0017 0.093\n"
+                "top farm\n")
+    problems = []
+    single = run(cli, model, "--timeout-ms", "1")
+    if (single.returncode != 5 or
+            "DEGRADED: deadline exceeded" not in single.stdout):
+        problems.append(f"--timeout-ms 1: exit {single.returncode}, want 5 "
+                        f"with a DEGRADED line")
+
+    listing = os.path.join(tmp, "deadline.list")
+    with open(listing, "w", encoding="utf-8") as f:
+        f.write(model + "\n")
+    batch = run(cli, "--batch", listing, "--jobs", "1", "--timeout-ms", "1")
+    try:
+        classes = [json.loads(line).get("error_class")
+                   for line in batch.stdout.splitlines()]
+    except json.JSONDecodeError as e:
+        return problems + [f"--batch --timeout-ms 1: a line is not JSON: {e}"]
+    if batch.returncode != 5 or "deadline" not in classes:
+        problems.append(f"--batch --timeout-ms 1: exit {batch.returncode}, "
+                        f"error classes {classes}; want 5 and 'deadline'")
+    return problems
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -143,7 +177,8 @@ def main() -> int:
         problems = (check_trace(cli, model, tmp) +
                     check_metrics(cli, model, tmp) +
                     check_batch(cli, models, tmp) +
-                    check_exit_codes(cli, model))
+                    check_exit_codes(cli, model) +
+                    check_deadline(cli, tmp))
     if problems:
         print("check_cli: failures:")
         for problem in problems:
