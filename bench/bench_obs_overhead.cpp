@@ -23,8 +23,7 @@
 //      crash recorder switched off, plus a tight-loop enabled-hook A/B
 //      (recorder on vs. off) that gates the recorder's own contract — it
 //      rides along on every enabled run, so it must stay under the same
-//      2% line. A final row prices the per-span perf_event read cost of
-//      --profile hardware counters where the kernel allows them.
+//      2% line.
 //
 // A second table pins the same contract on the relkit_serve request path:
 // every request pays a fixed trace-id + sampling cost even with --trace
@@ -45,7 +44,6 @@
 
 #include "core/relkit.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/hw_counters.hpp"
 #include "obs/obs.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -222,30 +220,6 @@ void print_table() {
   std::printf("%-42s %10.3f %%\n", "estimated always-on recorder overhead",
               recorder_pct);
   print_contract_line("always-on recorder", recorder_pct);
-
-  // Hardware counters (--profile only): per-span cost of the two
-  // perf read() syscalls, or the reason they are unavailable here.
-  if (obs::hw::available()) {
-    constexpr int kSpanLoops = 100'000;
-    obs::set_enabled(true);
-    obs::hw::set_profiling(true);
-    const auto hw0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kSpanLoops; ++i) {
-      obs::Span span("bench.obs_span");
-      obs::HwCounterGroup hw_counters(span);
-      benchmark::DoNotOptimize(&hw_counters);
-    }
-    const double hw_s = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - hw0)
-                            .count();
-    obs::hw::set_profiling(false);
-    obs::set_enabled(false);
-    std::printf("%-42s %10.1f ns\n", "hw-counter cost per profiled span",
-                hw_s / kSpanLoops * 1e9);
-  } else {
-    std::printf("hw counters unavailable here: %s\n",
-                obs::hw::unavailable_reason());
-  }
   std::printf("\n");
 }
 
@@ -466,31 +440,6 @@ void BM_SpanEnabledChromeSink(benchmark::State& state) {
   obs::set_enabled(false);
 }
 BENCHMARK(BM_SpanEnabledChromeSink)->Iterations(1 << 16);
-
-// Span with a perf_event counter group attached, as --profile does on the
-// solver hot paths. Skipped (not failed) where the kernel forbids
-// perf_event_open — containers and locked-down hosts — matching the
-// graceful degradation of --profile itself.
-void BM_SpanEnabledHwCounters(benchmark::State& state) {
-  if (!obs::kCompiledIn) {
-    state.SkipWithError("obs compiled out");
-    return;
-  }
-  if (!obs::hw::available()) {
-    state.SkipWithError(obs::hw::unavailable_reason());
-    return;
-  }
-  obs::set_enabled(true);
-  obs::hw::set_profiling(true);
-  for (auto _ : state) {
-    obs::Span span("bench.obs_span");
-    obs::HwCounterGroup hw_counters(span);
-    benchmark::DoNotOptimize(&hw_counters);
-  }
-  obs::hw::set_profiling(false);
-  obs::set_enabled(false);
-}
-BENCHMARK(BM_SpanEnabledHwCounters);
 
 // Serve-path ablation rows. Fixed iteration counts: each request is a full
 // loopback HTTP round trip (~hundreds of us) and the traced variants buffer

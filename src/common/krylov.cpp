@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/linsolve.hpp"
 #include "common/reorder.hpp"
-#include "obs/hw_counters.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 #include "robust/budget.hpp"
@@ -96,7 +95,6 @@ Ilu0 ilu0_factor(const SparseMatrix& a) {
 
 const char* preconditioner_name(Preconditioner p) {
   switch (p) {
-    case Preconditioner::kNone: return "none";
     case Preconditioner::kJacobi: return "jacobi";
     case Preconditioner::kIlu0: return "ilu0";
   }
@@ -124,7 +122,6 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
 
   const parallel::PoolLease lease(opts.jobs);
   obs::Span span("solver.bicgstab");
-  obs::HwCounterGroup hw_counters(span);
   span.set("n", n);
   span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
   span.set("precond", preconditioner_name(opts.precond));
@@ -208,7 +205,6 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
       if (d != 0.0) jacobi_diag[i] = d;
     }
   }
-  std::vector<double> precond_scratch(n);
   auto apply_precond = [&](const std::vector<double>& r,
                            std::vector<double>& z) {
     switch (opts.precond) {
@@ -218,10 +214,31 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
       case Preconditioner::kJacobi:
         for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / jacobi_diag[i];
         break;
-      case Preconditioner::kNone:
-        z = r;
-        break;
     }
+  };
+
+  // Bytes the solve streams, for the span's `bytes` attribute
+  // (docs/observability.md). An iteration is two products with A, two
+  // preconditioner applications (ILU0 adds a pass over its factors, which
+  // share A's pattern; both read r and one more vector and write z) and 20
+  // vector streams in the updates and dot products. A residual check is a
+  // pass over Q^T reading diag and the candidate.
+  const std::size_t vec_bytes = n * sizeof(double);
+  const std::size_t precond_bytes =
+      (opts.precond == Preconditioner::kIlu0 ? a.pass_bytes() : 0) +
+      3 * vec_bytes;
+  const std::size_t iteration_bytes =
+      2 * (a.pass_bytes() + 2 * vec_bytes) + 2 * precond_bytes +
+      20 * vec_bytes;
+  const std::size_t check_bytes = qt.pass_bytes() + 2 * vec_bytes;
+  std::size_t iterations_run = 0;
+  std::size_t checks = 0;
+  auto residual = [&](const std::vector<double>& pi) {
+    ++checks;
+    return steady_state_residual(qt, diag, pi, lease.get());
+  };
+  auto set_bytes = [&] {
+    span.set("bytes", iterations_run * iteration_bytes + checks * check_bytes);
   };
 
   // Candidate in original state order, clamped and normalized exactly the
@@ -258,7 +275,7 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
   double best_res = std::numeric_limits<double>::infinity();
   if (normalized_candidate(x, candidate)) {
     best = candidate;
-    best_res = steady_state_residual(qt, diag, candidate, lease.get());
+    best_res = residual(candidate);
   }
 
   auto give_up = [&](const std::string& why,
@@ -267,6 +284,7 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
     span.set("iterations", it);
     span.set("residual", best_res);
     span.set("converged", false);
+    set_bytes();
     std::vector<double> partial =
         best.empty() ? std::vector<double>(n, 1.0 / static_cast<double>(n))
                      : best;
@@ -281,6 +299,7 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
     span.set("iterations", it);
     span.set("residual", best_res);
     span.set("converged", true);
+    set_bytes();
     return {best, it, best_res, report};
   };
 
@@ -290,6 +309,7 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
 
   for (std::size_t it = 1; it <= max_iters; ++it) {
     iters_counter.add();
+    iterations_run = it;
     double rho_next = 0.0;
     for (std::size_t i = 0; i < n; ++i) rho_next += r0[i] * r[i];
     if (std::abs(rho_next) < kBreakdown) {
@@ -351,9 +371,8 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
       // a tridiagonal chain IS the full LU). Verify the candidate before
       // declaring breakdown, or an exact solve would be thrown away.
       if (normalized_candidate(x, candidate)) {
-        const double res = injector.tap(
-            "bicgstab.residual",
-            steady_state_residual(qt, diag, candidate, lease.get()));
+        const double res =
+            injector.tap("bicgstab.residual", residual(candidate));
         report.convergence.record(it, res);
         if (std::isfinite(res) && res < best_res) {
           best = candidate;
@@ -374,9 +393,8 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
     // deadline abort always carries a populated ConvergenceTrace.
     if (it % 8 == 0 || it <= 4 || rnorm <= opts.tol) {
       if (normalized_candidate(x, candidate)) {
-        const double res = injector.tap(
-            "bicgstab.residual",
-            steady_state_residual(qt, diag, candidate, lease.get()));
+        const double res =
+            injector.tap("bicgstab.residual", residual(candidate));
         report.convergence.record(it, res);
         if (std::isfinite(res) && res < best_res) {
           best = candidate;
@@ -399,7 +417,7 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
   // Loop ended without meeting tol: one final verified check (the exact-
   // solve break lands here), then give up with the best iterate.
   if (normalized_candidate(x, candidate)) {
-    const double res = steady_state_residual(qt, diag, candidate, lease.get());
+    const double res = residual(candidate);
     report.convergence.record(report.iterations + 1, res);
     if (std::isfinite(res) && res < best_res) {
       best = candidate;

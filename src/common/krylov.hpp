@@ -32,12 +32,11 @@ namespace relkit {
 
 /// Preconditioner for the Krylov solver.
 enum class Preconditioner {
-  kNone,    ///< unpreconditioned (debugging / well-conditioned chains)
   kJacobi,  ///< diagonal scaling
   kIlu0,    ///< incomplete LU, zero fill-in (the default)
 };
 
-/// Printable name ("none", "jacobi", "ilu0").
+/// Printable name ("jacobi", "ilu0").
 const char* preconditioner_name(Preconditioner p);
 
 /// Options for the BiCGSTAB stationary solver.

@@ -130,11 +130,24 @@ SorResult sor_steady_state(const SparseMatrix& qt,
   double best_res = steady_state_residual(qt, diag, pi, lease.get());
   double prev_res = best_res;
 
+  // Bytes the solve streams, for the span's `bytes` attribute
+  // (docs/observability.md). A sweep is a pass over Q^T that reads diag and
+  // reads and writes pi, and its normalization reads pi twice and writes it
+  // once; a residual check is a pass over Q^T reading diag and pi.
+  const std::size_t vec_bytes = n * sizeof(double);
+  const std::size_t sweep_bytes = qt.pass_bytes() + 6 * vec_bytes;
+  const std::size_t check_bytes = qt.pass_bytes() + 2 * vec_bytes;
+  std::size_t checks = 1;  // the start vector's residual above
+  auto set_bytes = [&](std::size_t sweeps) {
+    span.set("bytes", sweeps * sweep_bytes + checks * check_bytes);
+  };
+
   auto give_up = [&](const std::string& why) -> robust::ConvergenceError {
     report.finish("sor", report.iterations, best_res, false, start);
     span.set("iterations", report.iterations);
     span.set("residual", best_res);
     span.set("converged", false);
+    set_bytes(report.iterations);
     return robust::ConvergenceError(why, best, report);
   };
 
@@ -181,6 +194,7 @@ SorResult sor_steady_state(const SparseMatrix& qt,
                       std::to_string(best_res) + ")");
       }
       const double res = steady_state_residual(qt, diag, pi, lease.get());
+      ++checks;
       residual_hist.observe(res);
       report.convergence.record(it, res);
       if (std::isfinite(res) && res < best_res) {
@@ -193,6 +207,7 @@ SorResult sor_steady_state(const SparseMatrix& qt,
         span.set("residual", res);
         span.set("omega", omega);
         span.set("converged", true);
+        set_bytes(it);
         return {std::move(pi), it, res, std::move(report)};
       }
       // Crude adaptive relaxation: push omega up while the residual keeps

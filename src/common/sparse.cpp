@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "obs/hw_counters.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 
@@ -40,9 +39,9 @@ void SparseMatrix::multiply(const std::vector<double>& x,
   }
 
   obs::Span span("markov.matvec");
-  obs::HwCounterGroup hw_counters(span);
   span.set("rows", rows_);
   span.set("nnz", nnz());
+  span.set("bytes", pass_bytes() + (rows_ + cols_) * sizeof(double));
   span.set("jobs", static_cast<std::uint64_t>(pool->jobs()));
   pool->for_chunks(rows_, parallel::default_chunk(rows_), rows);
 }

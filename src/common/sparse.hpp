@@ -32,6 +32,14 @@ class SparseMatrix {
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return values_.size(); }
 
+  /// Bytes one pass over the stored CSR reads: a value and a column index
+  /// per entry plus the row pointers. The kernels add the vectors they
+  /// stream to price their `bytes` span attribute (docs/observability.md).
+  std::size_t pass_bytes() const {
+    return nnz() * (sizeof(double) + sizeof(std::size_t)) +
+           (rows_ + 1) * sizeof(std::size_t);
+  }
+
   /// Row r occupies [row_begin(r), row_end(r)) in col()/value().
   std::size_t row_begin(std::size_t r) const { return row_ptr_[r]; }
   std::size_t row_end(std::size_t r) const { return row_ptr_[r + 1]; }

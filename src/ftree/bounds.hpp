@@ -44,10 +44,10 @@ Interval esary_proschan_bound(const std::vector<CutSet>& cuts,
                               const std::vector<CutSet>& paths,
                               const std::vector<double>& q);
 
-/// Exact top-event probability by sum of disjoint products over the minimal
-/// cut sets (inclusion-exclusion evaluated completely). Exponential in the
-/// number of cuts; reference implementation for validating bounds on small
-/// models. Throws if #cuts > 25.
+/// Exact top-event probability by complete inclusion-exclusion over the
+/// minimal cut sets (all 2^#cuts - 1 unions; not sum of disjoint
+/// products). Exponential in the number of cuts; reference implementation
+/// for validating bounds on small models. Throws if #cuts > 25.
 double exact_from_cuts(const std::vector<CutSet>& cuts,
                        const std::vector<double>& q);
 

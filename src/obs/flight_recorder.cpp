@@ -191,19 +191,4 @@ int open_span_threads() noexcept {
   return threads;
 }
 
-std::vector<SnapshotEvent> snapshot(std::size_t max_per_thread) {
-  std::vector<SnapshotEvent> out;
-  Event tail[kRingCapacity];
-  if (max_per_thread > kRingCapacity) max_per_thread = kRingCapacity;
-  for (int slot = 0; slot < static_cast<int>(kMaxThreads); ++slot) {
-    if (!slot_used(slot)) continue;
-    const std::size_t n = copy_tail(slot, tail, max_per_thread);
-    const std::uint64_t first_seq = slot_head(slot) - n;
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back({slot, first_seq + i, tail[i]});
-    }
-  }
-  return out;
-}
-
 }  // namespace relkit::obs::flight

@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace relkit::obs::flight {
 
@@ -81,13 +80,5 @@ std::size_t copy_tail(int slot, Event* out, std::size_t max) noexcept;
 
 /// Number of threads currently inside at least one span.
 int open_span_threads() noexcept;
-
-/// Normal-context convenience snapshot (tests, diagnostics).
-struct SnapshotEvent {
-  int slot = 0;
-  std::uint64_t seq = 0;
-  Event event;
-};
-std::vector<SnapshotEvent> snapshot(std::size_t max_per_thread = kRingCapacity);
 
 }  // namespace relkit::obs::flight

@@ -1131,14 +1131,6 @@ ProfileReport build_profile(const std::vector<SpanRecord>& records) {
     }
   }
 
-  const auto attr_u64 = [](const SpanRecord& r, std::string_view key,
-                           std::uint64_t* out) {
-    const std::string* value = r.attr(key);
-    if (value == nullptr) return false;
-    *out = std::strtoull(value->c_str(), nullptr, 10);
-    return true;
-  };
-
   std::map<std::string, ProfileRow, std::less<>> rows;
   for (const auto& r : records) {
     ProfileRow& row = rows[r.name];
@@ -1151,18 +1143,8 @@ ProfileReport build_profile(const std::vector<SpanRecord>& records) {
     const auto it = child_wall.find(r.id);
     const double in_children = it == child_wall.end() ? 0.0 : it->second;
     row.exclusive_wall += std::max(0.0, r.wall_s - in_children);
-    // Hardware-counter attrs (HwCounterGroup), present only when perf
-    // profiling was on and the kernel allowed it.
-    std::uint64_t cycles = 0;
-    if (attr_u64(r, "hw.cycles", &cycles)) {
-      std::uint64_t instructions = 0;
-      std::uint64_t cache_misses = 0;
-      attr_u64(r, "hw.instructions", &instructions);
-      attr_u64(r, "hw.cache_misses", &cache_misses);
-      row.hw_samples += 1;
-      row.hw_cycles += cycles;
-      row.hw_instructions += instructions;
-      row.hw_cache_misses += cache_misses;
+    if (const std::string* bytes = r.attr("bytes")) {
+      row.bytes += std::strtoull(bytes->c_str(), nullptr, 10);
     }
   }
   for (auto& [name, row] : rows) {
@@ -1180,23 +1162,17 @@ ProfileReport build_profile(const std::vector<SpanRecord>& records) {
 
 std::string render_profile_table(const ProfileReport& profile) {
   if (profile.rows.empty()) return "(no spans recorded)\n";
-  // Hardware columns appear only when some span carried hw.* attrs, so the
-  // table degrades to the classic layout where perf counters are off or
-  // forbidden.
-  bool hw = false;
-  for (const auto& r : profile.rows) hw = hw || r.hw_samples > 0;
+  // The GB/s column appears only when some span carried bytes, so a
+  // profile without sparse kernels keeps the classic layout.
+  bool traffic = false;
+  for (const auto& r : profile.rows) traffic = traffic || r.bytes > 0;
   std::string out;
   char line[200];
-  if (hw) {
-    std::snprintf(line, sizeof(line), "%-40s %7s %11s %11s %11s %7s %6s %10s\n",
-                  "span", "calls", "incl wall", "excl wall", "incl cpu",
-                  "% tot", "ipc", "miss/call");
-  } else {
-    std::snprintf(line, sizeof(line), "%-40s %7s %11s %11s %11s %7s\n",
-                  "span", "calls", "incl wall", "excl wall", "incl cpu",
-                  "% tot");
-  }
+  std::snprintf(line, sizeof(line), "%-40s %7s %11s %11s %11s %7s",
+                "span", "calls", "incl wall", "excl wall", "incl cpu",
+                "% tot");
   out += line;
+  out += traffic ? "    GB/s\n" : "\n";
   for (const auto& r : profile.rows) {
     std::snprintf(line, sizeof(line),
                   "%-40s %7llu %11s %11s %11s %6.1f%%", r.name.c_str(),
@@ -1205,15 +1181,12 @@ std::string render_profile_table(const ProfileReport& profile) {
                   format_seconds(r.exclusive_wall).c_str(),
                   format_seconds(r.inclusive_cpu).c_str(), r.percent);
     out += line;
-    if (hw) {
-      if (r.hw_samples > 0 && r.hw_cycles > 0) {
-        std::snprintf(line, sizeof(line), " %6.2f %10.1f",
-                      static_cast<double>(r.hw_instructions) /
-                          static_cast<double>(r.hw_cycles),
-                      static_cast<double>(r.hw_cache_misses) /
-                          static_cast<double>(r.count));
+    if (traffic) {
+      if (r.bytes > 0 && r.inclusive_wall > 0.0) {
+        std::snprintf(line, sizeof(line), " %7.2f",
+                      static_cast<double>(r.bytes) / r.inclusive_wall / 1e9);
       } else {
-        std::snprintf(line, sizeof(line), " %6s %10s", "-", "-");
+        std::snprintf(line, sizeof(line), " %7s", "-");
       }
       out += line;
     }
@@ -1234,13 +1207,11 @@ std::string profile_to_json(const ProfileReport& profile) {
     w.key("excl_s").raw(format_double(r.exclusive_wall));
     w.key("cpu_s").raw(format_double(r.inclusive_cpu));
     w.key("pct").raw(format_double(r.percent));
-    if (r.hw_samples > 0) {
-      w.key("hw_cycles").integer(r.hw_cycles);
-      w.key("hw_instructions").integer(r.hw_instructions);
-      w.key("hw_cache_misses").integer(r.hw_cache_misses);
-      if (r.hw_cycles > 0) {
-        w.key("ipc").raw(format_double(static_cast<double>(r.hw_instructions) /
-                                       static_cast<double>(r.hw_cycles)));
+    if (r.bytes > 0) {
+      w.key("bytes").integer(r.bytes);
+      if (r.inclusive_wall > 0.0) {
+        w.key("gbps").raw(format_double(static_cast<double>(r.bytes) /
+                                        r.inclusive_wall / 1e9));
       }
     }
     w.end_object();

@@ -535,13 +535,9 @@ struct ProfileRow {
   double exclusive_wall = 0.0; ///< inclusive minus time in child spans
   double inclusive_cpu = 0.0;  ///< sum of per-thread CPU times
   double percent = 0.0;        ///< inclusive wall as % of total root wall
-  /// Hardware-counter aggregates, summed over the spans that carried
-  /// hw.* attrs (HwCounterGroup under --profile); all zero when perf
-  /// counters were unavailable or profiling was off.
-  std::uint64_t hw_samples = 0;      ///< spans contributing hw.* attrs
-  std::uint64_t hw_cycles = 0;
-  std::uint64_t hw_instructions = 0;
-  std::uint64_t hw_cache_misses = 0;
+  /// Sum of the spans' `bytes` attributes: the memory traffic the sparse
+  /// kernels compute from their sizes (0 when no span carried one).
+  std::uint64_t bytes = 0;
 };
 
 /// One solve's profile: rows sorted by inclusive wall time (descending)
@@ -560,11 +556,13 @@ struct ProfileReport {
 ProfileReport build_profile(const std::vector<SpanRecord>& records);
 
 /// Fixed-width table (CLI --profile): name, calls, inclusive/exclusive
-/// wall, CPU, and % of total, one row per name.
+/// wall, CPU, and % of total, one row per name, plus a GB/s column (bytes
+/// over inclusive wall) when some row carries bytes.
 std::string render_profile_table(const ProfileReport& profile);
 
 /// JSON array of row objects, embedded in batch-mode output lines:
-/// [{"name":..,"count":..,"wall_s":..,"excl_s":..,"cpu_s":..,"pct":..},..].
+/// [{"name":..,"count":..,"wall_s":..,"excl_s":..,"cpu_s":..,"pct":..},..];
+/// rows with bytes add "bytes" and, when wall_s > 0, "gbps".
 std::string profile_to_json(const ProfileReport& profile);
 
 }  // namespace relkit::obs

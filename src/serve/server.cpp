@@ -222,7 +222,6 @@ void Server::finish_response(int fd, int status, const std::string& body,
     write_span.set("bytes", static_cast<std::uint64_t>(response.size()));
     send_all(fd, response, options_.write_timeout_ms);
   }
-  ::close(fd);
   const double total_s =
       std::chrono::duration<double>(Clock::now() - log.started_at).count();
   static obs::Histogram& latency_hist = obs::histogram("serve.latency");
@@ -234,6 +233,9 @@ void Server::finish_response(int fd, int status, const std::string& body,
              total_s);
   write_access_log(log, status, body.size(), total_s);
   inflight_erase(log.seq);
+  // Close last: a client that reads to EOF before sending its next request
+  // then finds this request already logged, whichever thread answers next.
+  ::close(fd);
 }
 
 void Server::log_unanswered(Conn& conn, const char* error_class) {

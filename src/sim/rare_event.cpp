@@ -12,7 +12,6 @@
 
 #include "common/error.hpp"
 #include "common/statistics.hpp"
-#include "obs/hw_counters.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 #include "robust/budget.hpp"
@@ -412,7 +411,6 @@ Estimate run_rare(const char* what, const RareEventModel& model, bool mttf,
   const robust::Deadline deadline = robust::ambient_deadline();
 
   obs::Span span("sim.rare.estimate");
-  obs::HwCounterGroup hw_counters(span);
   span.set("what", what);
   span.set("method", method_name(opts.method));
   span.set("target", target);

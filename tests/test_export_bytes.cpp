@@ -179,7 +179,7 @@ obs::ProfileRow row(const char* name, std::uint64_t count, double wall,
   return r;
 }
 
-TEST(ProfileBytes, WithoutHardwareRows) {
+TEST(ProfileBytes, WithoutTrafficRows) {
   obs::ProfileReport profile;
   profile.rows.push_back(row("markov.steady_state", 1, 0.0125, 0.0025,
                              0.012, 100.0));
@@ -192,22 +192,19 @@ TEST(ProfileBytes, WithoutHardwareRows) {
   EXPECT_EQ(obs::profile_to_json(obs::ProfileReport{}), "[]");
 }
 
-TEST(ProfileBytes, WithHardwareRows) {
+TEST(ProfileBytes, WithTrafficRows) {
   obs::ProfileReport profile;
-  obs::ProfileRow hw = row("solver.sor", 2, 0.5, 0.25, 0.5, 80.0);
-  hw.hw_samples = 2;
-  hw.hw_cycles = 3000000;
-  hw.hw_instructions = 4500000;
-  hw.hw_cache_misses = 1234;
-  profile.rows.push_back(hw);
-  obs::ProfileRow no_cycles = row("solver.gth", 1, 0.125, 0.125, 0.125, 20.0);
-  no_cycles.hw_samples = 1;
-  no_cycles.hw_instructions = 77;
-  profile.rows.push_back(no_cycles);
-  profile.rows.push_back(row("plain", 1, 0.0, 0.0, 0.0, 0.0));
+  obs::ProfileRow sor = row("solver.sor", 2, 0.5, 0.25, 0.5, 80.0);
+  sor.bytes = 1250000000;
+  profile.rows.push_back(sor);
+  // Bytes but no measurable wall time: "bytes" without "gbps".
+  obs::ProfileRow matvec = row("markov.matvec", 1, 0.0, 0.0, 0.0, 0.0);
+  matvec.bytes = 77;
+  profile.rows.push_back(matvec);
+  profile.rows.push_back(row("plain", 1, 0.125, 0.125, 0.125, 20.0));
   profile.total_wall = 0.625;
   EXPECT_EQ(obs::profile_to_json(profile),
-            R"J([{"name":"solver.sor","count":2,"wall_s":0.5,"excl_s":0.25,"cpu_s":0.5,"pct":80,"hw_cycles":3000000,"hw_instructions":4500000,"hw_cache_misses":1234,"ipc":1.5},{"name":"solver.gth","count":1,"wall_s":0.125,"excl_s":0.125,"cpu_s":0.125,"pct":20,"hw_cycles":0,"hw_instructions":77,"hw_cache_misses":0},{"name":"plain","count":1,"wall_s":0,"excl_s":0,"cpu_s":0,"pct":0}])J");
+            R"J([{"name":"solver.sor","count":2,"wall_s":0.5,"excl_s":0.25,"cpu_s":0.5,"pct":80,"bytes":1250000000,"gbps":2.5},{"name":"markov.matvec","count":1,"wall_s":0,"excl_s":0,"cpu_s":0,"pct":0,"bytes":77},{"name":"plain","count":1,"wall_s":0.125,"excl_s":0.125,"cpu_s":0.125,"pct":20}])J");
 }
 
 // ---- obs::to_chrome_json --------------------------------------------------

@@ -2,10 +2,11 @@
 // (bandwidth recovery, permutation algebra), the preconditioned BiCGSTAB
 // kernel (closed-form agreement on a large birth-death chain, the
 // deadline-mid-Krylov contract, iteration-cap exhaustion), the NCD
-// detector / aggregation-disaggregation budget contract, and the
-// thread-local / process-wide solver-choice plumbing. Cross-solver
-// statistical agreement lives in test_solver_agreement.cpp; whole-chain
-// fallback behavior in test_robustness.cpp.
+// detector / aggregation-disaggregation budget contract, the auto chain on
+// a drifted birth-death family, and the thread-local / process-wide
+// solver-choice plumbing. Cross-solver statistical agreement lives in
+// test_solver_agreement.cpp; whole-chain fallback behavior in
+// test_robustness.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -369,6 +370,40 @@ TEST(Residual, KernelResidualIsTheVerificationResidual) {
       expect_same(qt, diag,
                   [&] { return bicgstab_steady_state(qt, diag, bi); },
                   "bicgstab");
+    }
+  }
+}
+
+// ---- the drifted birth-death family ----------------------------------------
+
+// Fifteen drifted birth-death chains (mu = 1.1) on which forced BiCGSTAB
+// misbehaves: ILU0 fails some and Jacobi fails all of them. The verified
+// auto chain must still answer every one within 1e-10 of the closed form
+// at any worker count (GTH up to 400 states, SOR at 907). Forced-BiCGSTAB
+// outcomes are deliberately not pinned: they are the defect to fix.
+TEST(DriftedBirthDeath, AutoChainMatchesClosedForm) {
+  const double mu = 1.1;
+  for (const std::size_t n : {210u, 400u, 907u}) {
+    for (const double lam : {0.4, 0.45, 0.5, 0.6, 0.7}) {
+      SparseMatrix qt;
+      std::vector<double> diag;
+      birth_death_system(n, lam, mu, qt, diag);
+      const std::vector<double> expect = birth_death_closed_form(n, lam, mu);
+      for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("n " + std::to_string(n) + ", lam " +
+                     std::to_string(lam) + ", jobs " + std::to_string(jobs));
+        robust::RobustSteadyOptions opts;
+        opts.jobs = jobs;
+        const robust::RobustResult r =
+            robust::robust_steady_state(qt, diag, opts);
+        EXPECT_TRUE(r.report.converged) << r.report.method;
+        ASSERT_EQ(r.pi.size(), n);
+        double err = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          err = std::max(err, std::abs(r.pi[i] - expect[i]));
+        }
+        EXPECT_LE(err, 1e-10) << r.report.method;
+      }
     }
   }
 }

@@ -1,7 +1,8 @@
 // Tests for the observability layer (src/obs/): metric semantics, span
 // nesting and parenting (including across threads), the JSON writer and the
-// Chrome trace export, the disabled-mode no-op guarantee, and the span tree
-// produced when the robust fallback chain degrades under injected faults.
+// Chrome trace export, the disabled-mode no-op guarantee, profiles and the
+// sparse kernels' `bytes` attribute, and the span tree produced when the
+// robust fallback chain degrades under injected faults.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +13,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/krylov.hpp"
 #include "common/linsolve.hpp"
 #include "common/sparse.hpp"
 #include "markov/ctmc.hpp"
 #include "obs/obs.hpp"
 #include "robust/convergence_trace.hpp"
 #include "robust/fault_injection.hpp"
+#include "robust/robust.hpp"
 
 namespace relkit {
 namespace {
@@ -596,6 +599,152 @@ TEST(Profile, InclusiveTimesSumConsistently) {
   expect_balanced_json(json);
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"name\":\"test.prof_outer\""), std::string::npos);
+}
+
+// The GB/s column renders from `bytes` span attributes, so the table is
+// testable on hand-built records: bytes over inclusive wall, "-" on a row
+// without bytes, and no column when no span carried bytes.
+TEST(Profile, TableRendersGbpsFromBytesAttrs) {
+  std::vector<obs::SpanRecord> records(2);
+  records[0].id = 1;
+  records[0].name = "test.kernel";
+  records[0].wall_s = 1.5;
+  records[0].attrs = {{"bytes", "3000000000"}};
+  records[1].id = 2;
+  records[1].name = "test.plain";
+  records[1].wall_s = 0.5;
+  const obs::ProfileReport profile = obs::build_profile(records);
+  ASSERT_NE(profile.row("test.kernel"), nullptr);
+  ASSERT_NE(profile.row("test.plain"), nullptr);
+  EXPECT_EQ(profile.row("test.kernel")->bytes, 3000000000u);
+  EXPECT_EQ(profile.row("test.plain")->bytes, 0u);
+
+  const std::string table = obs::render_profile_table(profile);
+  EXPECT_NE(table.find("GB/s"), std::string::npos);
+  const auto line_of = [&](const std::string& name) {
+    const std::size_t at = table.find(name);
+    return table.substr(at, table.find('\n', at) - at);
+  };
+  EXPECT_NE(line_of("test.kernel").find(" 2.00"), std::string::npos)
+      << table;  // 3e9 bytes / 1.5 s
+  EXPECT_EQ(line_of("test.plain").back(), '-') << table;
+
+  records[0].attrs.clear();
+  EXPECT_EQ(obs::render_profile_table(obs::build_profile(records)).find("GB/s"),
+            std::string::npos);
+}
+
+// Each sparse kernel prices its memory traffic from sizes alone. On a
+// 40 x 40 grid at jobs 2, every markov.matvec, solver.bicgstab and
+// solver.sor span carries the `bytes` of the formulas in
+// docs/observability.md, and build_profile sums them into the rows.
+TEST(Profile, KernelSpansCarryDocumentedBytes) {
+  RELKIT_REQUIRE_OBS_COMPILED_IN();
+  ObsScope scope;
+  FaultInjectionScope injector;
+  // A clamp at the default cap changes nothing but activates the injector,
+  // which then counts BiCGSTAB's in-loop residual checks.
+  injector->clamp_iterations("bicgstab.max_iters",
+                             BicgstabOptions{}.max_iters);
+
+  const std::size_t k = 40;
+  const std::size_t n = k * k;
+  SparseBuilder b(n, n);
+  std::vector<double> diag(n, 0.0);
+  const auto edge = [&](std::size_t from, std::size_t to, double rate) {
+    b.add(to, from, rate);  // qt(to, from) = Q(from, to)
+    diag[from] -= rate;
+  };
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t s = i * k + j;
+      if (i + 1 < k) edge(s, s + k, 0.7 + 0.001 * j);
+      if (i > 0) edge(s, s - k, 1.1);
+      if (j + 1 < k) edge(s, s + 1, 0.5 + 0.002 * i);
+      if (j > 0) edge(s, s - 1, 0.9);
+    }
+  }
+  const SparseMatrix qt = b.build();
+
+  auto ring = std::make_shared<obs::RingBufferSink>(1 << 14);
+  obs::Tracer::instance().add_sink(ring);
+  for (const robust::SolverChoice solver :
+       {robust::SolverChoice::kBicgstab, robust::SolverChoice::kSor}) {
+    robust::RobustSteadyOptions opts;
+    opts.solver = solver;
+    opts.jobs = 2;
+    robust::robust_steady_state(qt, diag, opts);
+  }
+  obs::Tracer::instance().remove_sink(ring);
+  const std::vector<obs::SpanRecord> records = ring->snapshot();
+
+  const auto attr = [](const obs::SpanRecord& r, const char* key) {
+    const std::string* value = r.attr(key);
+    EXPECT_NE(value, nullptr) << r.name << " has no " << key;
+    return value == nullptr ? std::uint64_t{0} : std::stoull(*value);
+  };
+  const auto find = [&](const char* name) -> const obs::SpanRecord* {
+    const auto it =
+        std::find_if(records.begin(), records.end(),
+                     [&](const obs::SpanRecord& r) { return r.name == name; });
+    return it == records.end() ? nullptr : &*it;
+  };
+  const obs::SpanRecord* bicgstab = find("solver.bicgstab");
+  const obs::SpanRecord* sor = find("solver.sor");
+  ASSERT_NE(bicgstab, nullptr);
+  ASSERT_NE(sor, nullptr);
+
+  // CSR pass: a value and a column index per entry plus the row pointers.
+  const auto pass = [](std::uint64_t rows, std::uint64_t nnz) {
+    return nnz * 16 + (rows + 1) * 8;
+  };
+  const std::uint64_t vec = n * 8;
+  const std::uint64_t check = qt.pass_bytes() + 2 * vec;
+  EXPECT_EQ(qt.pass_bytes(), pass(n, qt.nnz()));
+
+  // markov.matvec: one pass plus x read and y written. Every product here
+  // is BiCGSTAB's, on its normalized system A.
+  std::uint64_t matvecs = 0, matvec_bytes = 0, nnz_a = 0;
+  for (const obs::SpanRecord& r : records) {
+    if (r.name != "markov.matvec") continue;
+    EXPECT_EQ(r.parent, bicgstab->id);
+    const std::uint64_t rows = attr(r, "rows");
+    nnz_a = attr(r, "nnz");
+    EXPECT_EQ(attr(r, "bytes"), pass(rows, nnz_a) + 2 * rows * 8);
+    matvec_bytes += attr(r, "bytes");
+    ++matvecs;
+  }
+
+  // solver.bicgstab: per iteration two products with A, two ILU0
+  // applications and 20 vector streams; per residual check one pass over
+  // Q^T with diag and the candidate. The start vector is checked once
+  // before the loop.
+  const std::uint64_t iters = attr(*bicgstab, "iterations");
+  EXPECT_EQ(matvecs, 1 + 2 * iters);
+  const std::uint64_t iteration = 2 * (pass(n, nnz_a) + 2 * vec) +
+                                  2 * (pass(n, nnz_a) + 3 * vec) + 20 * vec;
+  const std::uint64_t bicgstab_checks =
+      1 + injector->hits("bicgstab.residual");
+  EXPECT_EQ(attr(*bicgstab, "bytes"),
+            iters * iteration + bicgstab_checks * check);
+
+  // solver.sor: per sweep a pass over Q^T and 6 vector streams; residual
+  // checks at the start and at sweeps 1-4 and every 8th.
+  const std::uint64_t sweeps = attr(*sor, "iterations");
+  std::uint64_t sor_checks = 1;
+  for (std::uint64_t it = 1; it <= sweeps; ++it) {
+    if (it % 8 == 0 || it <= 4) ++sor_checks;
+  }
+  EXPECT_EQ(attr(*sor, "bytes"),
+            sweeps * (qt.pass_bytes() + 6 * vec) + sor_checks * check);
+
+  const obs::ProfileReport profile = obs::build_profile(records);
+  ASSERT_NE(profile.row("markov.matvec"), nullptr);
+  EXPECT_EQ(profile.row("markov.matvec")->bytes, matvec_bytes);
+  EXPECT_EQ(profile.row("solver.bicgstab")->bytes, attr(*bicgstab, "bytes"));
+  EXPECT_EQ(profile.row("solver.sor")->bytes, attr(*sor, "bytes"));
+  EXPECT_NE(obs::render_profile_table(profile).find("GB/s"),
+            std::string::npos);
 }
 
 // ---- convergence telemetry -------------------------------------------------

@@ -663,6 +663,38 @@ TEST_F(ServeTest, AccessLogRotatesAtSizeBound) {
   std::remove((log_path + ".1").c_str());
 }
 
+// A client that waits for each response sees its requests logged in order,
+// although a /solve error is answered on a pool worker and a 404 on the
+// event loop: the daemon closes a connection only after logging it.
+TEST_F(ServeTest, AccessLogKeepsAWaitingClientsOrder) {
+  const std::string log_path = ::testing::TempDir() + "relkit_e2e_order.log";
+  options_.access_log_path = log_path;
+  for (int run = 0; run < 5; ++run) {
+    std::remove(log_path.c_str());
+    start();
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(post("{\"model\":\"x\",\"times\":\"soon\"}").status, 400);
+      ASSERT_EQ(get("/nope").status, 404);
+    }
+    server_->stop(true);
+    const std::string log = read_file(log_path);
+    std::size_t lines = 0;
+    std::size_t inversions = 0;
+    unsigned long long prev = 0;
+    for (std::size_t at = log.find("\"req\":"); at != std::string::npos;
+         at = log.find("\"req\":", at + 1)) {
+      const unsigned long long req =
+          std::strtoull(log.c_str() + at + 6, nullptr, 10);
+      if (lines > 0 && req <= prev) ++inversions;
+      prev = req;
+      ++lines;
+    }
+    EXPECT_EQ(lines, 1000u) << "run " << run;
+    EXPECT_EQ(inversions, 0u) << "run " << run;
+  }
+  std::remove(log_path.c_str());
+}
+
 // ---- file descriptors ------------------------------------------------------
 
 /// The calling process's open file descriptors.

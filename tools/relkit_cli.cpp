@@ -24,8 +24,9 @@
 //   * the metrics registry (--metrics[=FILE]) as an OpenMetrics text
 //     exposition, on stdout or into FILE,
 //   * a per-solve profile (--profile): completed spans aggregated by name
-//     into inclusive/exclusive wall + CPU time, call counts, and % of
-//     total.
+//     into inclusive/exclusive wall + CPU time, call counts, % of total,
+//     and GB/s for the sparse kernels, whose spans carry the bytes they
+//     stream (computed from the matrix sizes, no hardware counters).
 //
 // --jobs N sets the process-wide parallelism degree (default: hardware
 // concurrency; the library default without the CLI is sequential).
@@ -99,7 +100,6 @@
 #include "io/model_parser.hpp"
 #include "sim/simulator.hpp"
 #include "markov/solution_cache.hpp"
-#include "obs/hw_counters.hpp"
 #include "obs/obs.hpp"
 #include "obs/postmortem.hpp"
 #include "parallel/pool.hpp"
@@ -351,10 +351,7 @@ int run_batch(const std::string& list_path, const std::vector<double>& times,
 
   // Profiling needs span emission; each model's spans stay on its worker
   // thread, so the per-model ThreadFilterSink sees only its own solve.
-  if (profile) {
-    relkit::obs::set_enabled(true);
-    relkit::obs::hw::set_profiling(true);
-  }
+  if (profile) relkit::obs::set_enabled(true);
 
   std::vector<int> exit_classes(paths.size(), 0);
   relkit::serve::ErrorClassCounts counts;
@@ -540,9 +537,6 @@ int main(int argc, char** argv) {
   if (want_trace || want_metrics || want_profile) {
     relkit::obs::set_enabled(true);
   }
-  // Hardware counters are profile-only: per-span perf reads cost two
-  // syscalls, which tracing/metrics alone should not pay.
-  if (want_profile) relkit::obs::hw::set_profiling(true);
   // Build provenance belongs in every exposition a scraper might diff
   // across versions (gauges are set-gated, so this must follow enable).
   if (want_metrics) relkit::obs::register_build_info();
