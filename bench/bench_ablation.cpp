@@ -87,7 +87,7 @@ void print_table() {
     } else {
       opts.adaptive_omega = true;
     }
-    const SorResult res = sor_steady_state(qt, diag, opts);
+    const robust::SteadyResult res = sor_steady_state(qt, diag, opts);
     std::printf("%-12s %-12zu %-12.1e\n",
                 omega > 0 ? std::to_string(omega).substr(0, 4).c_str()
                           : "adaptive",

@@ -1,9 +1,7 @@
 #include "common/krylov.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -11,7 +9,6 @@
 #include "common/reorder.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
-#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit {
@@ -101,9 +98,9 @@ const char* preconditioner_name(Preconditioner p) {
   return "?";
 }
 
-BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
-                                     const std::vector<double>& diag,
-                                     const BicgstabOptions& opts) {
+robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
+                                           const std::vector<double>& diag,
+                                           const BicgstabOptions& opts) {
   const std::size_t n = qt.rows();
   detail::require(qt.cols() == n, "bicgstab_steady_state: Q^T must be square");
   detail::require(diag.size() == n,
@@ -115,14 +112,11 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
   }
 
   auto& injector = testing::FaultInjector::instance();
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t max_iters =
-      injector.cap("bicgstab.max_iters", opts.max_iters);
-  const robust::Deadline deadline = robust::ambient_deadline();
-
   const parallel::PoolLease lease(opts.jobs);
-  obs::Span span("solver.bicgstab");
-  span.set("n", n);
+  robust::SolveBooks books("bicgstab", "bicgstab_steady_state",
+                           "solver.bicgstab", n, "bicgstab.max_iters",
+                           opts.max_iters);
+  obs::Span& span = books.span();
   span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
   span.set("precond", preconditioner_name(opts.precond));
   static obs::Counter& solves_counter = obs::counter("markov.bicgstab.solves");
@@ -130,13 +124,7 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
       obs::counter("markov.bicgstab.iterations");
   solves_counter.add();
 
-  robust::SolveReport report;
-  report.note_attempt("bicgstab");
-
-  if (n == 1) {
-    report.finish("bicgstab", 0, 0.0, true, start);
-    return {{1.0}, 0, 0.0, report};
-  }
+  if (n == 1) return books.converged({1.0}, 0, 0.0);
 
   // RCM permutation (perm[new] = old). The normalization row replaces the
   // equation of the state ordered LAST, so its dense row of ones sits at
@@ -231,14 +219,9 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
       2 * (a.pass_bytes() + 2 * vec_bytes) + 2 * precond_bytes +
       20 * vec_bytes;
   const std::size_t check_bytes = qt.pass_bytes() + 2 * vec_bytes;
-  std::size_t iterations_run = 0;
-  std::size_t checks = 0;
   auto residual = [&](const std::vector<double>& pi) {
-    ++checks;
+    books.add_bytes(check_bytes);
     return steady_state_residual(qt, diag, pi, lease.get());
-  };
-  auto set_bytes = [&] {
-    span.set("bytes", iterations_run * iteration_bytes + checks * check_bytes);
   };
 
   // Candidate in original state order, clamped and normalized exactly the
@@ -271,45 +254,33 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
   std::vector<double> phat(n), shat(n);
   double rho = 1.0, alpha = 1.0, omega = 1.0;
 
-  std::vector<double> best;
-  double best_res = std::numeric_limits<double>::infinity();
   if (normalized_candidate(x, candidate)) {
-    best = candidate;
-    best_res = residual(candidate);
+    books.keep_best(residual(candidate), candidate);
   }
 
-  auto give_up = [&](const std::string& why,
-                     std::size_t it) -> robust::ConvergenceError {
-    report.finish("bicgstab", it, best_res, false, start);
-    span.set("iterations", it);
-    span.set("residual", best_res);
-    span.set("converged", false);
-    set_bytes();
-    std::vector<double> partial =
-        best.empty() ? std::vector<double>(n, 1.0 / static_cast<double>(n))
-                     : best;
-    return robust::ConvergenceError(why, std::move(partial), report);
+  // One verified check of x at iteration `it`; true when it met tol. The
+  // in-loop checks pass the residual through the fault probe.
+  auto met_tol = [&](std::size_t it, bool probe) {
+    if (!normalized_candidate(x, candidate)) return false;
+    double res = residual(candidate);
+    if (probe) res = injector.tap("bicgstab.residual", res);
+    books.check(it, res, candidate);
+    return res < opts.tol;
   };
-
-  // Called once a candidate met tol. The returned iterate is `best`, which
-  // can be an earlier candidate than the one that met tol, so the reported
-  // residual is best_res.
-  auto finish = [&](std::size_t it) -> BicgstabResult {
-    report.finish("bicgstab", it, best_res, true, start);
-    span.set("iterations", it);
-    span.set("residual", best_res);
-    span.set("converged", true);
-    set_bytes();
-    return {best, it, best_res, report};
+  // The returned iterate is the best one, which can be an earlier candidate
+  // than the one that met tol, so the reported residual is the best.
+  auto finish = [&](std::size_t it) {
+    return books.converged(books.best(), it, books.best_residual());
   };
 
   const double kBreakdown = 1e-300;
   double rnorm = 0.0;
   for (const double ri : r) rnorm = std::max(rnorm, std::abs(ri));
 
-  for (std::size_t it = 1; it <= max_iters; ++it) {
+  std::size_t it = 1;
+  for (; it <= books.cap(); ++it) {
     iters_counter.add();
-    iterations_run = it;
+    books.add_bytes(iteration_bytes);
     double rho_next = 0.0;
     for (std::size_t i = 0; i < n; ++i) rho_next += r0[i] * r[i];
     if (std::abs(rho_next) < kBreakdown) {
@@ -319,8 +290,8 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
       rho_next = 0.0;
       for (const double ri : r) rho_next += ri * ri;
       if (rho_next < kBreakdown) {
-        report.warn("residual collapsed to zero at iteration " +
-                    std::to_string(it));
+        books.report().warn("residual collapsed to zero at iteration " +
+                            std::to_string(it));
         break;  // exact solve of the linear system; fall to the final check
       }
       rho = alpha = omega = 1.0;
@@ -336,9 +307,9 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
     double r0v = 0.0;
     for (std::size_t i = 0; i < n; ++i) r0v += r0[i] * v[i];
     if (std::abs(r0v) < kBreakdown) {
-      throw give_up("bicgstab_steady_state: breakdown (r0·v = 0) at "
-                    "iteration " + std::to_string(it),
-                    it);
+      throw books.fail("breakdown (r0·v = 0) at iteration " +
+                           std::to_string(it),
+                       it);
     }
     alpha = rho_next / r0v;
     for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
@@ -358,33 +329,21 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
     }
     rho = rho_next;
     if (!std::isfinite(rnorm)) {
-      report.warn("iterate became non-finite at iteration " +
-                  std::to_string(it));
-      throw give_up(
-          "bicgstab_steady_state: iterate became non-finite at iteration " +
-              std::to_string(it),
-          it);
+      books.report().warn("iterate became non-finite at iteration " +
+                          std::to_string(it));
+      throw books.fail(
+          "iterate became non-finite at iteration " + std::to_string(it), it);
     }
     if (std::abs(omega) < kBreakdown) {
       // t -> 0 almost always means the half-step x += alpha * phat already
       // solved the system (an exact or near-exact preconditioner — ILU0 on
       // a tridiagonal chain IS the full LU). Verify the candidate before
       // declaring breakdown, or an exact solve would be thrown away.
-      if (normalized_candidate(x, candidate)) {
-        const double res =
-            injector.tap("bicgstab.residual", residual(candidate));
-        report.convergence.record(it, res);
-        if (std::isfinite(res) && res < best_res) {
-          best = candidate;
-          best_res = res;
-        }
-        if (res < opts.tol) return finish(it);
-      }
-      report.warn("stabilizer omega collapsed at iteration " +
-                  std::to_string(it));
-      throw give_up("bicgstab_steady_state: omega breakdown at iteration " +
-                        std::to_string(it),
-                    it);
+      if (met_tol(it, true)) return finish(it);
+      books.report().warn("stabilizer omega collapsed at iteration " +
+                          std::to_string(it));
+      throw books.fail("omega breakdown at iteration " + std::to_string(it),
+                       it);
     }
 
     // True-residual check at the SOR cadence (every 8 iterations plus the
@@ -392,44 +351,18 @@ BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
     // residual is recorded into the trace BEFORE the deadline check so a
     // deadline abort always carries a populated ConvergenceTrace.
     if (it % 8 == 0 || it <= 4 || rnorm <= opts.tol) {
-      if (normalized_candidate(x, candidate)) {
-        const double res =
-            injector.tap("bicgstab.residual", residual(candidate));
-        report.convergence.record(it, res);
-        if (std::isfinite(res) && res < best_res) {
-          best = candidate;
-          best_res = res;
-        }
-        if (res < opts.tol) return finish(it);
-      }
-      if (deadline.expired()) {
-        report.warn("deadline expired after " + std::to_string(it) +
-                    " iterations");
-        throw give_up("bicgstab_steady_state: deadline expired after " +
-                          std::to_string(it) + " iterations (best residual " +
-                          std::to_string(best_res) + ")",
-                      it);
-      }
+      if (met_tol(it, true)) return finish(it);
+      if (books.expired()) throw books.deadline_stop(it, "iteration");
     }
     if (rnorm < kBreakdown) break;  // linear system solved exactly
   }
 
-  // Loop ended without meeting tol: one final verified check (the exact-
-  // solve break lands here), then give up with the best iterate.
-  if (normalized_candidate(x, candidate)) {
-    const double res = residual(candidate);
-    report.convergence.record(report.iterations + 1, res);
-    if (std::isfinite(res) && res < best_res) {
-      best = candidate;
-      best_res = res;
-    }
-    if (res < opts.tol) return finish(max_iters);
-  }
-  report.warn("iteration budget exhausted");
-  throw give_up("bicgstab_steady_state: no convergence after " +
-                    std::to_string(max_iters) + " iterations (best residual " +
-                    std::to_string(best_res) + ")",
-                max_iters);
+  // Loop ended without meeting tol, at the cap or at an exact-solve break:
+  // one final verified check of the iterations that ran, then give up with
+  // the best iterate.
+  const std::size_t ran = std::min(it, books.cap());
+  if (met_tol(ran, false)) return finish(ran);
+  throw books.cap_stop(ran, "iteration");
 }
 
 }  // namespace relkit

@@ -16,17 +16,18 @@
 // A reverse Cuthill-McKee permutation (common/reorder.hpp) is applied
 // before factoring/iterating and inverted on the result: bandwidth
 // reduction improves both matvec locality and the quality of the ILU0
-// pattern. The contracts match the other iterative kernels: max_iters and
-// the ambient deadline (robust::ScopedDeadline) are honored, progress is
-// recorded into a ConvergenceTrace, and non-convergence throws
-// robust::ConvergenceError carrying the best normalized iterate.
+// pattern. The contracts match the other iterative kernels, whose books
+// (robust::SolveBooks) it shares: max_iters and the ambient deadline
+// (robust::ScopedDeadline) are honored, progress is recorded into a
+// ConvergenceTrace, and non-convergence throws robust::ConvergenceError
+// carrying the best normalized iterate.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "common/sparse.hpp"
-#include "robust/report.hpp"
+#include "robust/books.hpp"
 
 namespace relkit {
 
@@ -56,13 +57,9 @@ struct BicgstabOptions {
   unsigned jobs = 0;
 };
 
-/// Result of the BiCGSTAB stationary solve.
-struct BicgstabResult {
-  std::vector<double> pi;
-  std::size_t iterations = 0;
-  double residual = 0.0;  ///< verified max|pi Q| of the returned iterate
-  robust::SolveReport report;
-};
+/// Result of the BiCGSTAB stationary solve; `residual` is the verified
+/// max|pi Q| of the returned iterate.
+using BicgstabResult = robust::SteadyResult;
 
 /// Stationary distribution of an irreducible CTMC given the *transposed*
 /// generator in CSR form (row i of `qt` holds column i of Q, off-diagonal
@@ -71,8 +68,8 @@ struct BicgstabResult {
 /// best normalized iterate + report with ConvergenceTrace — when the
 /// iteration reaches max_iters, the ambient deadline expires, or the
 /// iterate degenerates.
-BicgstabResult bicgstab_steady_state(const SparseMatrix& qt,
-                                     const std::vector<double>& diag,
-                                     const BicgstabOptions& opts = {});
+robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
+                                           const std::vector<double>& diag,
+                                           const BicgstabOptions& opts = {});
 
 }  // namespace relkit

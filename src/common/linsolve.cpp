@@ -1,13 +1,10 @@
 #include "common/linsolve.hpp"
 
-#include <chrono>
 #include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
-#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit {
@@ -90,9 +87,9 @@ std::vector<double> gth_steady_state_dtmc(const Matrix& p) {
   return gth_steady_state(std::move(q));
 }
 
-SorResult sor_steady_state(const SparseMatrix& qt,
-                           const std::vector<double>& diag,
-                           const SorOptions& opts) {
+robust::SteadyResult sor_steady_state(const SparseMatrix& qt,
+                                      const std::vector<double>& diag,
+                                      const SorOptions& opts) {
   const std::size_t n = qt.rows();
   detail::require(qt.cols() == n, "sor_steady_state: Q^T must be square");
   detail::require(diag.size() == n, "sor_steady_state: diag size mismatch");
@@ -103,32 +100,17 @@ SorResult sor_steady_state(const SparseMatrix& qt,
   }
 
   auto& injector = testing::FaultInjector::instance();
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t max_iters = injector.cap("sor.max_iters", opts.max_iters);
-  const robust::Deadline deadline = robust::ambient_deadline();
-
   const parallel::PoolLease lease(opts.jobs);
-  obs::Span span("solver.sor");
-  span.set("n", n);
-  span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
+  robust::SolveBooks books("sor", "sor_steady_state", "solver.sor", n,
+                           "sor.max_iters", opts.max_iters);
+  books.span().set("jobs", static_cast<std::uint64_t>(lease.jobs()));
   static obs::Counter& sweeps_counter = obs::counter("markov.sor_sweeps");
   static obs::Histogram& residual_hist =
       obs::histogram("markov.sor_residual");
 
-  robust::SolveReport report;
-  report.note_attempt("sor");
-
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
   double omega = opts.omega;
   double omega_cap = 1.6;  // halves toward 1.0 whenever SOR diverges
-
-  // Best (lowest-residual) iterate so far, so non-convergence can still hand
-  // back the most trustworthy partial result. The sweep mutates pi in place
-  // (Gauss-Seidel), but the residual reads a fixed vector — a Jacobi-style
-  // pass — so it chunks across the pool.
-  std::vector<double> best = pi;
-  double best_res = steady_state_residual(qt, diag, pi, lease.get());
-  double prev_res = best_res;
 
   // Bytes the solve streams, for the span's `bytes` attribute
   // (docs/observability.md). A sweep is a pass over Q^T that reads diag and
@@ -137,22 +119,17 @@ SorResult sor_steady_state(const SparseMatrix& qt,
   const std::size_t vec_bytes = n * sizeof(double);
   const std::size_t sweep_bytes = qt.pass_bytes() + 6 * vec_bytes;
   const std::size_t check_bytes = qt.pass_bytes() + 2 * vec_bytes;
-  std::size_t checks = 1;  // the start vector's residual above
-  auto set_bytes = [&](std::size_t sweeps) {
-    span.set("bytes", sweeps * sweep_bytes + checks * check_bytes);
-  };
 
-  auto give_up = [&](const std::string& why) -> robust::ConvergenceError {
-    report.finish("sor", report.iterations, best_res, false, start);
-    span.set("iterations", report.iterations);
-    span.set("residual", best_res);
-    span.set("converged", false);
-    set_bytes(report.iterations);
-    return robust::ConvergenceError(why, best, report);
-  };
+  // The start vector is the first best iterate. The sweep mutates pi in
+  // place (Gauss-Seidel), but the residual reads a fixed vector — a
+  // Jacobi-style pass — so it chunks across the pool.
+  double prev_res = steady_state_residual(qt, diag, pi, lease.get());
+  books.add_bytes(check_bytes);
+  books.keep_best(prev_res, pi);
 
-  for (std::size_t it = 1; it <= max_iters; ++it) {
+  for (std::size_t it = 1; it <= books.cap(); ++it) {
     sweeps_counter.add();
+    books.add_bytes(sweep_bytes);
     // One SOR sweep: pi_i <- (1-w) pi_i + w * (sum_{j != i} pi_j Q_ji)/(-Q_ii).
     // Alternate sweep direction so information propagates both ways along
     // chain-structured models (symmetric Gauss-Seidel), which otherwise
@@ -175,40 +152,23 @@ SorResult sor_steady_state(const SparseMatrix& qt,
     for (double x : pi) total += x;
     total = injector.tap("sor.sweep-total", total);
     if (!std::isfinite(total) || total <= 0.0) {
-      report.iterations = it;
-      report.warn("sweep " + std::to_string(it) +
-                  " produced a non-finite or collapsed iterate");
-      throw give_up("sor_steady_state: iterate became non-finite or "
-                    "collapsed at sweep " +
-                    std::to_string(it));
+      books.report().warn("sweep " + std::to_string(it) +
+                          " produced a non-finite or collapsed iterate");
+      throw books.fail("iterate became non-finite or collapsed at sweep " +
+                           std::to_string(it),
+                       it);
     }
     for (double& x : pi) x /= total;
 
     if (it % 8 == 0 || it <= 4) {
-      if (deadline.expired()) {
-        report.iterations = it;
-        report.warn("deadline expired after " + std::to_string(it) +
-                    " sweeps");
-        throw give_up("sor_steady_state: deadline expired after " +
-                      std::to_string(it) + " sweeps (best residual " +
-                      std::to_string(best_res) + ")");
-      }
+      if (books.expired()) throw books.deadline_stop(it, "sweep");
       const double res = steady_state_residual(qt, diag, pi, lease.get());
-      ++checks;
+      books.add_bytes(check_bytes);
       residual_hist.observe(res);
-      report.convergence.record(it, res);
-      if (std::isfinite(res) && res < best_res) {
-        best = pi;
-        best_res = res;
-      }
+      books.check(it, res, pi);
       if (res < opts.tol) {
-        report.finish("sor", it, res, true, start);
-        span.set("iterations", it);
-        span.set("residual", res);
-        span.set("omega", omega);
-        span.set("converged", true);
-        set_bytes(it);
-        return {std::move(pi), it, res, std::move(report)};
+        books.span().set("omega", omega);
+        return books.converged(std::move(pi), it, res);
       }
       // Crude adaptive relaxation: push omega up while the residual keeps
       // shrinking (over-relaxation usually pays on availability chains).
@@ -232,52 +192,37 @@ SorResult sor_steady_state(const SparseMatrix& qt,
       prev_res = res;
     }
   }
-  report.iterations = max_iters;
-  report.warn("sweep budget exhausted");
-  throw give_up("sor_steady_state: no convergence after " +
-                std::to_string(max_iters) + " sweeps (best residual " +
-                std::to_string(best_res) + ")");
+  throw books.cap_stop(books.cap(), "sweep");
 }
 
-PowerResult power_steady_state(const SparseMatrix& p,
-                               const PowerOptions& opts) {
+robust::SteadyResult power_steady_state(const SparseMatrix& p,
+                                        const PowerOptions& opts) {
   const std::size_t n = p.rows();
   detail::require(p.cols() == n, "power_steady_state: P must be square");
   detail::require(opts.theta > 0.0 && opts.theta <= 1.0,
                   "power_steady_state: theta in (0,1]");
 
   auto& injector = testing::FaultInjector::instance();
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t max_iters = injector.cap("power.max_iters", opts.max_iters);
-  const robust::Deadline deadline = robust::ambient_deadline();
-
   const parallel::PoolLease lease(opts.jobs);
-  obs::Span span("solver.power");
-  span.set("n", n);
-  span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
+  robust::SolveBooks books("power", "power_steady_state", "solver.power", n,
+                           "power.max_iters", opts.max_iters);
+  books.span().set("jobs", static_cast<std::uint64_t>(lease.jobs()));
   static obs::Counter& steps_counter = obs::counter("markov.power_steps");
-
-  robust::SolveReport report;
-  report.note_attempt("power");
 
   // pi P is a product on P^T, held once for the whole solve.
   const SparseMatrix pt = p.transposed();
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
   std::vector<double> next(n);
-  std::vector<double> best = pi;
-  double best_delta = std::numeric_limits<double>::infinity();
 
-  auto give_up = [&](const std::string& why,
-                     std::size_t it) -> robust::ConvergenceError {
-    report.finish("power", it, best_delta, false, start);
-    span.set("iterations", it);
-    span.set("delta", best_delta);
-    span.set("converged", false);
-    return robust::ConvergenceError(why, best, report);
-  };
+  // Bytes a step streams, for the span's `bytes` attribute
+  // (docs/observability.md): a pass over P^T and 8 vector streams. The
+  // product reads pi and writes next, the damping reads both and writes
+  // next, the sum reads next, and the normalization reads and writes it.
+  const std::size_t step_bytes = pt.pass_bytes() + 8 * n * sizeof(double);
 
-  for (std::size_t it = 0; it < max_iters; ++it) {
+  for (std::size_t it = 0; it < books.cap(); ++it) {
     steps_counter.add();
+    books.add_bytes(step_bytes);
     pt.multiply(pi, next, lease.get());
     double delta = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -285,49 +230,23 @@ PowerResult power_steady_state(const SparseMatrix& p,
       delta = std::max(delta, std::abs(next[i] - pi[i]));
     }
     delta = injector.tap("power.delta", delta);
-    report.convergence.record(it + 1, delta);
     double total = 0.0;
     for (double x : next) total += x;
     if (!std::isfinite(total) || total <= 0.0 || !std::isfinite(delta)) {
-      report.warn("iterate became non-finite at step " + std::to_string(it));
-      throw give_up("power_steady_state: iterate became non-finite at step " +
-                        std::to_string(it),
-                    it);
+      books.report().warn("iterate became non-finite at step " +
+                          std::to_string(it));
+      throw books.fail(
+          "iterate became non-finite at step " + std::to_string(it), it);
     }
     for (double& x : next) x /= total;
     pi.swap(next);
-    if (delta < best_delta) {
-      best = pi;
-      best_delta = delta;
-    }
-    if (delta < opts.tol) {
-      report.finish("power", it + 1, delta, true, start);
-      span.set("iterations", it + 1);
-      span.set("delta", delta);
-      span.set("converged", true);
-      return {std::move(pi), it + 1, delta, std::move(report)};
-    }
-    if ((it & 63u) == 0 && deadline.expired()) {
-      report.warn("deadline expired after " + std::to_string(it) + " steps");
-      throw give_up("power_steady_state: deadline expired after " +
-                        std::to_string(it) + " steps",
-                    it);
+    books.check(it + 1, delta, pi);
+    if (delta < opts.tol) return books.converged(std::move(pi), it + 1, delta);
+    if ((it & 63u) == 0 && books.expired()) {
+      throw books.deadline_stop(it, "step");
     }
   }
-  report.warn("iteration budget exhausted");
-  throw give_up("power_steady_state: no convergence after " +
-                    std::to_string(max_iters) + " steps (best delta " +
-                    std::to_string(best_delta) + ")",
-                max_iters);
-}
-
-std::vector<double> power_steady_state(const SparseMatrix& p, double tol,
-                                       std::size_t max_iters, double theta) {
-  PowerOptions opts;
-  opts.tol = tol;
-  opts.max_iters = max_iters;
-  opts.theta = theta;
-  return power_steady_state(p, opts).pi;
+  throw books.cap_stop(books.cap(), "step");
 }
 
 }  // namespace relkit

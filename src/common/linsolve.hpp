@@ -8,9 +8,9 @@
 //    sweeps on pi Q = 0 with periodic normalization.
 //
 // Iterative solvers stop at their own iteration cap (max_iters) and at the
-// ambient deadline (robust::ScopedDeadline), and on non-convergence throw
-// robust::ConvergenceError carrying the best iterate and a SolveReport
-// instead of discarding work.
+// ambient deadline (robust::ScopedDeadline), keep their books through
+// robust::SolveBooks, and on non-convergence throw robust::ConvergenceError
+// carrying the best iterate and a SolveReport instead of discarding work.
 // For automatic fallback between methods use robust::robust_steady_state.
 #pragma once
 
@@ -19,7 +19,7 @@
 
 #include "common/matrix.hpp"
 #include "common/sparse.hpp"
-#include "robust/report.hpp"
+#include "robust/books.hpp"
 
 namespace relkit {
 
@@ -56,23 +56,15 @@ struct SorOptions {
   unsigned jobs = 0;
 };
 
-/// Result of the iterative solver.
-struct SorResult {
-  std::vector<double> pi;
-  std::size_t iterations = 0;
-  double residual = 0.0;
-  robust::SolveReport report;
-};
-
 /// Stationary distribution of an irreducible CTMC given the *transposed*
 /// generator in CSR form (row i of `qt` holds column i of Q, off-diagonal
 /// entries only) and the diagonal of Q. Throws robust::ConvergenceError —
 /// carrying the best iterate and a report — if the iteration does not reach
 /// tol within max_iters sweeps or before the ambient deadline, or if the
 /// iterate becomes non-finite.
-SorResult sor_steady_state(const SparseMatrix& qt,
-                           const std::vector<double>& diag,
-                           const SorOptions& opts = {});
+robust::SteadyResult sor_steady_state(const SparseMatrix& qt,
+                                      const std::vector<double>& diag,
+                                      const SorOptions& opts = {});
 
 /// Options for power iteration on a DTMC.
 struct PowerOptions {
@@ -87,23 +79,10 @@ struct PowerOptions {
   unsigned jobs = 0;
 };
 
-/// Result of power iteration.
-struct PowerResult {
-  std::vector<double> pi;
-  std::size_t iterations = 0;
-  double delta = 0.0;  ///< last max-norm change between iterates
-  robust::SolveReport report;
-};
-
-/// Power iteration for the stationary vector of a DTMC in CSR form.
+/// Power iteration for the stationary vector of a DTMC in CSR form. Its
+/// `residual` is the max-norm change between the last two iterates.
 /// Throws robust::ConvergenceError (best iterate + report) on failure.
-PowerResult power_steady_state(const SparseMatrix& p,
-                               const PowerOptions& opts);
-
-/// Convenience wrapper with the historical signature.
-std::vector<double> power_steady_state(const SparseMatrix& p,
-                                       double tol = 1e-13,
-                                       std::size_t max_iters = 500000,
-                                       double theta = 0.9);
+robust::SteadyResult power_steady_state(const SparseMatrix& p,
+                                        const PowerOptions& opts = {});
 
 }  // namespace relkit

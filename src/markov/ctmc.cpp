@@ -232,7 +232,7 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
   robust_opts.ncd = opts.ncd;
   robust_opts.solver = opts.solver;
   robust_opts.jobs = opts.jobs;
-  robust::RobustResult r =
+  robust::SteadyResult r =
       robust::robust_steady_state(g.qt, g.diag, robust_opts);
   if (use_cache) cache.insert(std::move(key), {r.pi, r.report});
   if (report) *report = std::move(r.report);
@@ -691,15 +691,30 @@ std::vector<double> transient_sensitivity(const Ctmc& chain, const Matrix& dq,
   }
   if (t == 0.0) return std::vector<double>(n, 0.0);
 
-  const SparseMatrix qt = chain.sparse_generator().transposed();  // p Q = Q^T p
   // Step size from the uniformization rate: h ~ 0.1 / q_max keeps RK4 well
-  // inside its stability region for this linear system.
+  // inside its stability region for this linear system, up to the step cap.
+  // Past the cap the step grows with t. By Gershgorin 2 q_max bounds Q's
+  // spectral radius, and RK4's real stability interval ends near
+  // h |lambda| = 2.78, so a capped step stays stable only while
+  // q_max t <= 2.78 cap / 2; beyond that the integration would return NaN.
+  constexpr std::size_t kMaxSteps = 4000000;
+  constexpr double kMaxQt = 2.78 * static_cast<double>(kMaxSteps) / 2.0;
   double qmax = 1.0;
   for (StateId s = 0; s < n; ++s) qmax = std::max(qmax, chain.exit_rate(s));
+  if (!(qmax * t <= kMaxQt)) {
+    throw NumericalError("transient_sensitivity: q*t = " +
+                         std::to_string(qmax * t) +
+                         " exceeds what RK4 integrates stably in " +
+                         std::to_string(kMaxSteps) + " steps (max " +
+                         std::to_string(kMaxQt) +
+                         "); use steady_state_sensitivity() for long "
+                         "horizons");
+  }
+  const SparseMatrix qt = chain.sparse_generator().transposed();  // p Q = Q^T p
   const auto steps = static_cast<std::size_t>(
       std::ceil(t * qmax / 0.1));
-  const std::size_t nsteps = std::min<std::size_t>(
-      std::max<std::size_t>(steps, 16), 4000000);
+  const std::size_t nsteps =
+      std::min<std::size_t>(std::max<std::size_t>(steps, 16), kMaxSteps);
   const double h = t / static_cast<double>(nsteps);
 
   std::vector<double> pi = pi0;

@@ -237,8 +237,11 @@ double mtta_sensitivity(const Ctmc& chain, const Matrix& dq,
 /// Derivative of the transient distribution pi(t) with respect to a scalar
 /// parameter theta, given dQ/dtheta dense (rows summing to 0). Integrates
 /// the forward sensitivity ODE s' = s Q + pi dQ jointly with pi' = pi Q by
-/// a fixed-step RK4 scheme (steps chosen from the uniformization rate).
-/// Intended for the moderate-size chains used in design studies.
+/// a fixed-step RK4 scheme (steps chosen from the uniformization rate, at
+/// most 4e6). Throws NumericalError when q*t (q the largest exit rate) is
+/// past what that many steps integrate stably, about 5.56e6; use
+/// steady_state_sensitivity for such horizons. Intended for the
+/// moderate-size chains used in design studies.
 std::vector<double> transient_sensitivity(const Ctmc& chain,
                                           const Matrix& dq,
                                           const std::vector<double>& pi0,

@@ -6,28 +6,8 @@
 // of the resilience layer actually fires. When nothing is armed every hook
 // is a single branch on a bool, so production code pays ~nothing.
 //
-// Probe points currently instrumented:
-//   "ctmc.rate"          every transition rate read during generator assembly
-//   "sor.max_iters"      SOR sweep budget (cap)
-//   "sor.sweep-total"    normalization mass after each SOR sweep
-//   "power.max_iters"    power-iteration budget (cap)
-//   "power.delta"        per-step power-iteration delta
-//   "uniformize.qt"      the Poisson mean q*t before weight computation
-//   "uniformize.weight"  each Poisson weight consumed by transient()
-//   "fixed_point.update" each raw fixed-point update value
-//   "fixed_point.max_iters"  fixed-point iteration budget (cap)
-//   "sim.replications"   simulator replication budget (cap)
-//   "sim.rare.cycles"    rare-event regenerative-cycle budget (cap)
-//   "serve.worker.delay_ms"  artificial per-request stall in relkit_serve
-//                        workers (0 normally; inject a value to hold
-//                        workers busy and saturate the admission queue)
-// Failable methods: "gth", "sor", "ad", "bicgstab", "power" (each chain
-// entry's probe, checked by the runner before the method runs),
-// "serve.solve" (checked by the relkit_serve request path before the
-// model is parsed, so the daemon's error handling can be driven without a
-// failable model), and "sim.restart.split" (checked at every RESTART
-// branch split, so the rare-event engine's ConvergenceError path can be
-// driven deterministically).
+// The probe points and failable methods are listed once, in
+// docs/robustness.md ("Fault injection").
 //
 // Header-only (Meyers singleton) so the base `common` module can call hooks
 // without a link dependency on the robust module. Thread-safe: the serve

@@ -1,7 +1,6 @@
 #include "robust/ncd.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -12,7 +11,6 @@
 #include "common/matrix.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
-#include "robust/budget.hpp"
 #include "robust/fault_injection.hpp"
 
 namespace relkit::robust {
@@ -97,9 +95,10 @@ NcdPartition detect_ncd_blocks(const SparseMatrix& qt,
   return part;
 }
 
-AdResult ad_steady_state(const SparseMatrix& qt,
-                         const std::vector<double>& diag,
-                         const NcdPartition& partition, const AdOptions& opts) {
+SteadyResult ad_steady_state(const SparseMatrix& qt,
+                             const std::vector<double>& diag,
+                             const NcdPartition& partition,
+                             const AdOptions& opts) {
   const std::size_t n = qt.rows();
   relkit::detail::require(qt.cols() == n, "ad_steady_state: Q^T must be square");
   relkit::detail::require(diag.size() == n, "ad_steady_state: diag size mismatch");
@@ -114,22 +113,17 @@ AdResult ad_steady_state(const SparseMatrix& qt,
   }
 
   auto& injector = testing::FaultInjector::instance();
-  const auto start = std::chrono::steady_clock::now();
-  const std::size_t max_sweeps = injector.cap("ad.max_sweeps", opts.max_sweeps);
-  const Deadline deadline = ambient_deadline();
   const std::size_t b_count = partition.blocks;
 
   const parallel::PoolLease lease(opts.jobs);
-  obs::Span span("solver.ad");
-  span.set("n", n);
+  SolveBooks books("ad", "ad_steady_state", "solver.ad", n, "ad.max_sweeps",
+                   opts.max_sweeps);
+  obs::Span& span = books.span();
   span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
   span.set("blocks", b_count);
   span.set("max_block", partition.max_block_size);
   span.set("coupling", partition.coupling);
   static obs::Counter& sweeps_counter = obs::counter("markov.ad.sweeps");
-
-  SolveReport report;
-  report.note_attempt("ad");
 
   // Block membership lists and within-block local indices.
   std::vector<std::vector<std::size_t>> members(b_count);
@@ -162,30 +156,10 @@ AdResult ad_steady_state(const SparseMatrix& qt,
   }
 
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  std::vector<double> best;
-  double best_res = std::numeric_limits<double>::infinity();
-
-  auto give_up = [&](const std::string& why,
-                     std::size_t sweep) -> ConvergenceError {
-    report.finish("ad", sweep, best_res, false, start);
-    span.set("sweeps", sweep);
-    span.set("residual", best_res);
-    span.set("converged", false);
-    std::vector<double> partial = best.empty() ? pi : best;
-    return ConvergenceError(why, std::move(partial), report);
-  };
-
   std::vector<double> xi(b_count, 0.0);
-  for (std::size_t sweep = 1; sweep <= max_sweeps; ++sweep) {
+  for (std::size_t sweep = 1; sweep <= books.cap(); ++sweep) {
     sweeps_counter.add();
-    if (deadline.expired()) {
-      report.warn("deadline expired after " + std::to_string(sweep - 1) +
-                  " sweeps");
-      throw give_up("ad_steady_state: deadline expired after " +
-                        std::to_string(sweep - 1) + " sweeps (best residual " +
-                        std::to_string(best_res) + ")",
-                    sweep - 1);
-    }
+    if (books.expired()) throw books.deadline_stop(sweep - 1, "sweep");
 
     // Aggregate: block masses and the B x B coupling generator, weighting
     // inter-block rates by the current conditional distribution.
@@ -211,9 +185,8 @@ AdResult ad_steady_state(const SparseMatrix& qt,
     try {
       agg = gth_steady_state(std::move(coupling));
     } catch (const NumericalError& e) {
-      throw give_up(std::string("ad_steady_state: aggregate solve failed: ") +
-                        e.what(),
-                    sweep);
+      throw books.fail(std::string("aggregate solve failed: ") + e.what(),
+                       sweep);
     }
 
     // Disaggregate, block Gauss-Seidel: each block's censored system uses
@@ -235,15 +208,14 @@ AdResult ad_steady_state(const SparseMatrix& qt,
       try {
         x = lu_solve(block_m[bi], rhs);
       } catch (const NumericalError& e) {
-        throw give_up(std::string("ad_steady_state: block ") +
-                          std::to_string(bi) + " solve failed: " + e.what(),
-                      sweep);
+        throw books.fail("block " + std::to_string(bi) +
+                             " solve failed: " + e.what(),
+                         sweep);
       }
       double total = 0.0;
       for (double& v : x) {
         if (!std::isfinite(v)) {
-          throw give_up("ad_steady_state: block iterate became non-finite",
-                        sweep);
+          throw books.fail("block iterate became non-finite", sweep);
         }
         if (v < 0.0) v = 0.0;
         total += v;
@@ -262,30 +234,16 @@ AdResult ad_steady_state(const SparseMatrix& qt,
     double mass = 0.0;
     for (const double v : pi) mass += v;
     if (!(mass > 0.0) || !std::isfinite(mass)) {
-      throw give_up("ad_steady_state: iterate lost probability mass", sweep);
+      throw books.fail("iterate lost probability mass", sweep);
     }
     for (double& v : pi) v /= mass;
 
     const double res = injector.tap(
         "ad.residual", steady_state_residual(qt, diag, pi, lease.get()));
-    report.convergence.record(sweep, res);
-    if (std::isfinite(res) && res < best_res) {
-      best = pi;
-      best_res = res;
-    }
-    if (res < opts.tol) {
-      report.finish("ad", sweep, res, true, start);
-      span.set("sweeps", sweep);
-      span.set("residual", res);
-      span.set("converged", true);
-      return {pi, sweep, res, partition, std::move(report)};
-    }
+    books.check(sweep, res, pi);
+    if (res < opts.tol) return books.converged(std::move(pi), sweep, res);
   }
-  report.warn("sweep budget exhausted");
-  throw give_up("ad_steady_state: no convergence after " +
-                    std::to_string(max_sweeps) + " sweeps (best residual " +
-                    std::to_string(best_res) + ")",
-                max_sweeps);
+  throw books.cap_stop(books.cap(), "sweep");
 }
 
 }  // namespace relkit::robust

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "common/sparse.hpp"
-#include "robust/report.hpp"
+#include "robust/books.hpp"
 
 namespace relkit::robust {
 
@@ -55,25 +55,17 @@ NcdPartition detect_ncd_blocks(const SparseMatrix& qt,
                                const std::vector<double>& diag,
                                double coupling_threshold);
 
-/// Result of the A/D stationary solve.
-struct AdResult {
-  std::vector<double> pi;
-  std::size_t sweeps = 0;
-  double residual = 0.0;  ///< verified max|pi Q| of the returned iterate
-  NcdPartition partition;
-  SolveReport report;
-};
-
 /// Stationary distribution by Takahashi iterative aggregation-
 /// disaggregation using `partition` (from detect_ncd_blocks). Each sweep
 /// solves the B-block coupling chain by dense GTH, then each block's
 /// censored system by dense LU (block Gauss-Seidel order), so memory is
-/// O(max_block_size^2 + B^2). Honors max_sweeps, the ambient deadline and
-/// the ConvergenceTrace contract; throws ConvergenceError with the best
-/// normalized iterate on non-convergence. Requires partition.blocks >= 2.
-AdResult ad_steady_state(const SparseMatrix& qt,
-                         const std::vector<double>& diag,
-                         const NcdPartition& partition,
-                         const AdOptions& opts = {});
+/// O(max_block_size^2 + B^2). Its `iterations` count sweeps. Honors
+/// max_sweeps, the ambient deadline and the ConvergenceTrace contract;
+/// throws ConvergenceError with the best normalized iterate on
+/// non-convergence. Requires partition.blocks >= 2.
+SteadyResult ad_steady_state(const SparseMatrix& qt,
+                             const std::vector<double>& diag,
+                             const NcdPartition& partition,
+                             const AdOptions& opts = {});
 
 }  // namespace relkit::robust

@@ -18,7 +18,8 @@
 // Since the obs layer landed, SolveReport is no longer a parallel
 // diagnostics mechanism: the robust solvers emit one obs::Span per attempt
 // (carrying the same iterations/residual via span attributes), fill the
-// matching AttemptDetail here from the same instrumentation point, and
+// matching AttemptDetail here from the same instrumentation point (the
+// iterative kernels do both through robust::SolveBooks, books.hpp), and
 // record_last_report() simply retains the final structured summary for
 // last_report() / ConvergenceError consumers.
 #pragma once

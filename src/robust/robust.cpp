@@ -47,19 +47,12 @@ bool clamp_normalize(std::vector<double>& v) {
   return true;
 }
 
-/// What a method hands the runner for verification.
-struct Candidate {
-  std::vector<double> pi;
-  std::size_t iterations = 0;
-  ConvergenceTrace convergence;  ///< empty for a direct method
-};
-
 /// One entry of the fallback chain. The runner evaluates `gate` (empty =
 /// always run) only when it reaches the entry, so a gate's own cost (the
 /// NCD detector) is paid only after every earlier entry failed. `run`
-/// returns a candidate or throws: a ConvergenceError's partial competes for
-/// the best-partial slot, a plain NumericalError is a direct method's
-/// diagnosis.
+/// returns a candidate for verification or throws: a ConvergenceError's
+/// partial competes for the best-partial slot, a plain NumericalError is a
+/// direct method's diagnosis.
 struct Attempt {
   std::string label;  ///< attempt name in the report, span and warnings
   const char* probe;  ///< FaultInjector::fail_method name
@@ -67,7 +60,7 @@ struct Attempt {
   /// entry fails and another follows; nullptr for GTH, which never checks.
   const char* stage;
   std::function<bool()> gate;
-  std::function<Candidate()> run;
+  std::function<SteadyResult()> run;
 
   Attempt gated(std::function<bool()> g) const {
     Attempt a = *this;
@@ -186,7 +179,7 @@ void repair_distribution(std::vector<double>& v, SolveReport& report,
   for (double& x : v) x /= total;
 }
 
-RobustResult robust_steady_state(const SparseMatrix& qt,
+SteadyResult robust_steady_state(const SparseMatrix& qt,
                                  const std::vector<double>& diag,
                                  const RobustSteadyOptions& opts) {
   const std::size_t n = qt.rows();
@@ -219,7 +212,7 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
   if (n == 1) {
     report.note_attempt("trivial");
     report.finish("trivial", 0, 0.0, true, start);
-    return {{1.0}, report};
+    return {{1.0}, 0, 0.0, report};
   }
 
   const double rate_scale = std::max({1.0, qt.max_abs(), [&] {
@@ -262,7 +255,7 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
   // it was rejected and keeps it as a partial-result candidate.
   auto accept = [&](std::vector<double> pi, const std::string& method,
                     std::size_t iterations, obs::Span& span)
-      -> std::optional<RobustResult> {
+      -> std::optional<SteadyResult> {
     report.iterations += iterations;
     if (!all_finite(pi)) {
       report.warn(method + ": produced non-finite entries; rejected");
@@ -293,7 +286,7 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
     solve_span.set("residual", res);
     solve_span.set("converged", true);
     record_last_report(report);
-    return RobustResult{std::move(pi), report};
+    return SteadyResult{std::move(pi), report.iterations, res, report};
   };
 
   auto total_failure = [&](const std::string& why) -> ConvergenceError {
@@ -319,7 +312,7 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
   // last direct-method error (GTH's "chain is reducible").
   std::string prev_method;
   std::string diagnosis;
-  auto run_attempt = [&](const Attempt& a) -> std::optional<RobustResult> {
+  auto run_attempt = [&](const Attempt& a) -> std::optional<SteadyResult> {
     obs::Span span("robust.attempt");
     report.note_attempt(a.label);
     span.set("method", a.label);
@@ -334,11 +327,11 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
       return std::nullopt;
     }
     try {
-      Candidate c = a.run();
+      SteadyResult r = a.run();
       // An accepted attempt's trajectory is the solve's; a rejected one's
       // is overwritten by the next attempt.
-      report.convergence = std::move(c.convergence);
-      return accept(std::move(c.pi), a.label, c.iterations, span);
+      report.convergence = std::move(r.report.convergence);
+      return accept(std::move(r.pi), a.label, r.iterations, span);
     } catch (const ConvergenceError& e) {
       report.iterations += e.report().iterations;
       report.convergence = e.report().convergence;
@@ -362,57 +355,44 @@ RobustResult robust_steady_state(const SparseMatrix& qt,
     if (o.jobs == 0) o.jobs = opts.jobs;
     return o;
   };
-  const auto sor_run = [&](SorOptions o) {
-    return [&qt, &diag, o] {
-      SorResult r = sor_steady_state(qt, diag, o);
-      return Candidate{std::move(r.pi), r.iterations,
-                       std::move(r.report.convergence)};
-    };
-  };
-  const auto bicgstab_run = [&](Preconditioner precond) {
-    BicgstabOptions o = inherit(opts.bicgstab);
-    o.precond = precond;
-    return [&qt, &diag, o] {
-      BicgstabResult r = bicgstab_steady_state(qt, diag, o);
-      return Candidate{std::move(r.pi), r.iterations,
-                       std::move(r.report.convergence)};
-    };
-  };
   const SorOptions sor_opts = inherit(opts.sor);
   // Plain Gauss-Seidel: stiff chains sometimes tolerate no omega > 1 at
   // all, and the adaptive probe can have burned sweeps before settling.
   SorOptions reset_opts = sor_opts;
   reset_opts.omega = 1.0;
   reset_opts.adaptive_omega = false;
+  const BicgstabOptions bicgstab_opts = inherit(opts.bicgstab);
+  // ILU0 can be a poor factor for chains with wildly unbalanced rates;
+  // plain diagonal scaling sometimes still converges.
+  BicgstabOptions jacobi_opts = bicgstab_opts;
+  jacobi_opts.precond = Preconditioner::kJacobi;
+  const AdOptions ad_opts = inherit(opts.ncd);
+  const PowerOptions power_opts = inherit(opts.power);
   NcdPartition part;  // written by the A/D gate, read by its run
   const auto detect_ncd = [&] {
     part = detect_ncd_blocks(qt, diag, opts.ncd.coupling_threshold);
   };
 
   const Attempt gth{"gth", "gth", nullptr, {}, [&] {
-    return Candidate{gth_steady_state(densify(qt, diag)), n, {}};
+    return SteadyResult{gth_steady_state(densify(qt, diag)), n, 0.0, {}};
   }};
-  const Attempt sor{"sor", "sor", "sor", {}, sor_run(sor_opts)};
-  const Attempt sor_reset{"sor(omega-reset)", "sor", "sor retry", {},
-                          sor_run(reset_opts)};
-  const Attempt ad{"ad", "ad", "ad", {}, [&, ad_opts = inherit(opts.ncd)] {
-    AdResult r = ad_steady_state(qt, diag, part, ad_opts);
-    return Candidate{std::move(r.pi), r.sweeps,
-                     std::move(r.report.convergence)};
+  const Attempt sor{"sor", "sor", "sor", {},
+                    [&] { return sor_steady_state(qt, diag, sor_opts); }};
+  const Attempt sor_reset{"sor(omega-reset)", "sor", "sor retry", {}, [&] {
+    return sor_steady_state(qt, diag, reset_opts);
   }};
-  const Attempt bicgstab{"bicgstab", "bicgstab", "bicgstab", {},
-                         bicgstab_run(opts.bicgstab.precond)};
-  // ILU0 can be a poor factor for chains with wildly unbalanced rates;
-  // plain diagonal scaling sometimes still converges.
+  const Attempt ad{"ad", "ad", "ad", {},
+                   [&] { return ad_steady_state(qt, diag, part, ad_opts); }};
+  const Attempt bicgstab{"bicgstab", "bicgstab", "bicgstab", {}, [&] {
+    return bicgstab_steady_state(qt, diag, bicgstab_opts);
+  }};
   const Attempt bicgstab_jacobi{"bicgstab(jacobi)", "bicgstab",
-                                "bicgstab retry", {},
-                                bicgstab_run(Preconditioner::kJacobi)};
-  const Attempt power{"power", "power", "power", {},
-                      [&, power_opts = inherit(opts.power)] {
-    PowerResult r =
-        power_steady_state(uniformize(qt, diag).pt.transposed(), power_opts);
-    return Candidate{std::move(r.pi), r.iterations,
-                     std::move(r.report.convergence)};
+                                "bicgstab retry", {}, [&] {
+    return bicgstab_steady_state(qt, diag, jacobi_opts);
+  }};
+  const Attempt power{"power", "power", "power", {}, [&] {
+    return power_steady_state(uniformize(qt, diag).pt.transposed(),
+                              power_opts);
   }};
 
   // ---- the chain -----------------------------------------------------------

@@ -125,18 +125,16 @@ struct RobustSteadyOptions {
   unsigned jobs = 0;
 };
 
-/// Result of a resilient solve: the distribution plus full diagnostics.
-struct RobustResult {
-  std::vector<double> pi;
-  SolveReport report;
-};
+/// Result of a resilient solve: the distribution, the iterations of every
+/// attempt, the verified residual and the full diagnostics.
+using RobustResult = SteadyResult;
 
 /// Stationary distribution of an irreducible CTMC given the *transposed*
 /// generator (row i of `qt` = column i of Q, off-diagonal entries only) and
 /// the diagonal of Q. Runs the verified fallback chain described above.
 /// Throws NumericalError if the generator contains non-finite entries and
 /// ConvergenceError (best partial + report) if every method fails.
-RobustResult robust_steady_state(const SparseMatrix& qt,
+SteadyResult robust_steady_state(const SparseMatrix& qt,
                                  const std::vector<double>& diag,
                                  const RobustSteadyOptions& opts = {});
 

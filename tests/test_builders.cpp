@@ -106,6 +106,23 @@ TEST(TransientSensitivity, ConvergesToSteadyStateSensitivity) {
   EXPECT_NEAR(s_t[0], s_inf[0], 1e-8);
 }
 
+// Past the RK4 step cap the step grows with t; once it leaves RK4's
+// stability interval the integration would return NaN, so the solver
+// refuses that horizon up front. A capped but stable horizon still matches
+// the stationary sensitivity.
+TEST(TransientSensitivity, RefusesHorizonsPastRk4Stability) {
+  const Ctmc c = two_state_availability(1000.0, 1000.0);
+  Matrix dq(2, 2);  // d/d(up -> down rate)
+  dq(0, 0) = -1.0;
+  dq(0, 1) = 1.0;
+  EXPECT_THROW(transient_sensitivity(c, dq, c.point_mass(0), 1e4),
+               NumericalError);
+  const auto s_t = transient_sensitivity(c, dq, c.point_mass(0), 1000.0);
+  const auto s_inf = steady_state_sensitivity(c, dq);
+  EXPECT_NEAR(s_t[0], s_inf[0], 1e-9);
+  EXPECT_NEAR(s_t[1], s_inf[1], 1e-9);
+}
+
 TEST(TransientSensitivity, ZeroAtTimeZeroAndValidation) {
   const Ctmc c = two_state_availability(1.0, 1.0);
   Matrix dq(2, 2);

@@ -326,7 +326,7 @@ TEST(Power, DtmcStationaryMatchesGth) {
   SparseBuilder b(3, 3);
   for (std::size_t r = 0; r < 3; ++r)
     for (std::size_t c = 0; c < 3; ++c) b.add(r, c, p(r, c));
-  const auto pi_pow = power_steady_state(b.build());
+  const auto pi_pow = power_steady_state(b.build()).pi;
   const auto pi_gth = gth_steady_state_dtmc(p);
   for (int i = 0; i < 3; ++i) EXPECT_NEAR(pi_pow[i], pi_gth[i], 1e-10);
 }

@@ -2,9 +2,10 @@
 // (bandwidth recovery, permutation algebra), the preconditioned BiCGSTAB
 // kernel (closed-form agreement on a large birth-death chain, the
 // deadline-mid-Krylov contract, iteration-cap exhaustion), the NCD
-// detector / aggregation-disaggregation budget contract, the auto chain on
-// a drifted birth-death family, and the thread-local / process-wide
-// solver-choice plumbing. Cross-solver statistical agreement lives in
+// detector / aggregation-disaggregation budget contract, the books every
+// iterative kernel keeps on each exit, the auto chain on a drifted
+// birth-death family, and the thread-local / process-wide solver-choice
+// plumbing. Cross-solver statistical agreement lives in
 // test_solver_agreement.cpp; whole-chain fallback behavior in
 // test_robustness.cpp.
 #include <gtest/gtest.h>
@@ -12,7 +13,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,7 +25,9 @@
 #include "common/linsolve.hpp"
 #include "common/reorder.hpp"
 #include "common/sparse.hpp"
+#include "obs/obs.hpp"
 #include "robust/budget.hpp"
+#include "robust/fault_injection.hpp"
 #include "robust/ncd.hpp"
 #include "robust/report.hpp"
 #include "robust/robust.hpp"
@@ -62,11 +68,12 @@ std::vector<double> birth_death_closed_form(std::size_t n, double lam,
 }
 
 // Planted NCD system: `blocks` strongly-mixing birth-death blocks of
-// `block_size` states (rates ~1) whose first states are coupled in a ring
-// at `weak`.
+// `block_size` states (rates ~1) coupled in a ring at `weak`, from state
+// `link` of each block to the first state of the next. With link = 0 each
+// block is entered at its first state only, and A/D converges in one sweep.
 void planted_ncd_system(std::size_t blocks, std::size_t block_size,
                         double weak, SparseMatrix& qt,
-                        std::vector<double>& diag) {
+                        std::vector<double>& diag, std::size_t link = 0) {
   const std::size_t n = blocks * block_size;
   SparseBuilder b(n, n);
   diag.assign(n, 0.0);
@@ -81,8 +88,30 @@ void planted_ncd_system(std::size_t blocks, std::size_t block_size,
       edge(base + i + 1, base + i, 1.5);
     }
     const std::size_t next = ((blk + 1) % blocks) * block_size;
-    edge(base, next, weak);
-    edge(next, base, weak);
+    edge(base + link, next, weak);
+    edge(next, base + link, weak);
+  }
+  qt = b.build();
+}
+
+// Product-form k x k grid with mildly state-dependent rates (the chain
+// test_obs prices kernel traffic on).
+void grid_system(std::size_t k, SparseMatrix& qt, std::vector<double>& diag) {
+  const std::size_t n = k * k;
+  SparseBuilder b(n, n);
+  diag.assign(n, 0.0);
+  const auto edge = [&](std::size_t from, std::size_t to, double rate) {
+    b.add(to, from, rate);  // qt(to, from) = Q(from, to)
+    diag[from] -= rate;
+  };
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t s = i * k + j;
+      if (i + 1 < k) edge(s, s + k, 0.7 + 0.001 * j);
+      if (i > 0) edge(s, s - k, 1.1);
+      if (j + 1 < k) edge(s, s + 1, 0.5 + 0.002 * i);
+      if (j > 0) edge(s, s - 1, 0.9);
+    }
   }
   qt = b.build();
 }
@@ -271,6 +300,27 @@ TEST(Bicgstab, IterationCapThrowsWithBestIterate) {
   }
 }
 
+// A solve that runs to its cap files its final verified check under the
+// iterations its loop ran and reports that count. The drifted chain stalls
+// well above tol (see DriftedBirthDeath below).
+TEST(Bicgstab, CappedSolveEndsTrajectoryAtItsIterations) {
+  SparseMatrix qt;
+  std::vector<double> diag;
+  birth_death_system(210, 0.7, 1.1, qt, diag);
+  BicgstabOptions opts;
+  opts.max_iters = 100;
+  opts.jobs = 1;
+  try {
+    bicgstab_steady_state(qt, diag, opts);
+    FAIL() << "the drifted chain does not converge in 100 iterations";
+  } catch (const robust::ConvergenceError& e) {
+    const auto samples = e.report().convergence.samples();
+    ASSERT_FALSE(samples.empty());
+    EXPECT_EQ(e.report().iterations, 100u);
+    EXPECT_EQ(samples.back().iteration, e.report().iterations);
+  }
+}
+
 // ---- NCD detection and aggregation-disaggregation --------------------------
 
 TEST(Ncd, DetectorFindsPlantedBlocks) {
@@ -322,11 +372,106 @@ TEST(Ncd, AdSolvesPlantedSystemFast) {
   std::vector<double> diag;
   planted_ncd_system(4, 6, 1e-5, qt, diag);
   const robust::NcdPartition part = robust::detect_ncd_blocks(qt, diag, 0.05);
-  const robust::AdResult r = robust::ad_steady_state(qt, diag, part);
+  const robust::SteadyResult r = robust::ad_steady_state(qt, diag, part);
   EXPECT_LT(r.residual, 1e-10);
-  EXPECT_LE(r.sweeps, 10u) << "NCD coupling 1e-5 should converge in a few "
-                              "sweeps, took " << r.sweeps;
+  EXPECT_LE(r.iterations, 10u) << "NCD coupling 1e-5 should converge in a "
+                                  "few sweeps, took " << r.iterations;
   EXPECT_TRUE(r.report.converged);
+}
+
+// ---- one set of books -------------------------------------------------------
+
+// SOR, power, BiCGSTAB and A/D keep one set of books. Each runs three ways:
+// to convergence, with its cap probe clamped to 1, and under an expired
+// deadline. On every exit its span carries n, iterations, residual and
+// converged, the span's iterations are the report's, and the report holds
+// its one attempt; a failure's message starts with the kernel's name and
+// its partial has n finite entries.
+TEST(SolveBooks, EveryKernelExitKeepsTheSameBooks) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out (RELKIT_OBS=OFF)";
+  SparseMatrix grid_qt, ncd_qt;
+  std::vector<double> grid_diag, ncd_diag;
+  grid_system(40, grid_qt, grid_diag);
+  planted_ncd_system(4, 6, 1e-2, ncd_qt, ncd_diag, 5);
+  const SparseMatrix p =
+      robust::uniformize(grid_qt, grid_diag).pt.transposed();
+  const robust::NcdPartition part =
+      robust::detect_ncd_blocks(ncd_qt, ncd_diag, 0.05);
+  SorOptions sor;
+  sor.jobs = 1;
+  PowerOptions power;
+  power.jobs = 1;
+  BicgstabOptions bicgstab;
+  bicgstab.jobs = 1;
+  robust::AdOptions ad;
+  ad.jobs = 1;
+
+  struct Kernel {
+    const char* function;
+    const char* span;
+    const char* cap_probe;
+    std::size_t n;
+    std::function<robust::SteadyResult()> run;
+  };
+  const Kernel kernels[] = {
+      {"sor_steady_state", "solver.sor", "sor.max_iters", grid_qt.rows(),
+       [&] { return sor_steady_state(grid_qt, grid_diag, sor); }},
+      {"power_steady_state", "solver.power", "power.max_iters", p.rows(),
+       [&] { return power_steady_state(p, power); }},
+      {"bicgstab_steady_state", "solver.bicgstab", "bicgstab.max_iters",
+       grid_qt.rows(),
+       [&] { return bicgstab_steady_state(grid_qt, grid_diag, bicgstab); }},
+      {"ad_steady_state", "solver.ad", "ad.max_sweeps", ncd_qt.rows(),
+       [&] { return robust::ad_steady_state(ncd_qt, ncd_diag, part, ad); }},
+  };
+  enum class Exit { kConverged, kCapped, kDeadline };
+  for (const Kernel& k : kernels) {
+    for (const Exit exit : {Exit::kConverged, Exit::kCapped, Exit::kDeadline}) {
+      SCOPED_TRACE(std::string(k.function) + ", exit " +
+                   std::to_string(static_cast<int>(exit)));
+      relkit::testing::FaultInjectionScope injector;
+      if (exit == Exit::kCapped) injector->clamp_iterations(k.cap_probe, 1);
+      std::optional<robust::ScopedDeadline> deadline;
+      if (exit == Exit::kDeadline) {
+        deadline.emplace(robust::Deadline::after_seconds(-1.0));
+      }
+      auto ring = std::make_shared<obs::RingBufferSink>(1 << 10);
+      obs::set_enabled(true);
+      obs::Tracer::instance().add_sink(ring);
+      robust::SolveReport report;
+      try {
+        const robust::SteadyResult r = k.run();
+        EXPECT_EQ(exit, Exit::kConverged);
+        EXPECT_TRUE(r.report.converged);
+        EXPECT_EQ(r.pi.size(), k.n);
+        EXPECT_EQ(r.iterations, r.report.iterations);
+        report = r.report;
+      } catch (const robust::ConvergenceError& e) {
+        EXPECT_NE(exit, Exit::kConverged) << e.what();
+        EXPECT_EQ(std::string(e.what()).rfind(k.function, 0), 0u) << e.what();
+        EXPECT_FALSE(e.report().converged);
+        ASSERT_EQ(e.partial_result().size(), k.n);
+        for (const double v : e.partial_result()) ASSERT_TRUE(std::isfinite(v));
+        report = e.report();
+      }
+      obs::Tracer::instance().remove_sink(ring);
+      obs::set_enabled(false);
+
+      EXPECT_EQ(report.attempt_details.size(), 1u);
+      const std::vector<obs::SpanRecord> records = ring->snapshot();
+      const auto span = std::find_if(
+          records.begin(), records.end(),
+          [&](const obs::SpanRecord& r) { return r.name == k.span; });
+      ASSERT_NE(span, records.end()) << "no " << k.span << " span";
+      for (const char* key : {"n", "iterations", "residual", "converged"}) {
+        ASSERT_NE(span->attr(key), nullptr) << k.span << " has no " << key;
+      }
+      EXPECT_EQ(*span->attr("n"), std::to_string(k.n));
+      EXPECT_EQ(*span->attr("iterations"), std::to_string(report.iterations));
+      EXPECT_EQ(*span->attr("converged"),
+                exit == Exit::kConverged ? "true" : "false");
+    }
+  }
 }
 
 // ---- residual --------------------------------------------------------------

@@ -635,8 +635,8 @@ TEST(Profile, TableRendersGbpsFromBytesAttrs) {
 }
 
 // Each sparse kernel prices its memory traffic from sizes alone. On a
-// 40 x 40 grid at jobs 2, every markov.matvec, solver.bicgstab and
-// solver.sor span carries the `bytes` of the formulas in
+// 40 x 40 grid at jobs 2, every markov.matvec, solver.bicgstab, solver.sor
+// and solver.power span carries the `bytes` of the formulas in
 // docs/observability.md, and build_profile sums them into the rows.
 TEST(Profile, KernelSpansCarryDocumentedBytes) {
   RELKIT_REQUIRE_OBS_COMPILED_IN();
@@ -745,6 +745,24 @@ TEST(Profile, KernelSpansCarryDocumentedBytes) {
   EXPECT_EQ(profile.row("solver.sor")->bytes, attr(*sor, "bytes"));
   EXPECT_NE(obs::render_profile_table(profile).find("GB/s"),
             std::string::npos);
+
+  // solver.power, traced on its own so the products above stay BiCGSTAB's:
+  // per step a pass over P^T and 8 vector streams.
+  auto power_ring = std::make_shared<obs::RingBufferSink>(1 << 14);
+  obs::Tracer::instance().add_sink(power_ring);
+  robust::RobustSteadyOptions power_opts;
+  power_opts.solver = robust::SolverChoice::kPower;
+  power_opts.jobs = 2;
+  robust::robust_steady_state(qt, diag, power_opts);
+  obs::Tracer::instance().remove_sink(power_ring);
+  const std::vector<obs::SpanRecord> power_records = power_ring->snapshot();
+  const auto power = std::find_if(
+      power_records.begin(), power_records.end(),
+      [](const obs::SpanRecord& r) { return r.name == "solver.power"; });
+  ASSERT_NE(power, power_records.end());
+  const std::uint64_t step =
+      robust::uniformize(qt, diag).pt.pass_bytes() + 8 * vec;
+  EXPECT_EQ(attr(*power, "bytes"), attr(*power, "iterations") * step);
 }
 
 // ---- convergence telemetry -------------------------------------------------
