@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/linsolve.hpp"
@@ -15,75 +18,121 @@ namespace relkit {
 
 namespace {
 
-/// ILU0 factors of a CSR matrix, stored in place on the matrix's own
-/// pattern: strictly-lower entries are L (unit diagonal implied), the
-/// diagonal and strictly-upper entries are U.
+/// ILU0 factors in split storage (Saad, *Iterative Methods for Sparse
+/// Linear Systems*, 2nd ed., ch. 10), laid out in the order the triangular
+/// solves walk them: L's strictly-lower rows first to last (unit diagonal
+/// implied), U's strictly-upper rows last to first, U's diagonal (the
+/// pivots) in an array of its own, and 32-bit column indices. Each solve
+/// streams its arrays front to back.
 struct Ilu0 {
-  SparseMatrix lu;
-  std::vector<std::size_t> diag_idx;  ///< position of (i, i) in lu
+  std::vector<std::size_t> l_ptr;  ///< row i of L: [l_ptr[i], l_ptr[i + 1])
+  std::vector<std::uint32_t> l_col;
+  std::vector<double> l_val;
+  /// Row n - 1 - j of U, the j-th the backward solve visits, is
+  /// [u_ptr[j], u_ptr[j + 1]).
+  std::vector<std::size_t> u_ptr;
+  std::vector<std::uint32_t> u_col;
+  std::vector<double> u_val;
+  std::vector<double> pivot;  ///< U(i, i) as factored, never nudged
 
-  /// z = M^{-1} r via the two triangular solves (inherently sequential).
-  void apply(const std::vector<double>& r, std::vector<double>& z) const {
-    const std::size_t n = lu.rows();
+  /// Bytes one application reads from the factor (docs/observability.md).
+  std::size_t pass_bytes() const {
+    return (l_val.size() + u_val.size()) *
+               (sizeof(double) + sizeof(std::uint32_t)) +
+           (l_ptr.size() + u_ptr.size()) * sizeof(std::size_t) +
+           pivot.size() * sizeof(double);
+  }
+
+  /// z = M^{-1} b via the two triangular solves (inherently sequential).
+  /// b[i] = in(i) is generated inside the forward solve, so an update that
+  /// produces b rides along in the same pass.
+  template <class In>
+  void apply(const In& in, std::vector<double>& z) const {
+    const std::size_t n = pivot.size();
     for (std::size_t i = 0; i < n; ++i) {
-      double acc = r[i];
-      for (std::size_t k = lu.row_begin(i); k < diag_idx[i]; ++k) {
-        acc -= lu.value(k) * z[lu.col(k)];
+      double acc = in(i);
+      for (std::size_t k = l_ptr[i]; k < l_ptr[i + 1]; ++k) {
+        acc -= l_val[k] * z[l_col[k]];
       }
       z[i] = acc;
     }
-    for (std::size_t i = n; i-- > 0;) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t i = n - 1 - j;
       double acc = z[i];
-      for (std::size_t k = diag_idx[i] + 1; k < lu.row_end(i); ++k) {
-        acc -= lu.value(k) * z[lu.col(k)];
+      for (std::size_t k = u_ptr[j]; k < u_ptr[j + 1]; ++k) {
+        acc -= u_val[k] * z[u_col[k]];
       }
-      z[i] = acc / lu.value(diag_idx[i]);
+      z[i] = acc / pivot[i];
     }
   }
 };
 
-/// Incomplete LU with zero fill-in (IKJ form restricted to the pattern of
-/// `a`). Near-zero pivots are nudged to a tiny value instead of failing:
-/// the factor is only a preconditioner, and BiCGSTAB verifies the true
-/// residual anyway.
+/// Incomplete LU with zero fill-in: the IKJ sweep restricted to the pattern
+/// of `a`, written straight into split form. Row i is factored in `w`,
+/// indexed through `pos` (column -> slot in the row), against the finished
+/// U rows of earlier pivots. Near-zero pivots are nudged to a tiny value in
+/// the multiplier instead of failing: the factor is only a preconditioner,
+/// and BiCGSTAB verifies the true residual anyway.
 Ilu0 ilu0_factor(const SparseMatrix& a) {
   const std::size_t n = a.rows();
+  detail::require(n <= std::numeric_limits<std::uint32_t>::max(),
+                  "ilu0_factor: too many states for 32-bit column indices");
+  // ILU0 keeps A's pattern, so the diagonal's place in each (ascending) row
+  // sizes the row's L and U parts before any value is computed.
   Ilu0 f;
-  f.lu = a;
-  f.diag_idx.assign(n, 0);
+  f.l_ptr.assign(n + 1, 0);
+  f.u_ptr.assign(n + 1, 0);
+  std::size_t widest = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    bool found = false;
-    for (std::size_t k = a.row_begin(i); k < a.row_end(i); ++k) {
-      if (a.col(k) == i) {
-        f.diag_idx[i] = k;
-        found = true;
-        break;
-      }
-    }
-    detail::require(found, "ilu0_factor: structurally zero diagonal");
+    std::size_t d = a.row_begin(i);
+    while (d < a.row_end(i) && a.col(d) != i) ++d;
+    detail::require(d < a.row_end(i),
+                    "ilu0_factor: structurally zero diagonal");
+    f.l_ptr[i + 1] = f.l_ptr[i] + (d - a.row_begin(i));
+    f.u_ptr[n - i] = a.row_end(i) - d - 1;  // U's row i is visited as n-1-i
+    widest = std::max(widest, a.row_end(i) - a.row_begin(i));
   }
+  for (std::size_t j = 0; j < n; ++j) f.u_ptr[j + 1] += f.u_ptr[j];
+  f.l_col.resize(f.l_ptr[n]);
+  f.l_val.resize(f.l_ptr[n]);
+  f.u_col.resize(f.u_ptr[n]);
+  f.u_val.resize(f.u_ptr[n]);
+  f.pivot.resize(n);
+
+  std::vector<double> w(widest);
   std::vector<std::ptrdiff_t> pos(n, -1);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = f.lu.row_begin(i); k < f.lu.row_end(i); ++k) {
-      pos[f.lu.col(k)] = static_cast<std::ptrdiff_t>(k);
+    const std::size_t begin = a.row_begin(i);
+    const std::size_t width = a.row_end(i) - begin;
+    const std::size_t lower = f.l_ptr[i + 1] - f.l_ptr[i];  // the pivot's slot
+    for (std::size_t s = 0; s < width; ++s) {
+      pos[a.col(begin + s)] = static_cast<std::ptrdiff_t>(s);
+      w[s] = a.value(begin + s);
     }
-    for (std::size_t kk = f.lu.row_begin(i); kk < f.diag_idx[i]; ++kk) {
-      const std::size_t kcol = f.lu.col(kk);
-      double pivot = f.lu.value(f.diag_idx[kcol]);
+    for (std::size_t s = 0; s < lower; ++s) {
+      const std::size_t kcol = a.col(begin + s);
+      double pivot = f.pivot[kcol];
       if (std::abs(pivot) < 1e-300) pivot = pivot < 0.0 ? -1e-300 : 1e-300;
-      const double lik = f.lu.value(kk) / pivot;
-      f.lu.value(kk) = lik;
-      for (std::size_t jj = f.diag_idx[kcol] + 1; jj < f.lu.row_end(kcol);
-           ++jj) {
-        const std::ptrdiff_t p = pos[f.lu.col(jj)];
-        if (p >= 0) {
-          f.lu.value(static_cast<std::size_t>(p)) -= lik * f.lu.value(jj);
-        }
+      const double lik = w[s] / pivot;
+      w[s] = lik;
+      const std::size_t j = n - 1 - kcol;
+      for (std::size_t k = f.u_ptr[j]; k < f.u_ptr[j + 1]; ++k) {
+        const std::ptrdiff_t p = pos[f.u_col[k]];
+        if (p >= 0) w[static_cast<std::size_t>(p)] -= lik * f.u_val[k];
       }
     }
-    for (std::size_t k = f.lu.row_begin(i); k < f.lu.row_end(i); ++k) {
-      pos[f.lu.col(k)] = -1;
+    std::size_t l = f.l_ptr[i];
+    for (std::size_t s = 0; s < lower; ++s, ++l) {
+      f.l_col[l] = static_cast<std::uint32_t>(a.col(begin + s));
+      f.l_val[l] = w[s];
     }
+    f.pivot[i] = w[lower];
+    std::size_t u = f.u_ptr[n - 1 - i];
+    for (std::size_t s = lower + 1; s < width; ++s, ++u) {
+      f.u_col[u] = static_cast<std::uint32_t>(a.col(begin + s));
+      f.u_val[u] = w[s];
+    }
+    for (std::size_t s = 0; s < width; ++s) pos[a.col(begin + s)] = -1;
   }
   return f;
 }
@@ -159,27 +208,43 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
 
   // A x = b: rows 0..n-2 are the permuted equations (pi Q)_i = 0 (row i of
   // qt *is* equation i: A(i, j) = Q(j, i)); the last row is sum(pi) = 1.
+  // The rows are written in order, straight into CSR: each sorts its few
+  // permuted columns, and zeros stay out, as SparseBuilder would leave them.
   const std::size_t norm_row = n - 1;
-  SparseBuilder builder(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i == norm_row) continue;
+  std::vector<std::size_t> a_ptr(n + 1, 0);
+  std::vector<std::size_t> a_col;
+  std::vector<double> a_val;
+  a_col.reserve(qt.nnz() + 2 * n);
+  a_val.reserve(qt.nnz() + 2 * n);
+  std::vector<std::pair<std::size_t, double>> row;
+  for (std::size_t i = 0; i < norm_row; ++i) {
     const std::size_t old = perm[i];
     double d = diag[old];
+    row.clear();
     for (std::size_t k = qt.row_begin(old); k < qt.row_end(old); ++k) {
       const std::size_t c = qt.col(k);
       if (c == old) {
         d += qt.value(k);  // fold stray diagonal entries into diag
-      } else {
-        builder.add(i, inv[c], qt.value(k));
+      } else if (qt.value(k) != 0.0) {
+        row.emplace_back(inv[c], qt.value(k));
       }
     }
-    builder.add(i, i, d);
+    if (d != 0.0) row.emplace_back(i, d);
+    std::sort(row.begin(), row.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [c, value] : row) {
+      a_col.push_back(c);
+      a_val.push_back(value);
+    }
+    a_ptr[i + 1] = a_col.size();
   }
-  for (std::size_t j = 0; j < n; ++j) builder.add(norm_row, j, 1.0);
-  const SparseMatrix a = builder.build();
-
-  std::vector<double> rhs(n, 0.0);
-  rhs[norm_row] = 1.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    a_col.push_back(j);
+    a_val.push_back(1.0);
+  }
+  a_ptr[n] = a_col.size();
+  const SparseMatrix a(n, n, std::move(a_ptr), std::move(a_col),
+                       std::move(a_val));
 
   // Preconditioner setup.
   Ilu0 ilu;
@@ -193,31 +258,33 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
       if (d != 0.0) jacobi_diag[i] = d;
     }
   }
-  auto apply_precond = [&](const std::vector<double>& r,
-                           std::vector<double>& z) {
+  // z = M^{-1} b, where b[i] = in(i) is generated row by row: the p and s
+  // updates run inside the preconditioner's first pass this way.
+  const auto apply_precond = [&](const auto& in, std::vector<double>& z) {
     switch (opts.precond) {
       case Preconditioner::kIlu0:
-        ilu.apply(r, z);
+        ilu.apply(in, z);
         break;
       case Preconditioner::kJacobi:
-        for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / jacobi_diag[i];
+        for (std::size_t i = 0; i < n; ++i) z[i] = in(i) / jacobi_diag[i];
         break;
     }
   };
 
   // Bytes the solve streams, for the span's `bytes` attribute
   // (docs/observability.md). An iteration is two products with A, two
-  // preconditioner applications (ILU0 adds a pass over its factors, which
-  // share A's pattern; both read r and one more vector and write z) and 20
-  // vector streams in the updates and dot products. A residual check is a
-  // pass over Q^T reading diag and the candidate.
+  // preconditioner applications and 19 vector streams in the fused updates
+  // and dot products. An ILU0 application reads its split factor, writes z
+  // and reads and rewrites it backward; a Jacobi one reads the diagonal and
+  // writes z. A residual check is a pass over Q^T reading diag and the
+  // candidate.
   const std::size_t vec_bytes = n * sizeof(double);
   const std::size_t precond_bytes =
-      (opts.precond == Preconditioner::kIlu0 ? a.pass_bytes() : 0) +
-      3 * vec_bytes;
+      opts.precond == Preconditioner::kIlu0 ? ilu.pass_bytes() + 3 * vec_bytes
+                                            : 2 * vec_bytes;
   const std::size_t iteration_bytes =
       2 * (a.pass_bytes() + 2 * vec_bytes) + 2 * precond_bytes +
-      20 * vec_bytes;
+      19 * vec_bytes;
   const std::size_t check_bytes = qt.pass_bytes() + 2 * vec_bytes;
   auto residual = [&](const std::vector<double>& pi) {
     books.add_bytes(check_bytes);
@@ -243,15 +310,20 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
     return true;
   };
 
+  // Every vector is allocated here once: the products write into v and t.
   std::vector<double> x(n, 1.0 / static_cast<double>(n));  // uniform start
-  std::vector<double> r(n), candidate(n);
-  {
-    const std::vector<double> ax = a.multiply(x, lease.get());
-    for (std::size_t i = 0; i < n; ++i) r[i] = rhs[i] - ax[i];
-  }
-  std::vector<double> r0 = r;
+  std::vector<double> r(n), r0(n), candidate(n);
   std::vector<double> p(n, 0.0), v(n, 0.0), s(n), t(n);
   std::vector<double> phat(n), shat(n);
+  // r = b - A x with r0 = r, and rho = r0 . r in the same pass; t holds A x
+  // until the first product into it.
+  a.multiply(x, t, lease.get());
+  double rho_next = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = (i == norm_row ? 1.0 : 0.0) - t[i];
+    r0[i] = r[i];
+    rho_next += r0[i] * r[i];
+  }
   double rho = 1.0, alpha = 1.0, omega = 1.0;
 
   if (normalized_candidate(x, candidate)) {
@@ -274,15 +346,10 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
   };
 
   const double kBreakdown = 1e-300;
-  double rnorm = 0.0;
-  for (const double ri : r) rnorm = std::max(rnorm, std::abs(ri));
-
   std::size_t it = 1;
   for (; it <= books.cap(); ++it) {
     iters_counter.add();
     books.add_bytes(iteration_bytes);
-    double rho_next = 0.0;
-    for (std::size_t i = 0; i < n; ++i) rho_next += r0[i] * r[i];
     if (std::abs(rho_next) < kBreakdown) {
       // r0 became orthogonal to r: restart the recurrence from the current
       // residual (standard BiCGSTAB restart).
@@ -299,11 +366,12 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
       std::fill(v.begin(), v.end(), 0.0);
     }
     const double beta = (rho_next / rho) * (alpha / omega);
-    for (std::size_t i = 0; i < n; ++i) {
-      p[i] = r[i] + beta * (p[i] - omega * v[i]);
-    }
-    apply_precond(p, phat);
-    v = a.multiply(phat, lease.get());
+    apply_precond(
+        [&](std::size_t i) {
+          return p[i] = r[i] + beta * (p[i] - omega * v[i]);
+        },
+        phat);
+    a.multiply(phat, v, lease.get());
     double r0v = 0.0;
     for (std::size_t i = 0; i < n; ++i) r0v += r0[i] * v[i];
     if (std::abs(r0v) < kBreakdown) {
@@ -312,22 +380,26 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
                        it);
     }
     alpha = rho_next / r0v;
-    for (std::size_t i = 0; i < n; ++i) s[i] = r[i] - alpha * v[i];
-    apply_precond(s, shat);
-    t = a.multiply(shat, lease.get());
+    apply_precond([&](std::size_t i) { return s[i] = r[i] - alpha * v[i]; },
+                  shat);
+    a.multiply(shat, t, lease.get());
     double ts = 0.0, tt = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       ts += t[i] * s[i];
       tt += t[i] * t[i];
     }
     omega = tt > kBreakdown ? ts / tt : 0.0;
-    rnorm = 0.0;
+    // x and r step together; the next iteration's rho = r0 . r is summed
+    // in the same pass, in the same ascending order as its own pass would.
+    rho = rho_next;
+    rho_next = 0.0;
+    double rnorm = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       x[i] += alpha * phat[i] + omega * shat[i];
       r[i] = s[i] - omega * t[i];
       rnorm = std::max(rnorm, std::abs(r[i]));
+      rho_next += r0[i] * r[i];
     }
-    rho = rho_next;
     if (!std::isfinite(rnorm)) {
       books.report().warn("iterate became non-finite at iteration " +
                           std::to_string(it));

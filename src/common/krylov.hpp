@@ -11,7 +11,14 @@
 // Two preconditioners, per the classic trade-off:
 //   * diagonal (Jacobi) — free to build, helps stiff diagonals;
 //   * ILU0 — incomplete LU on the matrix's own sparsity pattern, far
-//     stronger on banded/NCD chains, O(nnz) setup.
+//     stronger on banded/NCD chains, O(nnz) setup. The factor is stored
+//     split, in the order the triangular solves walk it (L's rows first to
+//     last, U's rows last to first, the pivots apart, 32-bit columns), and
+//     factored straight into that form.
+//
+// The normalized system is written straight into CSR and every vector is
+// allocated once per solve, so the iterations do not allocate
+// (AllocGuard.BicgstabIterationsDoNotAllocate).
 //
 // A reverse Cuthill-McKee permutation (common/reorder.hpp) is applied
 // before factoring/iterating and inverted on the result: bandwidth
@@ -53,7 +60,8 @@ struct BicgstabOptions {
   /// Parallelism degree for the matvec kernels. 0 = the process-wide
   /// parallel::default_jobs(); 1 = force the bit-identical sequential path
   /// (the dot products and triangular solves are sequential at any jobs,
-  /// so results are identical across worker counts).
+  /// so results are identical across worker counts; a level-scheduled
+  /// ILU0 would not pay, docs/parallelism.md).
   unsigned jobs = 0;
 };
 

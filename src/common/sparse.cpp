@@ -2,12 +2,42 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 
 namespace relkit {
+
+SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols,
+                           std::vector<std::size_t> row_ptr,
+                           std::vector<std::size_t> col_idx,
+                           std::vector<double> values)
+    : rows_(rows),
+      cols_(cols),
+      row_ptr_(std::move(row_ptr)),
+      cols_idx_(std::move(col_idx)),
+      values_(std::move(values)) {
+  detail::require(row_ptr_.size() == rows_ + 1,
+                  "SparseMatrix: row_ptr needs rows + 1 entries");
+  detail::require(values_.size() == cols_idx_.size(),
+                  "SparseMatrix: col_idx and values differ in length");
+  detail::require(row_ptr_[0] == 0 && row_ptr_[rows_] == cols_idx_.size(),
+                  "SparseMatrix: row_ptr must run from 0 to the entry count");
+  for (std::size_t r = 0; r < rows_; ++r) {
+    detail::require(row_ptr_[r] <= row_ptr_[r + 1],
+                    "SparseMatrix: row_ptr decreases");
+  }
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
+      detail::require(cols_idx_[k] < cols_,
+                      "SparseMatrix: column index out of range");
+      detail::require(k == row_ptr_[r] || cols_idx_[k - 1] < cols_idx_[k],
+                      "SparseMatrix: columns must strictly ascend in a row");
+    }
+  }
+}
 
 std::vector<double> SparseMatrix::multiply(const std::vector<double>& x,
                                            parallel::ThreadPool* pool) const {

@@ -2,7 +2,8 @@
 //
 // State-space solvers (CTMC steady-state via SOR, transient via
 // uniformization) need only row-oriented access and matrix-vector products,
-// so RelKit uses a plain CSR representation assembled from triplets.
+// so RelKit uses a plain CSR representation, assembled from triplets or,
+// by a caller that writes its rows in order, adopted as checked CSR arrays.
 //
 // There is one product, y = A x, row-chunked on an optional
 // parallel::ThreadPool: each y[r] sums its row in stored order in exactly
@@ -22,11 +23,22 @@ namespace relkit {
 
 /// Compressed sparse row matrix of double.
 ///
-/// Build with SparseBuilder; entries within a row are sorted by column and
-/// duplicates are summed in insertion order.
+/// Build with SparseBuilder, or adopt CSR arrays through the checked
+/// constructor; either way, entries within a row are sorted by column and
+/// unique.
 class SparseMatrix {
  public:
   SparseMatrix() = default;
+
+  /// Adopts CSR arrays after one O(rows + nnz) check, with no triplet
+  /// staging: `row_ptr` has rows + 1 entries, starts at 0, never decreases
+  /// and ends at the entry count; `col_idx` and `values` hold one entry per
+  /// stored entry; within a row the columns are below `cols` and strictly
+  /// ascend (so no duplicates). Throws InvalidArgument otherwise. Stored
+  /// zeros are kept as given.
+  SparseMatrix(std::size_t rows, std::size_t cols,
+               std::vector<std::size_t> row_ptr,
+               std::vector<std::size_t> col_idx, std::vector<double> values);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

@@ -29,11 +29,20 @@ std::uint64_t ns_since(Clock::time_point start) {
 /// `inflight` is incremented BEFORE the claim and decremented after the
 /// body, so `next >= n && inflight == 0` (checked under the pool mutex
 /// after a cv_done notification) proves the region has drained.
+///
+/// The counters are looked up by the posting thread. Workers touch them only
+/// between a successful claim and the matching `inflight` decrement, while
+/// the poster still waits in for_chunks. A worker thread that first runs at
+/// start-up or shutdown therefore never reaches the obs registry: one that
+/// first runs after `main` returned would meet a registry that static
+/// destructors are tearing down, and crash the process at exit.
 struct ThreadPool::Job {
   std::size_t n = 0;
   std::size_t chunk = 1;
   const Body* body = nullptr;
   const CancelFn* cancel = nullptr;
+  obs::Counter* tasks = nullptr;
+  obs::Counter* idle = nullptr;
   Clock::time_point posted{};
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> executed{0};
@@ -81,8 +90,7 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::run_chunks(Job& job) {
-  static obs::Counter& task_counter = obs::counter("pool.tasks");
+void ThreadPool::run_chunks(Job& job, std::optional<std::uint64_t> idle_ns) {
   for (;;) {
     job.inflight.fetch_add(1, std::memory_order_acq_rel);
     const std::size_t begin =
@@ -93,6 +101,10 @@ void ThreadPool::run_chunks(Job& job) {
       job.inflight.fetch_sub(1, std::memory_order_acq_rel);
       return;
     }
+    if (idle_ns) {  // a worker's first claim: count how long it sat idle
+      job.idle->add(*idle_ns);
+      idle_ns.reset();
+    }
     if (job.cancel != nullptr && *job.cancel && (*job.cancel)()) {
       job.stop.store(true, std::memory_order_relaxed);
       job.inflight.fetch_sub(1, std::memory_order_acq_rel);
@@ -102,7 +114,7 @@ void ThreadPool::run_chunks(Job& job) {
         begin + job.chunk < job.n ? begin + job.chunk : job.n;
     try {
       (*job.body)(begin, end);
-      task_counter.add();
+      job.tasks->add();
       job.executed.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
       {
@@ -116,7 +128,6 @@ void ThreadPool::run_chunks(Job& job) {
 }
 
 void ThreadPool::worker_loop() {
-  static obs::Counter& idle_counter = obs::counter("pool.steal_idle_ns");
   std::unique_lock<std::mutex> lock(impl_->mu);
   std::uint64_t seen = 0;
   for (;;) {
@@ -129,9 +140,9 @@ void ThreadPool::worker_loop() {
     seen = impl_->generation;
     lock.unlock();
     // Idle latency: how long this worker sat between the fan-out being
-    // posted and it joining in (scheduler wake-up + contention).
-    idle_counter.add(ns_since(job->posted));
-    run_chunks(*job);
+    // posted and it waking (scheduler wake-up + contention), counted if it
+    // joins in.
+    run_chunks(*job, ns_since(job->posted));
     lock.lock();
     impl_->cv_done.notify_all();
   }
@@ -148,6 +159,7 @@ std::size_t ThreadPool::for_chunks(std::size_t n, std::size_t chunk,
   span.set("jobs", static_cast<std::uint64_t>(jobs_));
 
   static obs::Counter& task_counter = obs::counter("pool.tasks");
+  static obs::Counter& idle_counter = obs::counter("pool.steal_idle_ns");
   if (impl_ == nullptr) {
     // Sequential pool: run the chunks inline, same cancellation contract.
     std::size_t executed = 0;
@@ -167,6 +179,8 @@ std::size_t ThreadPool::for_chunks(std::size_t n, std::size_t chunk,
   job->chunk = chunk;
   job->body = &body;
   job->cancel = cancel ? &cancel : nullptr;
+  job->tasks = &task_counter;
+  job->idle = &idle_counter;
   job->posted = Clock::now();
   job->pool_mu = &impl_->mu;
   job->cv_done = &impl_->cv_done;
@@ -177,7 +191,7 @@ std::size_t ThreadPool::for_chunks(std::size_t n, std::size_t chunk,
   }
   impl_->cv_work.notify_all();
 
-  run_chunks(*job);  // the caller is worker number jobs_ - 1
+  run_chunks(*job, std::nullopt);  // the caller is worker number jobs_ - 1
 
   {
     std::unique_lock<std::mutex> lock(impl_->mu);

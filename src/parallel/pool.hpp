@@ -30,13 +30,17 @@
 //   * Observability: every fan-out opens a `parallel.region` span
 //     (items/chunk/jobs/chunks-run attrs), bumps the `pool.tasks` counter
 //     per chunk, and accumulates `pool.steal_idle_ns` — nanoseconds workers
-//     spent idle after work was posted before claiming their first chunk.
+//     spent idle after work was posted before waking to claim their first
+//     chunk (a worker that wakes after the region drained counts nothing).
+//     Workers reach the obs registry only inside a claimed chunk, while the
+//     posting thread waits, never at thread start-up or pool shutdown.
 //
 // Exceptions thrown by a chunk body cancel the region and are rethrown on
 // the calling thread (first one wins).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -70,7 +74,9 @@ class ThreadPool {
  private:
   struct Job;
   void worker_loop();
-  static void run_chunks(Job& job);
+  /// Claims and runs chunks until none are left. A worker passes the ns it
+  /// sat idle after the post; they count on its first claimed chunk.
+  static void run_chunks(Job& job, std::optional<std::uint64_t> idle_ns);
 
   unsigned jobs_ = 1;
   struct Impl;

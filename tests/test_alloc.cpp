@@ -5,8 +5,9 @@
 // make none, adding states must not allocate per state, adding transitions
 // or triplets may only grow their vectors geometrically, and validating a
 // chain's rows or evaluating a BDD must not build a message per state or
-// node, and a uniformization step must not allocate. Timing tests on a
-// shared host cannot catch a regression here; a count can.
+// node, and neither a uniformization step nor a BiCGSTAB iteration may
+// allocate. Timing tests on a shared host cannot catch a regression here; a
+// count can.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,10 +18,12 @@
 
 #include "bdd/bdd.hpp"
 #include "common/error.hpp"
+#include "common/krylov.hpp"
 #include "common/sparse.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/solution_cache.hpp"
+#include "robust/report.hpp"
 
 namespace {
 
@@ -190,6 +193,51 @@ TEST(AllocGuard, TransientStepsDoNotAllocate) {
     EXPECT_EQ(time_in_state.size(), kStates);
   }
   markov::SolutionCache::instance().set_enabled(true);
+}
+
+TEST(AllocGuard, BicgstabIterationsDoNotAllocate) {
+  // A 100 x 100 product-form grid; tol 1e-300 is out of reach, so the cap
+  // ends every solve. Set-up (RCM, A, the ILU0 factor, the vectors) and the
+  // ConvergenceError cost the same at either cap, so 48 more iterations may
+  // add nothing but the trajectory's geometric growth.
+  constexpr std::size_t kSide = 100;
+  constexpr std::size_t kStates = kSide * kSide;
+  SparseBuilder b(kStates, kStates);
+  std::vector<double> diag(kStates, 0.0);
+  const auto edge = [&](std::size_t from, std::size_t to, double rate) {
+    b.add(to, from, rate);  // qt(to, from) = Q(from, to)
+    diag[from] -= rate;
+  };
+  for (std::size_t i = 0; i < kSide; ++i) {
+    for (std::size_t j = 0; j < kSide; ++j) {
+      const std::size_t s = i * kSide + j;
+      if (i + 1 < kSide) edge(s, s + kSide, 0.7 + 0.001 * j);
+      if (i > 0) edge(s, s - kSide, 1.1);
+      if (j + 1 < kSide) edge(s, s + 1, 0.5 + 0.002 * i);
+      if (j > 0) edge(s, s - 1, 0.9);
+    }
+  }
+  const SparseMatrix qt = b.build();
+  const auto capped = [&](std::size_t cap) {
+    BicgstabOptions opts;
+    opts.tol = 1e-300;
+    opts.max_iters = cap;
+    opts.jobs = 1;
+    std::size_t iterations = 0;
+    const std::size_t n = allocations_during([&] {
+      try {
+        bicgstab_steady_state(qt, diag, opts);
+      } catch (const robust::ConvergenceError& e) {
+        iterations = e.report().iterations;
+      }
+    });
+    EXPECT_EQ(iterations, cap);
+    return n;
+  };
+  const std::size_t at16 = capped(16);
+  const std::size_t at64 = capped(64);
+  EXPECT_LE(at64, at16) << "48 more iterations made " << at64 - at16
+                        << " more allocations";
 }
 
 }  // namespace

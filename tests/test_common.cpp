@@ -227,6 +227,58 @@ TEST(Sparse, OutOfRangeAddThrows) {
   }
 }
 
+TEST(Sparse, CheckedCsrConstructorRejectsMalformedArrays) {
+  using Index = std::vector<std::size_t>;
+  using Values = std::vector<double>;
+  const auto adopt = [](std::size_t rows, Index ptr, Index col, Values val) {
+    return SparseMatrix(rows, 3, std::move(ptr), std::move(col),
+                        std::move(val));
+  };
+  // Row pointers: wrong length, not from 0, not to the entry count, and
+  // decreasing (row 0 claims two entries, row 1 minus one).
+  EXPECT_THROW(adopt(2, {0, 1}, {0}, {1.0}), InvalidArgument);
+  EXPECT_THROW(adopt(2, {0, 1, 1, 1}, {0}, {1.0}), InvalidArgument);
+  EXPECT_THROW(adopt(2, {1, 1, 1}, {0}, {1.0}), InvalidArgument);
+  EXPECT_THROW(adopt(2, {0, 1, 2}, {0}, {1.0}), InvalidArgument);
+  EXPECT_THROW(adopt(2, {0, 2, 1}, {0}, {1.0}), InvalidArgument);
+  // A column at or past cols.
+  EXPECT_THROW(adopt(2, {0, 1, 2}, {0, 3}, {1.0, 2.0}), InvalidArgument);
+  // Columns that descend, or repeat, within a row.
+  EXPECT_THROW(adopt(1, {0, 2}, {2, 1}, {1.0, 2.0}), InvalidArgument);
+  EXPECT_THROW(adopt(1, {0, 2}, {1, 1}, {1.0, 2.0}), InvalidArgument);
+  // Column and value arrays of different lengths.
+  EXPECT_THROW(adopt(1, {0, 2}, {0, 1}, {1.0}), InvalidArgument);
+  EXPECT_THROW(adopt(1, {0, 1}, {0}, {1.0, 2.0}), InvalidArgument);
+  // Columns start afresh in the next row; zero rows need one pointer.
+  EXPECT_NO_THROW(adopt(2, {0, 2, 3}, {1, 2, 0}, {1.0, 2.0, 3.0}));
+  EXPECT_NO_THROW(adopt(0, {0}, {}, {}));
+}
+
+TEST(Sparse, CheckedCsrConstructorEqualsBuilder) {
+  SparseBuilder b(4, 5);
+  b.add(3, 0, -1.5);
+  b.add(0, 4, 2.0);
+  b.add(2, 3, 0.25);
+  b.add(0, 1, 7.0);
+  b.add(2, 0, 1e-300);
+  b.add(2, 4, -3.0);
+  const SparseMatrix built = b.build();
+  const SparseMatrix adopted(4, 5, {0, 2, 2, 5, 6}, {1, 4, 0, 3, 4, 0},
+                             {7.0, 2.0, 1e-300, 0.25, -3.0, -1.5});
+  ASSERT_EQ(adopted.rows(), built.rows());
+  ASSERT_EQ(adopted.cols(), built.cols());
+  ASSERT_EQ(adopted.nnz(), built.nnz());
+  EXPECT_EQ(adopted.pass_bytes(), built.pass_bytes());
+  for (std::size_t r = 0; r < built.rows(); ++r) {
+    ASSERT_EQ(adopted.row_begin(r), built.row_begin(r)) << "row " << r;
+    ASSERT_EQ(adopted.row_end(r), built.row_end(r)) << "row " << r;
+  }
+  for (std::size_t k = 0; k < built.nnz(); ++k) {
+    EXPECT_EQ(adopted.col(k), built.col(k)) << "entry " << k;
+    EXPECT_EQ(adopted.value(k), built.value(k)) << "entry " << k;
+  }
+}
+
 TEST(Sparse, MultiplyBothSides) {
   SparseBuilder b(2, 2);
   b.add(0, 0, 1.0);

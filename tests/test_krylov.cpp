@@ -1,7 +1,8 @@
 // Unit tests for the large-state-space solver tier: the RCM reordering
 // (bandwidth recovery, permutation algebra), the preconditioned BiCGSTAB
 // kernel (closed-form agreement on a large birth-death chain, the
-// deadline-mid-Krylov contract, iteration-cap exhaustion), the NCD
+// deadline-mid-Krylov contract, iteration-cap exhaustion, forced outcomes
+// pinned bit for bit at jobs 1, 2 and 4), the NCD
 // detector / aggregation-disaggregation budget contract, the books every
 // iterative kernel keeps on each exit, the auto chain on a drifted
 // birth-death family, and the thread-local / process-wide solver-choice
@@ -13,10 +14,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -524,8 +529,9 @@ TEST(Residual, KernelResidualIsTheVerificationResidual) {
 // Fifteen drifted birth-death chains (mu = 1.1) on which forced BiCGSTAB
 // misbehaves: ILU0 fails some and Jacobi fails all of them. The verified
 // auto chain must still answer every one within 1e-10 of the closed form
-// at any worker count (GTH up to 400 states, SOR at 907). Forced-BiCGSTAB
-// outcomes are deliberately not pinned: they are the defect to fix.
+// at any worker count (GTH up to 400 states, SOR at 907). Forced BiCGSTAB's
+// outcomes on them, failures included, are pinned bit for bit by
+// Bicgstab.ForcedOutcomesArePinnedBitForBit below.
 TEST(DriftedBirthDeath, AutoChainMatchesClosedForm) {
   const double mu = 1.1;
   for (const std::size_t n : {210u, 400u, 907u}) {
@@ -551,6 +557,232 @@ TEST(DriftedBirthDeath, AutoChainMatchesClosedForm) {
       }
     }
   }
+}
+
+// ---- forced BiCGSTAB, bit for bit ------------------------------------------
+
+namespace {
+
+// FNV-1a over the bytes of each double, in index order.
+std::uint64_t fnv1a(const std::vector<double>& v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const double x : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// What one forced solve returned: the hash of pi, or of the partial of the
+// ConvergenceError it threw, its iterations and residual, and the error's
+// message ("" when it converged).
+struct Outcome {
+  std::string label;
+  std::uint64_t hash = 0;
+  std::size_t iterations = 0;
+  double residual = 0.0;
+  std::string message;
+  bool operator==(const Outcome&) const = default;
+};
+
+Outcome forced_bicgstab(const std::string& label, const SparseMatrix& qt,
+                        const std::vector<double>& diag,
+                        const BicgstabOptions& opts) {
+  try {
+    const BicgstabResult r = bicgstab_steady_state(qt, diag, opts);
+    return {label, fnv1a(r.pi), r.iterations, r.residual, ""};
+  } catch (const robust::ConvergenceError& e) {
+    return {label, fnv1a(e.partial_result()), e.report().iterations,
+            e.report().residual, e.what()};
+  }
+}
+
+// One row of the pinned table below, as its initializer; as_table() prints
+// all of them, to re-record the table after a deliberate change to the
+// kernel's arithmetic.
+std::string as_row(const Outcome& o) {
+  char head[160];
+  std::snprintf(head, sizeof head,
+                "      {\"%s\", 0x%016llxull, %zu,\n       %a,",
+                o.label.c_str(), static_cast<unsigned long long>(o.hash),
+                o.iterations, o.residual);
+  std::string row = head;
+  if (o.message.empty()) return row + " \"\"},\n";
+  // The message as adjacent literals cut at spaces, to stay in 80 columns.
+  std::string rest = o.message;
+  while (rest.size() > 62 && rest.rfind(' ', 62) != std::string::npos) {
+    const std::size_t cut = rest.rfind(' ', 62) + 1;
+    row += "\n       \"" + rest.substr(0, cut) + "\"";
+    rest.erase(0, cut);
+  }
+  return row + "\n       \"" + rest + "\"},\n";
+}
+
+std::string as_table(const std::vector<Outcome>& outcomes) {
+  std::string out;
+  for (const Outcome& o : outcomes) out += as_row(o);
+  return out;
+}
+
+void PrintTo(const Outcome& o, std::ostream* os) { *os << as_row(o); }
+
+}  // namespace
+
+// Forced BiCGSTAB on the 40x40 and 100x100 grids with ILU0, the 40x40 grid
+// with Jacobi, and the fifteen drifted birth-death chains above with each
+// preconditioner at max_iters 2000. Of the 33 solves, 20 throw, 14 at the
+// cap and 6 on an omega breakdown, so both failure paths are pinned with
+// their partials. The triangular solves and dot products run sequentially
+// at any worker count, so jobs 1, 2 and 4 must agree exactly everywhere.
+// The literals were recorded on x86-64, where without -march the compiler
+// emits no fused multiply-add; on other targets contraction may change
+// last bits, so only the agreement across jobs is checked there.
+TEST(Bicgstab, ForcedOutcomesArePinnedBitForBit) {
+  std::vector<std::vector<Outcome>> by_jobs;
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    std::vector<Outcome> outcomes;
+    BicgstabOptions opts;
+    opts.jobs = jobs;
+    SparseMatrix qt;
+    std::vector<double> diag;
+    for (const std::size_t k : {40u, 100u}) {
+      grid_system(k, qt, diag);
+      opts.precond = Preconditioner::kIlu0;
+      outcomes.push_back(forced_bicgstab("ilu0 grid " + std::to_string(k), qt,
+                                         diag, opts));
+      if (k == 40) {
+        opts.precond = Preconditioner::kJacobi;
+        outcomes.push_back(forced_bicgstab("jacobi grid 40", qt, diag, opts));
+      }
+    }
+    opts.max_iters = 2000;
+    for (const std::size_t n : {210u, 400u, 907u}) {
+      for (const double lam : {0.4, 0.45, 0.5, 0.6, 0.7}) {
+        birth_death_system(n, lam, 1.1, qt, diag);
+        char chain[64];
+        std::snprintf(chain, sizeof chain, " n %zu lam %.2f", n, lam);
+        for (const Preconditioner p :
+             {Preconditioner::kIlu0, Preconditioner::kJacobi}) {
+          opts.precond = p;
+          outcomes.push_back(forced_bicgstab(
+              std::string(preconditioner_name(p)) + chain, qt, diag, opts));
+        }
+      }
+    }
+    by_jobs.push_back(std::move(outcomes));
+  }
+  EXPECT_EQ(by_jobs[1], by_jobs[0]) << "jobs 2 differs from jobs 1";
+  EXPECT_EQ(by_jobs[2], by_jobs[0]) << "jobs 4 differs from jobs 1";
+
+#if defined(__x86_64__)
+  const std::vector<Outcome> pinned = {
+      {"ilu0 grid 40", 0xff05d297e98b0536ull, 32,
+       0x1.d195fp-38, ""},
+      {"jacobi grid 40", 0xb9314bf497dc54e6ull, 227,
+       0x1.d4204bp-36, ""},
+      {"ilu0 grid 100", 0xd6350db19221426full, 89,
+       0x1.26b9ce7ded508p-37, ""},
+      {"ilu0 n 210 lam 0.40", 0xc9b440718d453538ull, 1,
+       0x1p-55, ""},
+      {"jacobi n 210 lam 0.40", 0xdbe434dde6759512ull, 1764,
+       0x1.f8faa54ef139cp-23,
+       "bicgstab_steady_state: omega breakdown at iteration 1764"},
+      {"ilu0 n 210 lam 0.45", 0x422fe600d613455bull, 1,
+       0x1.dee666666662dp-53, ""},
+      {"jacobi n 210 lam 0.45", 0xec53032935321400ull, 1781,
+       0x1.c997878805d2ep-19,
+       "bicgstab_steady_state: omega breakdown at iteration 1781"},
+      {"ilu0 n 210 lam 0.50", 0x05ccc073ff60c24dull, 1,
+       0x1.e14p-41, ""},
+      {"jacobi n 210 lam 0.50", 0x6471c1277fce03a0ull, 1750,
+       0x1.b01aa37f3724ep-20,
+       "bicgstab_steady_state: omega breakdown at iteration 1750"},
+      {"ilu0 n 210 lam 0.60", 0x48e7612c1bbd7b3aull, 1,
+       0x1.8e33333333314p-53, ""},
+      {"jacobi n 210 lam 0.60", 0xfdcbe77b9910972aull, 1856,
+       0x1.0860abb11da44p-17,
+       "bicgstab_steady_state: omega breakdown at iteration 1856"},
+      {"ilu0 n 210 lam 0.70", 0xda6dec4513cdca22ull, 2000,
+       0x1.555ab94763957p-10,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.001302)"},
+      {"jacobi n 210 lam 0.70", 0x349d44e66a99d68dull, 2000,
+       0x1.31d7a7565f64bp-18,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000005)"},
+      {"ilu0 n 400 lam 0.40", 0x50e9f2e096ea2cf0ull, 1,
+       0x1.8p-56, ""},
+      {"jacobi n 400 lam 0.40", 0xc00583e5a9c55a15ull, 2000,
+       0x1.140c6fba3c854p-21,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000001)"},
+      {"ilu0 n 400 lam 0.45", 0x8d650a65be5058b7ull, 1,
+       0x1.5d333333331fep-56, ""},
+      {"jacobi n 400 lam 0.45", 0x189c96b329f2cc91ull, 2000,
+       0x1.d671cf3681ae4p-19,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000004)"},
+      {"ilu0 n 400 lam 0.50", 0x3474922c5c5aead0ull, 2000,
+       0x1.89371ad0dcf98p-10,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.001500)"},
+      {"jacobi n 400 lam 0.50", 0x601a21ce0adacb28ull, 2000,
+       0x1.a46e41183ff76p-19,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000003)"},
+      {"ilu0 n 400 lam 0.60", 0xca3e0676405b130cull, 1,
+       0x1p-55, ""},
+      {"jacobi n 400 lam 0.60", 0xf64206ddfc52ee8aull, 2000,
+       0x1.4bcf43143f64cp-19,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000002)"},
+      {"ilu0 n 400 lam 0.70", 0x3e2183a7b49d6e52ull, 2000,
+       0x1.b6cb0c4a66dc8p-11,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000837)"},
+      {"jacobi n 400 lam 0.70", 0x6626ed6b3c5af1efull, 2000,
+       0x1.6207d2ef70646p-19,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000003)"},
+      {"ilu0 n 907 lam 0.40", 0x60500619603b303aull, 1,
+       0x1.6a19999999954p-53, ""},
+      {"jacobi n 907 lam 0.40", 0x8901c75006ba044aull, 2000,
+       0x1.ccd68a218facfp-18,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000007)"},
+      {"ilu0 n 907 lam 0.45", 0xe700185662f0ea58ull, 1,
+       0x1p-54, ""},
+      {"jacobi n 907 lam 0.45", 0x4dc0c3e87427c6abull, 2000,
+       0x1.1256a53a61447p-22,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000000)"},
+      {"ilu0 n 907 lam 0.50", 0x98e767305bad8a19ull, 1,
+       0x1.5ad3e9a5576adp-11,
+       "bicgstab_steady_state: omega breakdown at iteration 1"},
+      {"jacobi n 907 lam 0.50", 0xe50f4707cca7b234ull, 2000,
+       0x1.83aad91889c8cp-24,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000000)"},
+      {"ilu0 n 907 lam 0.60", 0x51ba32c230c0243bull, 1,
+       0x1.75733333333a3p-52, ""},
+      {"jacobi n 907 lam 0.60", 0x3a22ec447567a976ull, 2000,
+       0x1.22600884a65a8p-26,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000000)"},
+      {"ilu0 n 907 lam 0.70", 0x98e767305bad8a19ull, 2,
+       0x1.ce6fe231c9e3ep-12,
+       "bicgstab_steady_state: omega breakdown at iteration 2"},
+      {"jacobi n 907 lam 0.70", 0x0f91e0a4a0ad5619ull, 2000,
+       0x1.cf07a3e8dd9bbp-22,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000000)"}
+  };
+  EXPECT_EQ(by_jobs[0], pinned) << "recorded now:\n" << as_table(by_jobs[0]);
+#endif
 }
 
 // ---- solver-choice plumbing ------------------------------------------------

@@ -716,13 +716,16 @@ TEST(Profile, KernelSpansCarryDocumentedBytes) {
   }
 
   // solver.bicgstab: per iteration two products with A, two ILU0
-  // applications and 20 vector streams; per residual check one pass over
+  // applications and 19 vector streams; per residual check one pass over
   // Q^T with diag and the candidate. The start vector is checked once
-  // before the loop.
+  // before the loop. An ILU0 application reads the split factor (A's
+  // off-diagonal entries with 4-byte columns, two row-pointer arrays and
+  // the pivots) and streams z three times.
   const std::uint64_t iters = attr(*bicgstab, "iterations");
   EXPECT_EQ(matvecs, 1 + 2 * iters);
+  const std::uint64_t factor = (nnz_a - n) * 12 + 2 * (n + 1) * 8 + n * 8;
   const std::uint64_t iteration = 2 * (pass(n, nnz_a) + 2 * vec) +
-                                  2 * (pass(n, nnz_a) + 3 * vec) + 20 * vec;
+                                  2 * (factor + 3 * vec) + 19 * vec;
   const std::uint64_t bicgstab_checks =
       1 + injector->hits("bicgstab.residual");
   EXPECT_EQ(attr(*bicgstab, "bytes"),

@@ -19,7 +19,9 @@ Checks, on the shipped example models:
   * the deadline exit class: under `--timeout-ms 1`, a pool whose SOR
     solve takes well over 1 ms exits 5 with `DEGRADED: deadline exceeded`,
     and under `--batch` its line has `"error_class":"deadline"` and the
-    run exits 5.
+    run exits 5;
+  * a clean exit with thread-pool workers: 2,000 runs of `cluster.rbd
+    --no-solver-cache --jobs 2` all exit 0.
 
 Exit codes: 0 all checks pass, 1 a check failed (problems listed).
 """
@@ -165,6 +167,27 @@ def check_deadline(cli: str, tmp: str) -> list[str]:
     return problems
 
 
+def check_clean_exit(cli: str, models_dir: str) -> list[str]:
+    # A pool worker whose thread first runs after main returned must not
+    # reach the obs registry while static destructors tear it down. When it
+    # did, about 1 run in 100 to 300 died of SIGSEGV at exit (4-core host);
+    # 2,000 runs all pass at that rate with probability below 0.2%.
+    model = os.path.join(models_dir, "cluster.rbd")
+    runs = 2000
+    codes: dict[int, int] = {}
+    for _ in range(runs):
+        code = subprocess.run([cli, model, "--no-solver-cache", "--jobs", "2"],
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL,
+                              timeout=120).returncode
+        if code != 0:
+            codes[code] = codes.get(code, 0) + 1
+    if codes:
+        return [f"cluster.rbd --jobs 2: {sum(codes.values())} of {runs} runs "
+                f"exited non-zero (exit code: count {codes})"]
+    return []
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -178,7 +201,8 @@ def main() -> int:
                     check_metrics(cli, model, tmp) +
                     check_batch(cli, models, tmp) +
                     check_exit_codes(cli, model) +
-                    check_deadline(cli, tmp))
+                    check_deadline(cli, tmp) +
+                    check_clean_exit(cli, models_dir))
     if problems:
         print("check_cli: failures:")
         for problem in problems:
