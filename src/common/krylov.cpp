@@ -185,7 +185,7 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
     perm.resize(n);
     for (std::size_t i = 0; i < n; ++i) perm[i] = i;
   }
-  const std::vector<std::size_t> inv = invert_ordering(perm);
+  std::vector<std::size_t> inv = invert_ordering(perm);
 
   // Bandwidth of the (permuted) generator pattern, for the span and the
   // markov.rcm.bandwidth gauge — the normalization row is excluded (it is
@@ -211,46 +211,65 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
   // The rows are written in order, straight into CSR: each sorts its few
   // permuted columns, and zeros stay out, as SparseBuilder would leave them.
   const std::size_t norm_row = n - 1;
-  std::vector<std::size_t> a_ptr(n + 1, 0);
-  std::vector<std::size_t> a_col;
-  std::vector<double> a_val;
-  a_col.reserve(qt.nnz() + 2 * n);
-  a_val.reserve(qt.nnz() + 2 * n);
-  std::vector<std::pair<std::size_t, double>> row;
-  for (std::size_t i = 0; i < norm_row; ++i) {
-    const std::size_t old = perm[i];
-    double d = diag[old];
-    row.clear();
-    for (std::size_t k = qt.row_begin(old); k < qt.row_end(old); ++k) {
-      const std::size_t c = qt.col(k);
-      if (c == old) {
-        d += qt.value(k);  // fold stray diagonal entries into diag
-      } else if (qt.value(k) != 0.0) {
-        row.emplace_back(inv[c], qt.value(k));
+  const auto assemble = [&] {
+    std::vector<std::size_t> a_ptr(n + 1, 0);
+    std::vector<std::size_t> a_col;
+    std::vector<double> a_val;
+    a_col.reserve(qt.nnz() + 2 * n);
+    a_val.reserve(qt.nnz() + 2 * n);
+    std::vector<std::pair<std::size_t, double>> row;
+    for (std::size_t i = 0; i < norm_row; ++i) {
+      const std::size_t old = perm[i];
+      double d = diag[old];
+      row.clear();
+      for (std::size_t k = qt.row_begin(old); k < qt.row_end(old); ++k) {
+        const std::size_t c = qt.col(k);
+        if (c == old) {
+          d += qt.value(k);  // fold stray diagonal entries into diag
+        } else if (qt.value(k) != 0.0) {
+          row.emplace_back(inv[c], qt.value(k));
+        }
       }
+      if (d != 0.0) row.emplace_back(i, d);
+      std::sort(row.begin(), row.end(),
+                [](const auto& x, const auto& y) { return x.first < y.first; });
+      for (const auto& [c, value] : row) {
+        a_col.push_back(c);
+        a_val.push_back(value);
+      }
+      a_ptr[i + 1] = a_col.size();
     }
-    if (d != 0.0) row.emplace_back(i, d);
-    std::sort(row.begin(), row.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (const auto& [c, value] : row) {
-      a_col.push_back(c);
-      a_val.push_back(value);
+    for (std::size_t j = 0; j < n; ++j) {
+      a_col.push_back(j);
+      a_val.push_back(1.0);
     }
-    a_ptr[i + 1] = a_col.size();
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    a_col.push_back(j);
-    a_val.push_back(1.0);
-  }
-  a_ptr[n] = a_col.size();
-  const SparseMatrix a(n, n, std::move(a_ptr), std::move(a_col),
-                       std::move(a_val));
+    a_ptr[n] = a_col.size();
+    return SparseMatrix(n, n, std::move(a_ptr), std::move(a_col),
+                        std::move(a_val));
+  };
+  SparseMatrix a = assemble();
 
   // Preconditioner setup.
   Ilu0 ilu;
   std::vector<double> jacobi_diag;
   if (opts.precond == Preconditioner::kIlu0) {
     ilu = ilu0_factor(a);
+    // The normalization row's pivot grows like 1 / pi of the state ordered
+    // last; the row of ones has scale 1, so a pivot that is non-finite or
+    // above 1/eps means that state carries almost no mass and the factor
+    // is garbage. The reversed order puts the normalization on the state
+    // at the other end of the band instead, and keeps the bandwidth.
+    const bool reverse = !(std::abs(ilu.pivot[norm_row]) <=
+                           1.0 / std::numeric_limits<double>::epsilon());
+    span.set("reversed", reverse);
+    if (reverse) {
+      std::reverse(perm.begin(), perm.end());
+      inv = invert_ordering(perm);
+      ilu = Ilu0();  // freed first, so the refactor does not raise the peak
+      a = SparseMatrix();
+      a = assemble();
+      ilu = ilu0_factor(a);
+    }
   } else if (opts.precond == Preconditioner::kJacobi) {
     jacobi_diag.assign(n, 1.0);
     for (std::size_t i = 0; i < n; ++i) {

@@ -23,7 +23,10 @@
 // A reverse Cuthill-McKee permutation (common/reorder.hpp) is applied
 // before factoring/iterating and inverted on the result: bandwidth
 // reduction improves both matvec locality and the quality of the ILU0
-// pattern. The contracts match the other iterative kernels, whose books
+// pattern. The normalization row replaces the equation of the state
+// ordered last; when its ILU0 pivot is non-finite or above 1/eps (that
+// state carries almost no mass), the order is reversed and refactored,
+// which keeps the bandwidth (docs/solvers.md). The contracts match the other iterative kernels, whose books
 // (robust::SolveBooks) it shares: max_iters and the ambient deadline
 // (robust::ScopedDeadline) are honored, progress is recorded into a
 // ConvergenceTrace, and non-convergence throws robust::ConvergenceError

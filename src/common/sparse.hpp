@@ -100,6 +100,9 @@ class SparseBuilder {
 
   /// Accumulates `value` at (r, c); duplicates are summed at build time.
   void add(std::size_t r, std::size_t c, double value);
+  /// Room for `entries` add() calls without reallocating: a caller that
+  /// knows its entry count skips the growth copies and their fresh pages.
+  void reserve(std::size_t entries) { triplets_.reserve(entries); }
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

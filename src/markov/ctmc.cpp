@@ -76,6 +76,8 @@ void Ctmc::add_transition(StateId from, StateId to, double rate) {
   detail::require(from != to, "Ctmc::add_transition: self-loop");
   detail::require(rate > 0.0, "Ctmc::add_transition: rate must be > 0");
   transitions_.push_back({from, to, rate});
+  transitions_digest_ = digest_step(
+      digest_step(digest_step(transitions_digest_, from), to), word_of(rate));
   exit_rates_[from] += rate;
 }
 
@@ -116,6 +118,7 @@ SparseMatrix Ctmc::sparse_generator() const {
   const std::size_t n = state_count();
   auto& injector = testing::FaultInjector::instance();
   SparseBuilder b(n, n);
+  b.reserve(2 * transitions_.size());
   for (const auto& t : transitions_) {
     const double rate = injector.tap("ctmc.rate", t.rate);
     b.add(t.from, t.to, rate);
@@ -128,6 +131,7 @@ Ctmc::TransposedGenerator Ctmc::transposed_generator() const {
   const std::size_t n = state_count();
   auto& injector = testing::FaultInjector::instance();
   SparseBuilder bt(n, n);
+  bt.reserve(transitions_.size());
   std::vector<double> diag(n, 0.0);
   for (const auto& t : transitions_) {
     const double rate = injector.tap("ctmc.rate", t.rate);
@@ -160,7 +164,9 @@ namespace {
 
 /// Serializes the solver options that can change a steady-state answer.
 /// The deadline and `jobs` are deliberately excluded (see solution_cache.hpp).
-void key_steady_options(CacheKey& key, const SteadyStateOptions& opts) {
+std::vector<std::uint64_t> steady_option_words(
+    const SteadyStateOptions& opts) {
+  CacheKey key;
   key.add(opts.dense_threshold);
   key.add(opts.gth_fallback_threshold);
   key.add(opts.sor.omega);
@@ -181,9 +187,30 @@ void key_steady_options(CacheKey& key, const SteadyStateOptions& opts) {
       opts.solver != robust::SolverChoice::kAuto ? opts.solver
                                                  : robust::ambient_solver();
   key.add(static_cast<std::size_t>(effective));
+  return key.take_words();
 }
 
 }  // namespace
+
+SolutionCache::LazyKey Ctmc::cache_key(
+    std::uint64_t tag, std::vector<std::uint64_t> params) const {
+  std::uint64_t digest = digest_step(kDigestSeed, tag);
+  digest = digest_step(digest, state_count());
+  digest = digest_step(digest, transitions_digest_);
+  for (const std::uint64_t w : params) digest = digest_step(digest, w);
+  const std::size_t words = 2 + 3 * transitions_.size() + params.size();
+  return {digest, words,
+          [this, tag, params = std::move(params)](CacheKey& key) {
+            key.add(tag);
+            key.add(state_count());
+            for (const auto& t : transitions_) {
+              key.add(t.from);
+              key.add(t.to);
+              key.add(t.rate);
+            }
+            for (const std::uint64_t w : params) key.add(w);
+          }};
+}
 
 std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
                                        robust::SolveReport* report) const {
@@ -194,25 +221,18 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
   span.set("states", n);
   span.set("transitions", static_cast<std::uint64_t>(transitions_.size()));
 
-  // Memoization: exact-keyed on (generator structure, rates, options).
-  // Bypassed while fault injection is armed — injected failures act inside
-  // the solver, where the key cannot see them (and with the injector idle,
-  // tapped rates equal the raw rates the key uses).
+  // Memoization: exact-keyed on (generator structure, rates, options), looked
+  // up by digest first. Bypassed while fault injection is armed — injected
+  // failures act inside the solver, where the key cannot see them (and with
+  // the injector idle, tapped rates equal the raw rates the key uses).
   auto& injector = testing::FaultInjector::instance();
   auto& cache = SolutionCache::instance();
   const bool use_cache =
       opts.use_cache && cache.enabled() && !injector.active();
-  CacheKey key;
+  std::optional<SolutionCache::LazyKey> key;
   if (use_cache) {
-    key.add(SolutionCache::kSteadyTag);
-    key.add(n);
-    for (const auto& t : transitions_) {
-      key.add(t.from);
-      key.add(t.to);
-      key.add(t.rate);
-    }
-    key_steady_options(key, opts);
-    if (auto hit = cache.lookup(key)) {
+    key = cache_key(SolutionCache::kSteadyTag, steady_option_words(opts));
+    if (auto hit = cache.lookup(*key, n)) {
       hit->report.cache_hit = true;
       span.set("cache", "hit");
       robust::record_last_report(hit->report);
@@ -222,7 +242,6 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
     span.set("cache", "miss");
   }
 
-  const TransposedGenerator g = transposed_generator();
   robust::RobustSteadyOptions robust_opts;
   robust_opts.dense_primary = opts.dense_threshold;
   robust_opts.dense_fallback =
@@ -232,9 +251,13 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
   robust_opts.ncd = opts.ncd;
   robust_opts.solver = opts.solver;
   robust_opts.jobs = opts.jobs;
-  robust::SteadyResult r =
-      robust::robust_steady_state(g.qt, g.diag, robust_opts);
-  if (use_cache) cache.insert(std::move(key), {r.pi, r.report});
+  robust::SteadyResult r = [&] {
+    const TransposedGenerator g = transposed_generator();
+    return robust::robust_steady_state(g.qt, g.diag, robust_opts);
+  }();
+  // The generator and the solver's buffers are gone by now, so the key the
+  // insert builds does not add to the solve's peak.
+  if (use_cache) cache.insert(*key, {r.pi, r.report});
   if (report) *report = std::move(r.report);
   return std::move(r.pi);
 }
@@ -431,19 +454,12 @@ std::vector<double> Ctmc::transient(const std::vector<double>& pi0, double t,
   auto& cache = SolutionCache::instance();
   const bool use_cache =
       cache.enabled() && !testing::FaultInjector::instance().active();
-  CacheKey key;
+  std::optional<SolutionCache::LazyKey> key;
   if (use_cache) {
-    key.add(SolutionCache::kTransientTag);
-    key.add(state_count());
-    for (const auto& tr : transitions_) {
-      key.add(tr.from);
-      key.add(tr.to);
-      key.add(tr.rate);
-    }
-    key.add(t);
-    key.add(eps);
-    for (const double x : pi0) key.add(x);
-    if (auto hit = cache.lookup(key)) {
+    std::vector<std::uint64_t> params = {word_of(t), word_of(eps)};
+    for (const double x : pi0) params.push_back(word_of(x));
+    key = cache_key(SolutionCache::kTransientTag, std::move(params));
+    if (auto hit = cache.lookup(*key, state_count())) {
       hit->report.cache_hit = true;
       span.set("cache", "hit");
       robust::record_last_report(hit->report);
@@ -457,7 +473,7 @@ std::vector<double> Ctmc::transient(const std::vector<double>& pi0, double t,
       run_series(uniformized(), pi0, {t}, eps, jobs, kPi, "Ctmc::transient",
                  span, report)[0]
           .pi);
-  if (use_cache) cache.insert(std::move(key), {out, std::move(report)});
+  if (use_cache) cache.insert(*key, {out, std::move(report)});
   return out;
 }
 

@@ -33,6 +33,7 @@
 #include "common/linsolve.hpp"
 #include "common/matrix.hpp"
 #include "common/sparse.hpp"
+#include "markov/solution_cache.hpp"
 #include "robust/report.hpp"
 #include "robust/robust.hpp"
 
@@ -182,6 +183,12 @@ class Ctmc {
   TransposedGenerator transposed_generator() const;
   /// robust::uniformize of the above, for the uniformization series.
   robust::Uniformized uniformized() const;
+  /// The solution-cache key of a solve of this chain: `tag`, the state
+  /// count, every transition triple, then `params` (options, or t, eps and
+  /// pi0). Its digest starts from transitions_digest_, so no transition is
+  /// read until a stored entry has the same digest.
+  SolutionCache::LazyKey cache_key(std::uint64_t tag,
+                                   std::vector<std::uint64_t> params) const;
 
   void check_distribution(const std::vector<double>& pi0) const;
   bool is_anonymous(StateId s) const {
@@ -197,6 +204,9 @@ class Ctmc {
   /// anonymous state k would clash with it, so add_states refuses it.
   std::vector<StateId> reserved_;
   std::vector<Transition> transitions_;
+  /// digest_step over every (from, to, rate) word of transitions_, in
+  /// order, kept up to date by add_transition.
+  std::uint64_t transitions_digest_ = kDigestSeed;
   std::vector<double> exit_rates_;
 };
 

@@ -826,11 +826,14 @@ std::string Server::solve_response_body(const std::string& request_body,
   // Like every cache interaction, this is bypassed while the fault
   // injector is armed — injected faults are invisible to the key.
   const bool dedup = !id.empty() && cache.enabled() && !injector.active();
+  std::optional<markov::SolutionCache::LazyKey> dedup_key;
   if (dedup) {
     markov::CacheKey key;
     key.add(markov::SolutionCache::kResponseTag);
     key.add(std::string_view(id));
-    if (const auto hit = cache.lookup(key)) {
+    dedup_key = markov::SolutionCache::LazyKey::of(std::move(key));
+    // 0 result words: the payload's size is known only after the solve.
+    if (const auto hit = cache.lookup(*dedup_key, 0)) {
       dedup_counter.add();
       counts_.add(0);
       log.cache_hit = true;
@@ -858,10 +861,7 @@ std::string Server::solve_response_body(const std::string& request_body,
   // Only complete successes become idempotency records: a degraded or
   // failed solve must re-run on retry, never be replayed from cache.
   if (dedup && outcome.exit_class == 0 && !injector.active()) {
-    markov::CacheKey key;
-    key.add(markov::SolutionCache::kResponseTag);
-    key.add(std::string_view(id));
-    cache.insert(std::move(key),
+    cache.insert(*dedup_key,
                  markov::SolutionCache::Entry{{}, {}, outcome.fields});
   }
   return solve_body(false, outcome.fields);

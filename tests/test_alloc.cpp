@@ -126,6 +126,19 @@ TEST(AllocGuard, SparseBuilderAddGrowsGeometrically) {
   EXPECT_EQ(b.build().nnz(), kCalls);
 }
 
+TEST(AllocGuard, SparseBuilderReserveTakesEveryAdd) {
+  constexpr std::size_t kCalls = 100000;
+  SparseBuilder b(1000, 1000);
+  b.reserve(kCalls);
+  const std::size_t n = allocations_during([&] {
+    for (std::size_t i = 0; i < kCalls; ++i) {
+      b.add(i % 1000, i / 100, 1.0);
+    }
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(b.build().nnz(), kCalls);
+}
+
 TEST(AllocGuard, BddProbAllocatesOnlyItsMemo) {
   bdd::Manager m;
   std::vector<bdd::NodeRef> vars;

@@ -306,13 +306,14 @@ TEST(Bicgstab, IterationCapThrowsWithBestIterate) {
 }
 
 // A solve that runs to its cap files its final verified check under the
-// iterations its loop ran and reports that count. The drifted chain stalls
-// well above tol (see DriftedBirthDeath below).
+// iterations its loop ran and reports that count. Jacobi stalls on the
+// drifted chain well above tol (see DriftedBirthDeath below).
 TEST(Bicgstab, CappedSolveEndsTrajectoryAtItsIterations) {
   SparseMatrix qt;
   std::vector<double> diag;
   birth_death_system(210, 0.7, 1.1, qt, diag);
   BicgstabOptions opts;
+  opts.precond = Preconditioner::kJacobi;
   opts.max_iters = 100;
   opts.jobs = 1;
   try {
@@ -527,7 +528,9 @@ TEST(Residual, KernelResidualIsTheVerificationResidual) {
 // ---- the drifted birth-death family ----------------------------------------
 
 // Fifteen drifted birth-death chains (mu = 1.1) on which forced BiCGSTAB
-// misbehaves: ILU0 fails some and Jacobi fails all of them. The verified
+// misbehaves: Jacobi fails all of them, and ILU0 failed five until it
+// chose its orientation per chain (the normalization row on the state at
+// the heavy end of the band). The verified
 // auto chain must still answer every one within 1e-10 of the closed form
 // at any worker count (GTH up to 400 states, SOR at 907). Forced BiCGSTAB's
 // outcomes on them, failures included, are pinned bit for bit by
@@ -555,6 +558,50 @@ TEST(DriftedBirthDeath, AutoChainMatchesClosedForm) {
         }
         EXPECT_LE(err, 1e-10) << r.report.method;
       }
+    }
+  }
+}
+
+// ILU0 picks its orientation per chain: the normalization row replaces the
+// equation of the state ordered last, and the order is reversed only when
+// that row's pivot is non-finite or above 1/eps. On a path RCM keeps the
+// natural order, so the drifted chains (mass at state 0) are reversed and
+// their mirrors (mass at state n - 1) are not; nor is the grid. Every one
+// converges in one iteration, as an exact LU of a tridiagonal chain should.
+TEST(DriftedBirthDeath, IluOrientationPutsNormalizationOnTheHeavyEnd) {
+  const auto reversed = [](const SparseMatrix& qt,
+                           const std::vector<double>& diag,
+                           std::size_t* iterations) {
+    auto ring = std::make_shared<obs::RingBufferSink>(1 << 6);
+    obs::set_enabled(true);
+    obs::Tracer::instance().add_sink(ring);
+    BicgstabOptions opts;
+    opts.jobs = 1;
+    *iterations = bicgstab_steady_state(qt, diag, opts).iterations;
+    obs::Tracer::instance().remove_sink(ring);
+    obs::set_enabled(false);
+    for (const obs::SpanRecord& r : ring->snapshot()) {
+      if (r.name == "solver.bicgstab" && r.attr("reversed") != nullptr) {
+        return *r.attr("reversed") == "true";
+      }
+    }
+    ADD_FAILURE() << "no solver.bicgstab span with a reversed attribute";
+    return false;
+  };
+  SparseMatrix qt;
+  std::vector<double> diag;
+  std::size_t iterations = 0;
+  grid_system(40, qt, diag);
+  EXPECT_FALSE(reversed(qt, diag, &iterations));
+  for (const std::size_t n : {210u, 400u, 907u}) {
+    for (const double lam : {0.4, 0.45, 0.5, 0.6, 0.7}) {
+      SCOPED_TRACE("n " + std::to_string(n) + ", lam " + std::to_string(lam));
+      birth_death_system(n, lam, 1.1, qt, diag);
+      EXPECT_TRUE(reversed(qt, diag, &iterations));
+      EXPECT_EQ(iterations, 1u);
+      birth_death_system(n, 1.1, lam, qt, diag);
+      EXPECT_FALSE(reversed(qt, diag, &iterations));
+      EXPECT_EQ(iterations, 1u);
     }
   }
 }
@@ -633,10 +680,13 @@ void PrintTo(const Outcome& o, std::ostream* os) { *os << as_row(o); }
 }  // namespace
 
 // Forced BiCGSTAB on the 40x40 and 100x100 grids with ILU0, the 40x40 grid
-// with Jacobi, and the fifteen drifted birth-death chains above with each
-// preconditioner at max_iters 2000. Of the 33 solves, 20 throw, 14 at the
-// cap and 6 on an omega breakdown, so both failure paths are pinned with
-// their partials. The triangular solves and dot products run sequentially
+// with Jacobi, the fifteen drifted birth-death chains above with each
+// preconditioner, and their fifteen mirrors (birth rate 1.1, death rate
+// lam) with ILU0, at max_iters 2000. ILU0 factors the grids in RCM order,
+// the drifted chains reversed and the mirrors unreversed, so both
+// orientations are pinned; all 30 chains converge in one iteration. Of the
+// 48 solves, 15 throw (all Jacobi), 11 at the cap and 4 on an omega
+// breakdown, so both failure paths are pinned with their partials. The triangular solves and dot products run sequentially
 // at any worker count, so jobs 1, 2 and 4 must agree exactly everywhere.
 // The literals were recorded on x86-64, where without -march the compiler
 // emits no fused multiply-add; on other targets contraction may change
@@ -673,6 +723,16 @@ TEST(Bicgstab, ForcedOutcomesArePinnedBitForBit) {
         }
       }
     }
+    opts.precond = Preconditioner::kIlu0;
+    for (const std::size_t n : {210u, 400u, 907u}) {
+      for (const double lam : {0.4, 0.45, 0.5, 0.6, 0.7}) {
+        birth_death_system(n, 1.1, lam, qt, diag);
+        char chain[64];
+        std::snprintf(chain, sizeof chain, "ilu0 mirrored n %zu lam %.2f", n,
+                      lam);
+        outcomes.push_back(forced_bicgstab(chain, qt, diag, opts));
+      }
+    }
     by_jobs.push_back(std::move(outcomes));
   }
   EXPECT_EQ(by_jobs[1], by_jobs[0]) << "jobs 2 differs from jobs 1";
@@ -686,100 +746,122 @@ TEST(Bicgstab, ForcedOutcomesArePinnedBitForBit) {
        0x1.d4204bp-36, ""},
       {"ilu0 grid 100", 0xd6350db19221426full, 89,
        0x1.26b9ce7ded508p-37, ""},
-      {"ilu0 n 210 lam 0.40", 0xc9b440718d453538ull, 1,
-       0x1p-55, ""},
+      {"ilu0 n 210 lam 0.40", 0x317f82b41bb7df95ull, 1,
+       0x1p-54, ""},
       {"jacobi n 210 lam 0.40", 0xdbe434dde6759512ull, 1764,
        0x1.f8faa54ef139cp-23,
        "bicgstab_steady_state: omega breakdown at iteration 1764"},
-      {"ilu0 n 210 lam 0.45", 0x422fe600d613455bull, 1,
-       0x1.dee666666662dp-53, ""},
+      {"ilu0 n 210 lam 0.45", 0x80ad094cbfc669ffull, 1,
+       0x1p-53, ""},
       {"jacobi n 210 lam 0.45", 0xec53032935321400ull, 1781,
        0x1.c997878805d2ep-19,
        "bicgstab_steady_state: omega breakdown at iteration 1781"},
-      {"ilu0 n 210 lam 0.50", 0x05ccc073ff60c24dull, 1,
-       0x1.e14p-41, ""},
+      {"ilu0 n 210 lam 0.50", 0xeab5b936f296dd5full, 1,
+       0x1p-54, ""},
       {"jacobi n 210 lam 0.50", 0x6471c1277fce03a0ull, 1750,
        0x1.b01aa37f3724ep-20,
        "bicgstab_steady_state: omega breakdown at iteration 1750"},
-      {"ilu0 n 210 lam 0.60", 0x48e7612c1bbd7b3aull, 1,
-       0x1.8e33333333314p-53, ""},
+      {"ilu0 n 210 lam 0.60", 0x5ae714550aec425bull, 1,
+       0x1.4p-54, ""},
       {"jacobi n 210 lam 0.60", 0xfdcbe77b9910972aull, 1856,
        0x1.0860abb11da44p-17,
        "bicgstab_steady_state: omega breakdown at iteration 1856"},
-      {"ilu0 n 210 lam 0.70", 0xda6dec4513cdca22ull, 2000,
-       0x1.555ab94763957p-10,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.001302)"},
+      {"ilu0 n 210 lam 0.70", 0xca535b0e1df4fe99ull, 1,
+       0x1.8p-53, ""},
       {"jacobi n 210 lam 0.70", 0x349d44e66a99d68dull, 2000,
        0x1.31d7a7565f64bp-18,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000005)"},
-      {"ilu0 n 400 lam 0.40", 0x50e9f2e096ea2cf0ull, 1,
-       0x1.8p-56, ""},
+      {"ilu0 n 400 lam 0.40", 0x932bc1a186e52b63ull, 1,
+       0x1p-53, ""},
       {"jacobi n 400 lam 0.40", 0xc00583e5a9c55a15ull, 2000,
        0x1.140c6fba3c854p-21,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000001)"},
-      {"ilu0 n 400 lam 0.45", 0x8d650a65be5058b7ull, 1,
-       0x1.5d333333331fep-56, ""},
+      {"ilu0 n 400 lam 0.45", 0x79aa4102b7a4e616ull, 1,
+       0x1p-54, ""},
       {"jacobi n 400 lam 0.45", 0x189c96b329f2cc91ull, 2000,
        0x1.d671cf3681ae4p-19,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000004)"},
-      {"ilu0 n 400 lam 0.50", 0x3474922c5c5aead0ull, 2000,
-       0x1.89371ad0dcf98p-10,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.001500)"},
+      {"ilu0 n 400 lam 0.50", 0x3cd9ea6b1f2b38e9ull, 1,
+       0x1p-55, ""},
       {"jacobi n 400 lam 0.50", 0x601a21ce0adacb28ull, 2000,
        0x1.a46e41183ff76p-19,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000003)"},
-      {"ilu0 n 400 lam 0.60", 0xca3e0676405b130cull, 1,
-       0x1p-55, ""},
+      {"ilu0 n 400 lam 0.60", 0x972ba913bd041d5eull, 1,
+       0x1p-53, ""},
       {"jacobi n 400 lam 0.60", 0xf64206ddfc52ee8aull, 2000,
        0x1.4bcf43143f64cp-19,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000002)"},
-      {"ilu0 n 400 lam 0.70", 0x3e2183a7b49d6e52ull, 2000,
-       0x1.b6cb0c4a66dc8p-11,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000837)"},
+      {"ilu0 n 400 lam 0.70", 0xd2cbe6f19f7cfc51ull, 1,
+       0x1p-52, ""},
       {"jacobi n 400 lam 0.70", 0x6626ed6b3c5af1efull, 2000,
        0x1.6207d2ef70646p-19,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000003)"},
-      {"ilu0 n 907 lam 0.40", 0x60500619603b303aull, 1,
-       0x1.6a19999999954p-53, ""},
+      {"ilu0 n 907 lam 0.40", 0x5ffe1f87c5d94588ull, 1,
+       0x1p-54, ""},
       {"jacobi n 907 lam 0.40", 0x8901c75006ba044aull, 2000,
        0x1.ccd68a218facfp-18,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000007)"},
-      {"ilu0 n 907 lam 0.45", 0xe700185662f0ea58ull, 1,
-       0x1p-54, ""},
+      {"ilu0 n 907 lam 0.45", 0x7d28303995ac45c7ull, 1,
+       0x1.8p-54, ""},
       {"jacobi n 907 lam 0.45", 0x4dc0c3e87427c6abull, 2000,
        0x1.1256a53a61447p-22,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000000)"},
-      {"ilu0 n 907 lam 0.50", 0x98e767305bad8a19ull, 1,
-       0x1.5ad3e9a5576adp-11,
-       "bicgstab_steady_state: omega breakdown at iteration 1"},
+      {"ilu0 n 907 lam 0.50", 0xd778b2cce3cde602ull, 1,
+       0x1p-54, ""},
       {"jacobi n 907 lam 0.50", 0xe50f4707cca7b234ull, 2000,
        0x1.83aad91889c8cp-24,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000000)"},
-      {"ilu0 n 907 lam 0.60", 0x51ba32c230c0243bull, 1,
-       0x1.75733333333a3p-52, ""},
+      {"ilu0 n 907 lam 0.60", 0x43dbcf698a55361dull, 1,
+       0x1.8p-53, ""},
       {"jacobi n 907 lam 0.60", 0x3a22ec447567a976ull, 2000,
        0x1.22600884a65a8p-26,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000000)"},
-      {"ilu0 n 907 lam 0.70", 0x98e767305bad8a19ull, 2,
-       0x1.ce6fe231c9e3ep-12,
-       "bicgstab_steady_state: omega breakdown at iteration 2"},
+      {"ilu0 n 907 lam 0.70", 0x1c07365201fd61e1ull, 1,
+       0x1p-53, ""},
       {"jacobi n 907 lam 0.70", 0x0f91e0a4a0ad5619ull, 2000,
        0x1.cf07a3e8dd9bbp-22,
        "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000000)"}
+       "(best residual 0.000000)"},
+      {"ilu0 mirrored n 210 lam 0.40", 0x0ae951fd10591b87ull, 1,
+       0x1p-53, ""},
+      {"ilu0 mirrored n 210 lam 0.45", 0x2f3f53109ec59a88ull, 1,
+       0x1p-53, ""},
+      {"ilu0 mirrored n 210 lam 0.50", 0x183fdac9fb9ecbf8ull, 1,
+       0x1p-54, ""},
+      {"ilu0 mirrored n 210 lam 0.60", 0xaa02d81497cf51afull, 1,
+       0x1p-55, ""},
+      {"ilu0 mirrored n 210 lam 0.70", 0x0c6fa60c11ed1d7dull, 1,
+       0x1.8p-53, ""},
+      {"ilu0 mirrored n 400 lam 0.40", 0x90447a4ceeafdafeull, 1,
+       0x1p-53, ""},
+      {"ilu0 mirrored n 400 lam 0.45", 0x3f30c602491019ceull, 1,
+       0x1p-54, ""},
+      {"ilu0 mirrored n 400 lam 0.50", 0xedcdb2f3ba2b81c9ull, 1,
+       0x1p-54, ""},
+      {"ilu0 mirrored n 400 lam 0.60", 0x76dae75172da74deull, 1,
+       0x1p-53, ""},
+      {"ilu0 mirrored n 400 lam 0.70", 0x3c03bafbc59a474bull, 1,
+       0x1p-52, ""},
+      {"ilu0 mirrored n 907 lam 0.40", 0x51e82a7a4e26ba94ull, 1,
+       0x1p-54, ""},
+      {"ilu0 mirrored n 907 lam 0.45", 0x7b1298d86da8e67eull, 1,
+       0x1p-53, ""},
+      {"ilu0 mirrored n 907 lam 0.50", 0xbff1129894901cc6ull, 1,
+       0x1p-54, ""},
+      {"ilu0 mirrored n 907 lam 0.60", 0x3cff7f5e827eada1ull, 1,
+       0x1.8p-53, ""},
+      {"ilu0 mirrored n 907 lam 0.70", 0xb2d7ef1efa92bd6cull, 1,
+       0x1.8p-53, ""}
   };
   EXPECT_EQ(by_jobs[0], pinned) << "recorded now:\n" << as_table(by_jobs[0]);
 #endif

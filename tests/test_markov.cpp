@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/solution_cache.hpp"
+#include "robust/fault_injection.hpp"
 
 namespace relkit::markov {
 namespace {
@@ -290,6 +291,156 @@ TEST(TransientSeries, EqualsSinglePointCallsBitForBit) {
     }
   }
   SolutionCache::instance().set_enabled(true);
+}
+
+// ---- solution cache admission -----------------------------------------------
+
+/// Two states joined by `pairs` parallel transitions each way: a key just
+/// over SolutionCache::kLargeWords (three words per transition) on a chain
+/// that GTH solves at once. `rate` tells chains apart.
+Ctmc heavy_pair(double rate) {
+  constexpr std::size_t pairs = SolutionCache::kLargeWords / 6 + 1;
+  Ctmc c;
+  c.add_states(2);
+  for (std::size_t i = 0; i < pairs; ++i) {
+    c.add_transition(0, 1, rate);
+    c.add_transition(1, 0, 1.0);
+  }
+  return c;
+}
+
+/// Solves `c` with the default options; true when the solve was a hit.
+bool solve_hits(const Ctmc& c) {
+  robust::SolveReport report;
+  c.steady_state({}, &report);
+  return report.cache_hit;
+}
+
+// A large chain's first solve takes the probation slot, and its immediate
+// repeat hits there and promotes it into the LRU, where a later large miss
+// (which frees only the slot) leaves it resident.
+TEST(SolutionCacheAdmission, ImmediateRepeatOfALargeChainHits) {
+  auto& cache = SolutionCache::instance();
+  cache.clear();
+  const Ctmc a = heavy_pair(0.25);
+  robust::SolveReport first, second;
+  const std::vector<double> pi = a.steady_state({}, &first);
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(same_bits(a.steady_state({}, &second), pi));
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(solve_hits(heavy_pair(0.2)));
+  EXPECT_TRUE(solve_hits(a));
+  EXPECT_EQ(cache.size(), 2u);
+  cache.clear();
+}
+
+TEST(SolutionCacheAdmission, OneOffLargeChainsKeepOneResident) {
+  auto& cache = SolutionCache::instance();
+  cache.clear();
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_FALSE(solve_hits(heavy_pair(0.5 + 0.01 * i))) << "chain " << i;
+    EXPECT_EQ(cache.size(), 1u) << "after chain " << i;
+  }
+  cache.clear();
+}
+
+// The slot is freed by the large miss itself, before the chain is solved,
+// so a one-off chain's solve never holds the last one's entry; a small
+// miss leaves the slot alone.
+TEST(SolutionCacheAdmission, ALargeMissFreesTheSlotBeforeItsSolve) {
+  auto& cache = SolutionCache::instance();
+  cache.clear();
+  EXPECT_FALSE(solve_hits(heavy_pair(0.45)));  // takes the slot
+  const auto unseen = [](std::size_t words) {
+    return SolutionCache::LazyKey{0x5107, words, [](CacheKey&) {}};
+  };
+  EXPECT_FALSE(cache.lookup(unseen(16), 2));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(cache.lookup(unseen(SolutionCache::kLargeWords), 2));
+  EXPECT_EQ(cache.size(), 0u);
+  cache.clear();
+}
+
+// A, B, A, B, ...: every solve misses, because each large miss frees the
+// probation slot, which holds the other chain. This is the price of one
+// slot; the parent's plain LRU hit from the third solve on.
+TEST(SolutionCacheAdmission, AlternatingLargeChainsMiss) {
+  auto& cache = SolutionCache::instance();
+  cache.clear();
+  const Ctmc a = heavy_pair(0.75);
+  const Ctmc b = heavy_pair(0.8);
+  for (int k = 0; k < 6; ++k) {
+    EXPECT_FALSE(solve_hits(k % 2 == 0 ? a : b)) << "solve " << k + 1;
+    EXPECT_EQ(cache.size(), 1u) << "after solve " << k + 1;
+  }
+  cache.clear();
+}
+
+TEST(SolutionCacheAdmission, OverBudgetKeyIsNeverBuilt) {
+  auto& cache = SolutionCache::instance();
+  cache.clear();
+  std::size_t writes = 0;
+  const SolutionCache::LazyKey key{0x1234, SolutionCache::kMaxTotalWords,
+                                   [&](CacheKey&) { ++writes; }};
+  const std::uint64_t misses = cache.misses();
+  EXPECT_FALSE(cache.lookup(key, 1));
+  EXPECT_EQ(cache.misses(), misses + 1);
+  cache.insert(key, {{0.5}, {}});
+  EXPECT_EQ(writes, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+// Equal digests only make candidates: the exact words decide, also between
+// keys of different lengths.
+TEST(SolutionCacheAdmission, EqualDigestsWithDifferentWordsNeverAlias) {
+  auto& cache = SolutionCache::instance();
+  cache.clear();
+  const auto key = [](std::vector<std::uint64_t> words) {
+    const std::size_t size = words.size();
+    return SolutionCache::LazyKey{
+        0xd16e57, size, [words = std::move(words)](CacheKey& k) {
+          for (const std::uint64_t w : words) k.add(w);
+        }};
+  };
+  const SolutionCache::LazyKey a = key({1, 2, 3});
+  const SolutionCache::LazyKey b = key({1, 2, 4});
+  const SolutionCache::LazyKey c = key({1, 2});
+  cache.insert(a, {{0.25}, {}});
+  EXPECT_FALSE(cache.lookup(b, 1));
+  EXPECT_FALSE(cache.lookup(c, 1));
+  cache.insert(b, {{0.75}, {}});
+  const auto hit_a = cache.lookup(a, 1);
+  const auto hit_b = cache.lookup(b, 1);
+  ASSERT_TRUE(hit_a && hit_b);
+  EXPECT_EQ(hit_a->result, std::vector<double>{0.25});
+  EXPECT_EQ(hit_b->result, std::vector<double>{0.75});
+  EXPECT_EQ(cache.size(), 2u);
+  cache.clear();
+}
+
+// While the injector is armed a large solve neither frees the probation
+// slot nor promotes from it on its lookup, and its insert does not take
+// the slot.
+TEST(SolutionCacheAdmission, ArmedInjectorBypassesProbation) {
+  auto& cache = SolutionCache::instance();
+  cache.clear();
+  const Ctmc a = heavy_pair(0.3);
+  const Ctmc b = heavy_pair(0.35);
+  EXPECT_FALSE(solve_hits(a));  // a enters probation
+  {
+    relkit::testing::FaultInjectionScope scope;
+    scope->scale("ctmc.rate", 1.0);  // armed, numerically inert
+    EXPECT_FALSE(solve_hits(b));     // would free a's slot, then take it
+    EXPECT_FALSE(solve_hits(a));     // would promote a
+    EXPECT_EQ(cache.size(), 1u);
+  }
+  // b did not take the slot; a is still in it, not promoted, so b's miss
+  // now frees it.
+  EXPECT_FALSE(solve_hits(b));
+  EXPECT_FALSE(solve_hits(a));
+  EXPECT_EQ(cache.size(), 1u);
+  cache.clear();
 }
 
 TEST(TransientSeries, ValidatesInputs) {

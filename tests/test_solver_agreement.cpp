@@ -16,11 +16,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/krylov.hpp"
@@ -495,6 +497,51 @@ TEST(SolverAgreement, BicgstabCacheOnAgreesAndHits) {
     expect_agree(ref, second, "cached bicgstab", chain);
     expect_agree(ref, sor, "SOR after bicgstab caching", chain);
   }
+  cache.clear();
+}
+
+// Four threads solve the same chains through the shared cache: one small
+// chain and two large ones (two states joined by just over kLargeWords / 3
+// parallel transitions), which take, free and promote from the probation
+// slot. Every answer, hit or miss, must carry the uncached solve's bits.
+TEST(SolverAgreement, ConcurrentCachedSolvesKeepTheirBits) {
+  const auto large = [](double rate) {
+    markov::Ctmc c;
+    c.add_states(2);
+    for (std::size_t i = 0; i <= markov::SolutionCache::kLargeWords / 6; ++i) {
+      c.add_transition(0, 1, rate);
+      c.add_transition(1, 0, 1.0);
+    }
+    return c;
+  };
+  const std::vector<markov::Ctmc> chains = {large(0.3), large(0.6),
+                                            make_chain(3)};
+  std::vector<std::vector<double>> expect;
+  {
+    const CacheOffGuard guard;
+    for (const markov::Ctmc& c : chains) expect.push_back(c.steady_state());
+  }
+  auto& cache = markov::SolutionCache::instance();
+  cache.clear();
+  const std::uint64_t hits_before = cache.hits();
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < 12; ++k) {
+        const std::size_t i = (t + k) % chains.size();
+        const std::vector<double> pi = chains[i].steady_state();
+        if (pi.size() != expect[i].size() ||
+            std::memcmp(pi.data(), expect[i].data(),
+                        pi.size() * sizeof(double)) != 0) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(cache.hits(), hits_before);
   cache.clear();
 }
 
