@@ -15,6 +15,15 @@
 //     split, in the order the triangular solves walk it (L's rows first to
 //     last, U's rows last to first, the pivots apart, 32-bit columns), and
 //     factored straight into that form.
+// Both are one factor M = L U (Jacobi's has no L or U entries) with its
+// remainder R = A - M: ILU0's dropped fill, or Jacobi's off-diagonal part.
+// Since A M^{-1} p = p + R M^{-1} p, each product with the preconditioned
+// system is one pass over R (Eisenstat's trick in its general form), fused
+// with the dot product that reads it, and A is kept only to factor: it is
+// freed before the iterations start. Every 32 iterations the recurrence's
+// residual, which drifts from the true one in floating point, is replaced
+// by b - A x computed from Q^T (van der Vorst and Ye's residual
+// replacement).
 //
 // The normalized system is written straight into CSR and every vector is
 // allocated once per solve, so the iterations do not allocate
@@ -22,15 +31,15 @@
 //
 // A reverse Cuthill-McKee permutation (common/reorder.hpp) is applied
 // before factoring/iterating and inverted on the result: bandwidth
-// reduction improves both matvec locality and the quality of the ILU0
-// pattern. The normalization row replaces the equation of the state
-// ordered last; when its ILU0 pivot is non-finite or above 1/eps (that
-// state carries almost no mass), the order is reversed and refactored,
-// which keeps the bandwidth (docs/solvers.md). The contracts match the other iterative kernels, whose books
-// (robust::SolveBooks) it shares: max_iters and the ambient deadline
-// (robust::ScopedDeadline) are honored, progress is recorded into a
-// ConvergenceTrace, and non-convergence throws robust::ConvergenceError
-// carrying the best normalized iterate.
+// reduction improves both locality and the quality of the ILU0 pattern.
+// The normalization row replaces the equation of the state ordered last;
+// when its ILU0 pivot is non-finite or above 1/eps (that state carries
+// almost no mass), the order is reversed and refactored, which keeps the
+// bandwidth (docs/solvers.md). The contracts match the other iterative
+// kernels, whose books (robust::SolveBooks) it shares: max_iters and the
+// ambient deadline (robust::ScopedDeadline) are honored, progress is
+// recorded into a ConvergenceTrace, and non-convergence throws
+// robust::ConvergenceError carrying the best normalized iterate.
 #pragma once
 
 #include <cstddef>
@@ -60,11 +69,12 @@ struct BicgstabOptions {
   /// Apply the RCM bandwidth-reducing permutation before solving (inverted
   /// on the result; pure locality/ILU-quality, never changes the answer).
   bool use_rcm = true;
-  /// Parallelism degree for the matvec kernels. 0 = the process-wide
-  /// parallel::default_jobs(); 1 = force the bit-identical sequential path
-  /// (the dot products and triangular solves are sequential at any jobs,
-  /// so results are identical across worker counts; a level-scheduled
-  /// ILU0 would not pay, docs/parallelism.md).
+  /// Parallelism degree for the verified residual checks over Q^T. 0 = the
+  /// process-wide parallel::default_jobs(); 1 = the calling thread only.
+  /// The products, triangular solves and dot products run on the calling
+  /// thread at any jobs (a product is one pass over the small remainder R,
+  /// and a level-scheduled ILU0 would not pay, docs/parallelism.md), so
+  /// results are identical across worker counts.
   unsigned jobs = 0;
 };
 

@@ -102,6 +102,12 @@ struct Server::PendingRequest {
 Server::Server(ServerOptions options) : options_(std::move(options)) {
   queue_ = std::make_unique<parallel::BoundedQueue<PendingRequest>>(
       options_.queue_capacity);
+  // Registered here, not on first use, so /metrics exposes them at 0 from
+  // the first scrape.
+  for (const char* name :
+       {"serve.bad_requests", "serve.deduped", "serve.degraded"}) {
+    obs::counter(name);
+  }
 }
 
 Server::~Server() { stop(true); }

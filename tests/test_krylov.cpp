@@ -100,12 +100,14 @@ void planted_ncd_system(std::size_t blocks, std::size_t block_size,
 }
 
 // Product-form k x k grid with mildly state-dependent rates (the chain
-// test_obs prices kernel traffic on).
-void grid_system(std::size_t k, SparseMatrix& qt, std::vector<double>& diag) {
+// test_obs prices kernel traffic on), every rate multiplied by `scale`.
+void grid_system(std::size_t k, SparseMatrix& qt, std::vector<double>& diag,
+                 double scale = 1.0) {
   const std::size_t n = k * k;
   SparseBuilder b(n, n);
   diag.assign(n, 0.0);
   const auto edge = [&](std::size_t from, std::size_t to, double rate) {
+    rate *= scale;
     b.add(to, from, rate);  // qt(to, from) = Q(from, to)
     diag[from] -= rate;
   };
@@ -306,8 +308,8 @@ TEST(Bicgstab, IterationCapThrowsWithBestIterate) {
 }
 
 // A solve that runs to its cap files its final verified check under the
-// iterations its loop ran and reports that count. Jacobi stalls on the
-// drifted chain well above tol (see DriftedBirthDeath below).
+// iterations its loop ran and reports that count. Jacobi needs about 500
+// iterations on this drifted chain (see DriftedBirthDeath below).
 TEST(Bicgstab, CappedSolveEndsTrajectoryAtItsIterations) {
   SparseMatrix qt;
   std::vector<double> diag;
@@ -324,6 +326,30 @@ TEST(Bicgstab, CappedSolveEndsTrajectoryAtItsIterations) {
     ASSERT_FALSE(samples.empty());
     EXPECT_EQ(e.report().iterations, 100u);
     EXPECT_EQ(samples.back().iteration, e.report().iterations);
+  }
+}
+
+// On a 2-D grid ILU0 is not exact, so BiCGSTAB iterates, and the residual
+// its recurrence updates drifts from the true b - A x in floating point.
+// Forty rate scalings 1 + m 2^-30 of the 100 x 100 grid leave pi as it is
+// but change the rounding; before the kernel reset that residual every 32
+// iterations, three of them took 1,353, 1,507 and 3,147 iterations. Each
+// must now converge within 1,000.
+TEST(Bicgstab, ScaledGridsConvergeWithinAThousandIterations) {
+  BicgstabOptions opts;
+  opts.jobs = 1;
+  opts.max_iters = 1000;
+  for (int m = 0; m < 40; ++m) {
+    SCOPED_TRACE("scale 1 + " + std::to_string(m) + " * 2^-30");
+    SparseMatrix qt;
+    std::vector<double> diag;
+    grid_system(100, qt, diag, 1.0 + m * 0x1p-30);
+    try {
+      const BicgstabResult r = bicgstab_steady_state(qt, diag, opts);
+      EXPECT_LT(r.residual, opts.tol);
+    } catch (const robust::ConvergenceError& e) {
+      ADD_FAILURE() << e.what();
+    }
   }
 }
 
@@ -528,9 +554,9 @@ TEST(Residual, KernelResidualIsTheVerificationResidual) {
 // ---- the drifted birth-death family ----------------------------------------
 
 // Fifteen drifted birth-death chains (mu = 1.1) on which forced BiCGSTAB
-// misbehaves: Jacobi fails all of them, and ILU0 failed five until it
-// chose its orientation per chain (the normalization row on the state at
-// the heavy end of the band). The verified
+// misbehaves: Jacobi fails the five with 907 states, and ILU0 failed five
+// until it chose its orientation per chain (the normalization row on the
+// state at the heavy end of the band). The verified
 // auto chain must still answer every one within 1e-10 of the closed form
 // at any worker count (GTH up to 400 states, SOR at 907). Forced BiCGSTAB's
 // outcomes on them, failures included, are pinned bit for bit by
@@ -684,10 +710,13 @@ void PrintTo(const Outcome& o, std::ostream* os) { *os << as_row(o); }
 // preconditioner, and their fifteen mirrors (birth rate 1.1, death rate
 // lam) with ILU0, at max_iters 2000. ILU0 factors the grids in RCM order,
 // the drifted chains reversed and the mirrors unreversed, so both
-// orientations are pinned; all 30 chains converge in one iteration. Of the
-// 48 solves, 15 throw (all Jacobi), 11 at the cap and 4 on an omega
-// breakdown, so both failure paths are pinned with their partials. The triangular solves and dot products run sequentially
-// at any worker count, so jobs 1, 2 and 4 must agree exactly everywhere.
+// orientations are pinned; all 30 chains converge in one iteration. A last
+// solve repeats the first drifted chain with its residual check probed to
+// read 1. Of the 49 solves, 6 throw: 5 at the cap (Jacobi at 907 states)
+// and the probed one on an omega breakdown, so both failure paths are
+// pinned with their partials. The triangular solves, the products on the
+// factor's remainder and the dot products run sequentially at any worker
+// count, so jobs 1, 2 and 4 must agree exactly everywhere.
 // The literals were recorded on x86-64, where without -march the compiler
 // emits no fused multiply-add; on other targets contraction may change
 // last bits, so only the agreement across jobs is checked there.
@@ -733,6 +762,15 @@ TEST(Bicgstab, ForcedOutcomesArePinnedBitForBit) {
         outcomes.push_back(forced_bicgstab(chain, qt, diag, opts));
       }
     }
+    {
+      // ILU0 solves a tridiagonal chain in the first half step, so s = 0
+      // and omega collapses; the probe makes that step's check read 1.
+      relkit::testing::FaultInjectionScope injector;
+      injector->inject_value("bicgstab.residual", 1.0);
+      birth_death_system(210, 0.4, 1.1, qt, diag);
+      outcomes.push_back(
+          forced_bicgstab("ilu0 n 210 lam 0.40 probed", qt, diag, opts));
+    }
     by_jobs.push_back(std::move(outcomes));
   }
   EXPECT_EQ(by_jobs[1], by_jobs[0]) << "jobs 2 differs from jobs 1";
@@ -740,128 +778,115 @@ TEST(Bicgstab, ForcedOutcomesArePinnedBitForBit) {
 
 #if defined(__x86_64__)
   const std::vector<Outcome> pinned = {
-      {"ilu0 grid 40", 0xff05d297e98b0536ull, 32,
-       0x1.d195fp-38, ""},
-      {"jacobi grid 40", 0xb9314bf497dc54e6ull, 227,
-       0x1.d4204bp-36, ""},
-      {"ilu0 grid 100", 0xd6350db19221426full, 89,
-       0x1.26b9ce7ded508p-37, ""},
-      {"ilu0 n 210 lam 0.40", 0x317f82b41bb7df95ull, 1,
-       0x1p-54, ""},
-      {"jacobi n 210 lam 0.40", 0xdbe434dde6759512ull, 1764,
-       0x1.f8faa54ef139cp-23,
-       "bicgstab_steady_state: omega breakdown at iteration 1764"},
-      {"ilu0 n 210 lam 0.45", 0x80ad094cbfc669ffull, 1,
+      {"ilu0 grid 40", 0xa1fae513ea500c6eull, 32,
+       0x1.d16ebcp-38, ""},
+      {"jacobi grid 40", 0x68b6051d015150edull, 423,
+       0x1.678359864d2ecp-34, ""},
+      {"ilu0 grid 100", 0xd98652f9ce3f3c88ull, 126,
+       0x1.f1f3a8348f6c2p-35, ""},
+      {"ilu0 n 210 lam 0.40", 0x516c7aee69ecb81aull, 1,
+       0x1.8p-55, ""},
+      {"jacobi n 210 lam 0.40", 0x7c1fe5d5a34dc374ull, 441,
+       0x1.d4684ab847e2p-35, ""},
+      {"ilu0 n 210 lam 0.45", 0x59c0f88f83f6dfb1ull, 1,
        0x1p-53, ""},
-      {"jacobi n 210 lam 0.45", 0xec53032935321400ull, 1781,
-       0x1.c997878805d2ep-19,
-       "bicgstab_steady_state: omega breakdown at iteration 1781"},
-      {"ilu0 n 210 lam 0.50", 0xeab5b936f296dd5full, 1,
-       0x1p-54, ""},
-      {"jacobi n 210 lam 0.50", 0x6471c1277fce03a0ull, 1750,
-       0x1.b01aa37f3724ep-20,
-       "bicgstab_steady_state: omega breakdown at iteration 1750"},
-      {"ilu0 n 210 lam 0.60", 0x5ae714550aec425bull, 1,
+      {"jacobi n 210 lam 0.45", 0xa4d3be80838cd69bull, 508,
+       0x1.144e2bfe6d313p-34, ""},
+      {"ilu0 n 210 lam 0.50", 0x7cc1a8dca2a9e1dfull, 1,
        0x1.4p-54, ""},
-      {"jacobi n 210 lam 0.60", 0xfdcbe77b9910972aull, 1856,
-       0x1.0860abb11da44p-17,
-       "bicgstab_steady_state: omega breakdown at iteration 1856"},
-      {"ilu0 n 210 lam 0.70", 0xca535b0e1df4fe99ull, 1,
+      {"jacobi n 210 lam 0.50", 0x1697bb04c512b511ull, 468,
+       0x1.13e8989389e3p-35, ""},
+      {"ilu0 n 210 lam 0.60", 0xb4550443f724077eull, 1,
        0x1.8p-53, ""},
-      {"jacobi n 210 lam 0.70", 0x349d44e66a99d68dull, 2000,
-       0x1.31d7a7565f64bp-18,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000005)"},
-      {"ilu0 n 400 lam 0.40", 0x932bc1a186e52b63ull, 1,
-       0x1p-53, ""},
-      {"jacobi n 400 lam 0.40", 0xc00583e5a9c55a15ull, 2000,
-       0x1.140c6fba3c854p-21,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000001)"},
-      {"ilu0 n 400 lam 0.45", 0x79aa4102b7a4e616ull, 1,
-       0x1p-54, ""},
-      {"jacobi n 400 lam 0.45", 0x189c96b329f2cc91ull, 2000,
-       0x1.d671cf3681ae4p-19,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000004)"},
-      {"ilu0 n 400 lam 0.50", 0x3cd9ea6b1f2b38e9ull, 1,
-       0x1p-55, ""},
-      {"jacobi n 400 lam 0.50", 0x601a21ce0adacb28ull, 2000,
-       0x1.a46e41183ff76p-19,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000003)"},
-      {"ilu0 n 400 lam 0.60", 0x972ba913bd041d5eull, 1,
-       0x1p-53, ""},
-      {"jacobi n 400 lam 0.60", 0xf64206ddfc52ee8aull, 2000,
-       0x1.4bcf43143f64cp-19,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000002)"},
-      {"ilu0 n 400 lam 0.70", 0xd2cbe6f19f7cfc51ull, 1,
+      {"jacobi n 210 lam 0.60", 0xa2f2a1d712f173e6ull, 413,
+       0x1.e2edcbaec6c1cp-37, ""},
+      {"ilu0 n 210 lam 0.70", 0x3ea0b64edb1577e6ull, 1,
        0x1p-52, ""},
-      {"jacobi n 400 lam 0.70", 0x6626ed6b3c5af1efull, 2000,
-       0x1.6207d2ef70646p-19,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000003)"},
-      {"ilu0 n 907 lam 0.40", 0x5ffe1f87c5d94588ull, 1,
+      {"jacobi n 210 lam 0.70", 0x8a08fae87c95e2a3ull, 502,
+       0x1.328a69996c02p-34, ""},
+      {"ilu0 n 400 lam 0.40", 0x8e3c6ab4f330947aull, 1,
+       0x1.8p-53, ""},
+      {"jacobi n 400 lam 0.40", 0x61c8b43f70924e0bull, 1172,
+       0x1.7f8d68868107p-35, ""},
+      {"ilu0 n 400 lam 0.45", 0xdea2f0a3875ed5eaull, 1,
+       0x1p-56, ""},
+      {"jacobi n 400 lam 0.45", 0x71c3988e322e49daull, 1272,
+       0x1.298f77e80c44p-34, ""},
+      {"ilu0 n 400 lam 0.50", 0x627273029f3665f7ull, 1,
+       0x1p-52, ""},
+      {"jacobi n 400 lam 0.50", 0x9f06560f008d463dull, 1183,
+       0x1.11afc014722b6p-38, ""},
+      {"ilu0 n 400 lam 0.60", 0x77d8862c89ba65e7ull, 1,
        0x1p-54, ""},
-      {"jacobi n 907 lam 0.40", 0x8901c75006ba044aull, 2000,
-       0x1.ccd68a218facfp-18,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000007)"},
-      {"ilu0 n 907 lam 0.45", 0x7d28303995ac45c7ull, 1,
+      {"jacobi n 400 lam 0.60", 0xfe583bbb0ff6b68cull, 984,
+       0x1.9c34b91592466p-34, ""},
+      {"ilu0 n 400 lam 0.70", 0x41c135b28edab844ull, 1,
+       0x1.8p-53, ""},
+      {"jacobi n 400 lam 0.70", 0x171c12f256a0280eull, 960,
+       0x1.56df8ab81e7cp-34, ""},
+      {"ilu0 n 907 lam 0.40", 0x35001ea30bf24e15ull, 1,
        0x1.8p-54, ""},
-      {"jacobi n 907 lam 0.45", 0x4dc0c3e87427c6abull, 2000,
-       0x1.1256a53a61447p-22,
+      {"jacobi n 907 lam 0.40", 0xeb33c9956c6c160full, 2000,
+       0x1.7b0e30d9af999p-22,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000000)"},
-      {"ilu0 n 907 lam 0.50", 0xd778b2cce3cde602ull, 1,
-       0x1p-54, ""},
-      {"jacobi n 907 lam 0.50", 0xe50f4707cca7b234ull, 2000,
-       0x1.83aad91889c8cp-24,
+      {"ilu0 n 907 lam 0.45", 0x384f1bb52fb52407ull, 1,
+       0x1p-56, ""},
+      {"jacobi n 907 lam 0.45", 0xfd1e240772819914ull, 2000,
+       0x1.5fbe085b5fd67p-22,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000000)"},
-      {"ilu0 n 907 lam 0.60", 0x43dbcf698a55361dull, 1,
-       0x1.8p-53, ""},
-      {"jacobi n 907 lam 0.60", 0x3a22ec447567a976ull, 2000,
-       0x1.22600884a65a8p-26,
+      {"ilu0 n 907 lam 0.50", 0xcdcec91188bd3755ull, 1,
+       0x1.cp-54, ""},
+      {"jacobi n 907 lam 0.50", 0x2d23e966793dc0e6ull, 2000,
+       0x1.82038288636c1p-22,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000000)"},
-      {"ilu0 n 907 lam 0.70", 0x1c07365201fd61e1ull, 1,
-       0x1p-53, ""},
-      {"jacobi n 907 lam 0.70", 0x0f91e0a4a0ad5619ull, 2000,
-       0x1.cf07a3e8dd9bbp-22,
+      {"ilu0 n 907 lam 0.60", 0x6295a1b8ab2453f7ull, 1,
+       0x1.cp-52, ""},
+      {"jacobi n 907 lam 0.60", 0x147cd27cf66994bdull, 2000,
+       0x1.0751e9ce57615p-23,
        "bicgstab_steady_state: no convergence after 2000 iterations "
        "(best residual 0.000000)"},
-      {"ilu0 mirrored n 210 lam 0.40", 0x0ae951fd10591b87ull, 1,
-       0x1p-53, ""},
-      {"ilu0 mirrored n 210 lam 0.45", 0x2f3f53109ec59a88ull, 1,
-       0x1p-53, ""},
-      {"ilu0 mirrored n 210 lam 0.50", 0x183fdac9fb9ecbf8ull, 1,
-       0x1p-54, ""},
-      {"ilu0 mirrored n 210 lam 0.60", 0xaa02d81497cf51afull, 1,
+      {"ilu0 n 907 lam 0.70", 0x2c8711f0520c4c32ull, 1,
        0x1p-55, ""},
-      {"ilu0 mirrored n 210 lam 0.70", 0x0c6fa60c11ed1d7dull, 1,
-       0x1.8p-53, ""},
-      {"ilu0 mirrored n 400 lam 0.40", 0x90447a4ceeafdafeull, 1,
-       0x1p-53, ""},
-      {"ilu0 mirrored n 400 lam 0.45", 0x3f30c602491019ceull, 1,
+      {"jacobi n 907 lam 0.70", 0xbb8253dbca0ad240ull, 2000,
+       0x1.6cad46c16c483p-22,
+       "bicgstab_steady_state: no convergence after 2000 iterations "
+       "(best residual 0.000000)"},
+      {"ilu0 mirrored n 210 lam 0.40", 0xad3d3fe52a9fcac2ull, 1,
        0x1p-54, ""},
-      {"ilu0 mirrored n 400 lam 0.50", 0xedcdb2f3ba2b81c9ull, 1,
+      {"ilu0 mirrored n 210 lam 0.45", 0xcfdc7f63ea5fc73eull, 1,
        0x1p-54, ""},
-      {"ilu0 mirrored n 400 lam 0.60", 0x76dae75172da74deull, 1,
+      {"ilu0 mirrored n 210 lam 0.50", 0x99e942b3cad1fd60ull, 1,
+       0x1p-54, ""},
+      {"ilu0 mirrored n 210 lam 0.60", 0xda2a8083298cd985ull, 1,
+       0x1.239999999995cp-54, ""},
+      {"ilu0 mirrored n 210 lam 0.70", 0xcc7c8bb6081f0f1eull, 1,
        0x1p-53, ""},
-      {"ilu0 mirrored n 400 lam 0.70", 0x3c03bafbc59a474bull, 1,
+      {"ilu0 mirrored n 400 lam 0.40", 0x4d7d8e8a21119580ull, 1,
        0x1p-52, ""},
-      {"ilu0 mirrored n 907 lam 0.40", 0x51e82a7a4e26ba94ull, 1,
-       0x1p-54, ""},
-      {"ilu0 mirrored n 907 lam 0.45", 0x7b1298d86da8e67eull, 1,
+      {"ilu0 mirrored n 400 lam 0.45", 0x914779434dc75bd1ull, 1,
+       0x1p-56, ""},
+      {"ilu0 mirrored n 400 lam 0.50", 0xa5ff467e3664d5f2ull, 1,
        0x1p-53, ""},
-      {"ilu0 mirrored n 907 lam 0.50", 0xbff1129894901cc6ull, 1,
+      {"ilu0 mirrored n 400 lam 0.60", 0x886e0a994c6eeb6bull, 1,
        0x1p-54, ""},
-      {"ilu0 mirrored n 907 lam 0.60", 0x3cff7f5e827eada1ull, 1,
+      {"ilu0 mirrored n 400 lam 0.70", 0x5a254b5b0b4d426cull, 1,
        0x1.8p-53, ""},
-      {"ilu0 mirrored n 907 lam 0.70", 0xb2d7ef1efa92bd6cull, 1,
-       0x1.8p-53, ""}
+      {"ilu0 mirrored n 907 lam 0.40", 0x10c481e04b39009aull, 1,
+       0x1p-54, ""},
+      {"ilu0 mirrored n 907 lam 0.45", 0x9e923ef384a2c414ull, 1,
+       0x1p-56, ""},
+      {"ilu0 mirrored n 907 lam 0.50", 0xce2148509cbefa11ull, 1,
+       0x1p-54, ""},
+      {"ilu0 mirrored n 907 lam 0.60", 0x677549743bfd0c8dull, 1,
+       0x1.8p-52, ""},
+      {"ilu0 mirrored n 907 lam 0.70", 0xae13cefc236b8b83ull, 1,
+       0x1p-53, ""},
+      {"ilu0 n 210 lam 0.40 probed", 0xcef55ceeed60e515ull, 1,
+       0x1.b4e81b4e81b63p-9,
+       "bicgstab_steady_state: omega breakdown at iteration 1"}
   };
   EXPECT_EQ(by_jobs[0], pinned) << "recorded now:\n" << as_table(by_jobs[0]);
 #endif

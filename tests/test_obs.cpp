@@ -635,8 +635,8 @@ TEST(Profile, TableRendersGbpsFromBytesAttrs) {
 }
 
 // Each sparse kernel prices its memory traffic from sizes alone. On a
-// 40 x 40 grid at jobs 2, every markov.matvec, solver.bicgstab, solver.sor
-// and solver.power span carries the `bytes` of the formulas in
+// 40 x 40 grid at jobs 2, every solver.bicgstab, solver.sor, solver.power
+// and markov.matvec span carries the `bytes` of the formulas in
 // docs/observability.md, and build_profile sums them into the rows.
 TEST(Profile, KernelSpansCarryDocumentedBytes) {
   RELKIT_REQUIRE_OBS_COMPILED_IN();
@@ -702,34 +702,34 @@ TEST(Profile, KernelSpansCarryDocumentedBytes) {
   const std::uint64_t check = qt.pass_bytes() + 2 * vec;
   EXPECT_EQ(qt.pass_bytes(), pass(n, qt.nnz()));
 
-  // markov.matvec: one pass plus x read and y written. Every product here
-  // is BiCGSTAB's, on its normalized system A.
-  std::uint64_t matvecs = 0, matvec_bytes = 0, nnz_a = 0;
-  for (const obs::SpanRecord& r : records) {
-    if (r.name != "markov.matvec") continue;
-    EXPECT_EQ(r.parent, bicgstab->id);
-    const std::uint64_t rows = attr(r, "rows");
-    nnz_a = attr(r, "nnz");
-    EXPECT_EQ(attr(r, "bytes"), pass(rows, nnz_a) + 2 * rows * 8);
-    matvec_bytes += attr(r, "bytes");
-    ++matvecs;
-  }
-
-  // solver.bicgstab: per iteration two products with A, two ILU0
-  // applications and 19 vector streams; per residual check one pass over
-  // Q^T with diag and the candidate. The start vector is checked once
-  // before the loop. An ILU0 application reads the split factor (A's
-  // off-diagonal entries with 4-byte columns, two row-pointer arrays and
-  // the pivots) and streams z three times.
+  // solver.bicgstab: per iteration two preconditioner applications, two
+  // products on the factor's remainder R and 22 vector streams; per residual
+  // check one pass over Q^T with diag and the candidate; per residual reset
+  // one pass over Q^T and 6 vector streams. The start vector is checked once
+  // before the loop; the residual is reset there and at the check of every
+  // 32nd iteration that misses tol. An application reads L and U (4-byte
+  // columns), their two row-pointer arrays and the pivots, and streams z
+  // three times; a product reads R (4-byte columns) and its row pointers.
+  // The products run on the calling thread, so they open no markov.matvec
+  // span.
   const std::uint64_t iters = attr(*bicgstab, "iterations");
-  EXPECT_EQ(matvecs, 1 + 2 * iters);
-  const std::uint64_t factor = (nnz_a - n) * 12 + 2 * (n + 1) * 8 + n * 8;
-  const std::uint64_t iteration = 2 * (pass(n, nnz_a) + 2 * vec) +
-                                  2 * (factor + 3 * vec) + 19 * vec;
+  const std::uint64_t factor_nnz = attr(*bicgstab, "factor_nnz");
+  const std::uint64_t remainder_nnz = attr(*bicgstab, "remainder_nnz");
+  // L and U hold the off-diagonal entries of the n - 1 equations kept (each
+  // state of the grid has 2 to 4 neighbours) and of the row of ones.
+  EXPECT_LE(qt.nnz() + (n - 1) - 4, factor_nnz);
+  EXPECT_LE(factor_nnz, qt.nnz() + (n - 1) - 2);
+  EXPECT_GT(remainder_nnz, 0u);  // ILU0 drops fill on a 2-D grid
+  const std::uint64_t factor = factor_nnz * 12 + 2 * (n + 1) * 8 + n * 8;
+  const std::uint64_t product = remainder_nnz * 12 + (n + 1) * 8;
+  const std::uint64_t iteration =
+      2 * (factor + 3 * vec + product) + 22 * vec;
   const std::uint64_t bicgstab_checks =
       1 + injector->hits("bicgstab.residual");
+  const std::uint64_t resets = 1 + (iters - 1) / 32;
   EXPECT_EQ(attr(*bicgstab, "bytes"),
-            iters * iteration + bicgstab_checks * check);
+            iters * iteration + bicgstab_checks * check +
+                resets * (qt.pass_bytes() + 6 * vec));
 
   // solver.sor: per sweep a pass over Q^T and 6 vector streams; residual
   // checks at the start and at sweeps 1-4 and every 8th.
@@ -742,15 +742,15 @@ TEST(Profile, KernelSpansCarryDocumentedBytes) {
             sweeps * (qt.pass_bytes() + 6 * vec) + sor_checks * check);
 
   const obs::ProfileReport profile = obs::build_profile(records);
-  ASSERT_NE(profile.row("markov.matvec"), nullptr);
-  EXPECT_EQ(profile.row("markov.matvec")->bytes, matvec_bytes);
+  EXPECT_EQ(profile.row("markov.matvec"), nullptr);
   EXPECT_EQ(profile.row("solver.bicgstab")->bytes, attr(*bicgstab, "bytes"));
   EXPECT_EQ(profile.row("solver.sor")->bytes, attr(*sor, "bytes"));
   EXPECT_NE(obs::render_profile_table(profile).find("GB/s"),
             std::string::npos);
 
-  // solver.power, traced on its own so the products above stay BiCGSTAB's:
-  // per step a pass over P^T and 8 vector streams.
+  // solver.power, traced on its own: per step a pass over P^T and 8 vector
+  // streams. Its product is the step's markov.matvec span: one pass plus x
+  // read and y written.
   auto power_ring = std::make_shared<obs::RingBufferSink>(1 << 14);
   obs::Tracer::instance().add_sink(power_ring);
   robust::RobustSteadyOptions power_opts;
@@ -763,9 +763,23 @@ TEST(Profile, KernelSpansCarryDocumentedBytes) {
       power_records.begin(), power_records.end(),
       [](const obs::SpanRecord& r) { return r.name == "solver.power"; });
   ASSERT_NE(power, power_records.end());
-  const std::uint64_t step =
-      robust::uniformize(qt, diag).pt.pass_bytes() + 8 * vec;
-  EXPECT_EQ(attr(*power, "bytes"), attr(*power, "iterations") * step);
+  const std::uint64_t pt_pass = robust::uniformize(qt, diag).pt.pass_bytes();
+  const std::uint64_t steps = attr(*power, "iterations");
+  EXPECT_EQ(attr(*power, "bytes"), steps * (pt_pass + 8 * vec));
+  std::uint64_t matvecs = 0, matvec_bytes = 0;
+  for (const obs::SpanRecord& r : power_records) {
+    if (r.name != "markov.matvec") continue;
+    EXPECT_EQ(r.parent, power->id);
+    const std::uint64_t rows = attr(r, "rows");
+    EXPECT_EQ(pass(rows, attr(r, "nnz")), pt_pass);
+    EXPECT_EQ(attr(r, "bytes"), pt_pass + 2 * rows * 8);
+    matvec_bytes += attr(r, "bytes");
+    ++matvecs;
+  }
+  EXPECT_EQ(matvecs, steps);
+  const obs::ProfileReport power_profile = obs::build_profile(power_records);
+  ASSERT_NE(power_profile.row("markov.matvec"), nullptr);
+  EXPECT_EQ(power_profile.row("markov.matvec")->bytes, matvec_bytes);
 }
 
 // ---- convergence telemetry -------------------------------------------------
