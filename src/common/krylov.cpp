@@ -236,54 +236,7 @@ Factor ilu0_factor(const SparseMatrix& a) {
   return f;
 }
 
-/// Diagonal (Jacobi) preconditioning as a factor with no L or U entries:
-/// the pivots are A's diagonal, 1 where that is 0, and R = A - diag(pivots)
-/// is A's off-diagonal part. A stores no zeros, so a row whose diagonal is
-/// missing gains R(i, i) = -1.
-Factor jacobi_factor(const SparseMatrix& a) {
-  const std::size_t n = a.rows();
-  Factor f;
-  f.l_ptr.assign(n + 1, 0);
-  f.u_ptr.assign(n + 1, 0);
-  f.pivot.assign(n, 1.0);
-  f.r_ptr.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = a.at(i, i);
-    if (d != 0.0) f.pivot[i] = d;
-    const std::size_t width = a.row_end(i) - a.row_begin(i);
-    f.r_ptr[i + 1] = f.r_ptr[i] + (d != 0.0 ? width - 1 : width + 1);
-  }
-  f.r_col.resize(f.r_ptr[n]);
-  f.r_val.resize(f.r_ptr[n]);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t out = f.r_ptr[i];
-    const auto put = [&](std::size_t c, double value) {
-      f.r_col[out] = static_cast<std::uint32_t>(c);
-      f.r_val[out++] = value;
-    };
-    bool missing = a.at(i, i) == 0.0;
-    for (std::size_t k = a.row_begin(i); k < a.row_end(i); ++k) {
-      const std::size_t c = a.col(k);
-      if (missing && c > i) {
-        put(i, -1.0);
-        missing = false;
-      }
-      if (c != i) put(c, a.value(k));
-    }
-    if (missing) put(i, -1.0);
-  }
-  return f;
-}
-
 }  // namespace
-
-const char* preconditioner_name(Preconditioner p) {
-  switch (p) {
-    case Preconditioner::kJacobi: return "jacobi";
-    case Preconditioner::kIlu0: return "ilu0";
-  }
-  return "?";
-}
 
 robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
                                            const std::vector<double>& diag,
@@ -305,7 +258,6 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
                            opts.max_iters);
   obs::Span& span = books.span();
   span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
-  span.set("precond", preconditioner_name(opts.precond));
   static obs::Counter& solves_counter = obs::counter("markov.bicgstab.solves");
   static obs::Counter& iters_counter =
       obs::counter("markov.bicgstab.iterations");
@@ -389,18 +341,13 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
   // The preconditioner is factored from A, and A is needed for nothing else
   // (the products run on R, the residuals on Q^T), so it is freed before
   // the iteration vectors are allocated.
-  const auto factor = [&] {
-    const SparseMatrix a = assemble();
-    return opts.precond == Preconditioner::kIlu0 ? ilu0_factor(a)
-                                                 : jacobi_factor(a);
-  };
+  const auto factor = [&] { return ilu0_factor(assemble()); };
   Factor m = factor();
   // ILU0's normalization-row pivot grows like 1 / pi of the state ordered
   // last; the row of ones has scale 1, so a pivot that is non-finite or
   // above 1/eps means that state carries almost no mass and the factor is
   // garbage. The reversed order puts the normalization on the state at the
-  // other end of the band instead, and keeps the bandwidth. (Jacobi's pivot
-  // there is 1.)
+  // other end of the band instead, and keeps the bandwidth.
   const bool reverse = !(std::abs(m.pivot[norm_row]) <=
                          1.0 / std::numeric_limits<double>::epsilon());
   span.set("reversed", reverse);

@@ -1,4 +1,5 @@
-// Krylov-subspace stationary solver: preconditioned BiCGSTAB on pi Q = 0.
+// Krylov-subspace stationary solver: ILU0-preconditioned BiCGSTAB on
+// pi Q = 0.
 //
 // The tutorial's largeness problem in one sentence: availability models
 // explode to 10^5..10^6 states, dense GTH is O(n^3), and stationary SOR
@@ -8,15 +9,12 @@
 // sum(pi) = 1 (the replaced equation is redundant for an irreducible
 // chain), giving a nonsingular sparse system solved with O(nnz) matvecs.
 //
-// Two preconditioners, per the classic trade-off:
-//   * diagonal (Jacobi) — free to build, helps stiff diagonals;
-//   * ILU0 — incomplete LU on the matrix's own sparsity pattern, far
-//     stronger on banded/NCD chains, O(nnz) setup. The factor is stored
-//     split, in the order the triangular solves walk it (L's rows first to
-//     last, U's rows last to first, the pivots apart, 32-bit columns), and
-//     factored straight into that form.
-// Both are one factor M = L U (Jacobi's has no L or U entries) with its
-// remainder R = A - M: ILU0's dropped fill, or Jacobi's off-diagonal part.
+// The preconditioner is ILU0: incomplete LU on the matrix's own sparsity
+// pattern, strong on banded/NCD chains and exact on a tridiagonal one,
+// with O(nnz) setup. The factor M = L U is stored split, in the order the
+// triangular solves walk it (L's rows first to last, U's rows last to
+// first, the pivots apart, 32-bit columns), and factored straight into
+// that form, with its remainder R = A - M (the fill ILU0 drops).
 // Since A M^{-1} p = p + R M^{-1} p, each product with the preconditioned
 // system is one pass over R (Eisenstat's trick in its general form), fused
 // with the dot product that reads it, and A is kept only to factor: it is
@@ -50,22 +48,12 @@
 
 namespace relkit {
 
-/// Preconditioner for the Krylov solver.
-enum class Preconditioner {
-  kJacobi,  ///< diagonal scaling
-  kIlu0,    ///< incomplete LU, zero fill-in (the default)
-};
-
-/// Printable name ("jacobi", "ilu0").
-const char* preconditioner_name(Preconditioner p);
-
 /// Options for the BiCGSTAB stationary solver.
 struct BicgstabOptions {
   /// Convergence target: max_i |(pi Q)_i| of the normalized iterate (the
   /// same verified residual the robust layer accepts on).
   double tol = 1e-10;
   std::size_t max_iters = 50000;
-  Preconditioner precond = Preconditioner::kIlu0;
   /// Apply the RCM bandwidth-reducing permutation before solving (inverted
   /// on the result; pure locality/ILU-quality, never changes the answer).
   bool use_rcm = true;

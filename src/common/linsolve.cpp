@@ -65,12 +65,19 @@ std::vector<double> gth_steady_state(Matrix q) {
   }
 
   // Back substitution: pi_k = sum_{i<k} pi_i q(i,k) on the folded matrix.
+  // It starts from pi_0 = 1, so where pi grows past the double range along
+  // the order (state 0 the least probable) the entries so far are scaled by
+  // 2^-512 whenever one exceeds 2^512; the scaling is exact, so a chain
+  // that never gets there keeps its bits.
   std::vector<double> pi(n, 0.0);
   pi[0] = 1.0;
   for (std::size_t k = 1; k < n; ++k) {
     double acc = 0.0;
     for (std::size_t i = 0; i < k; ++i) acc += pi[i] * q(i, k);
     pi[k] = acc;
+    if (acc > 0x1p512) {
+      for (std::size_t i = 0; i <= k; ++i) pi[i] *= 0x1p-512;
+    }
   }
 
   double total = 0.0;

@@ -175,7 +175,6 @@ std::vector<std::uint64_t> steady_option_words(
   key.add(opts.sor.adaptive_omega);
   key.add(opts.bicgstab.tol);
   key.add(opts.bicgstab.max_iters);
-  key.add(static_cast<std::size_t>(opts.bicgstab.precond));
   key.add(opts.bicgstab.use_rcm);
   key.add(opts.ncd.coupling_threshold);
   key.add(opts.ncd.tol);
@@ -242,18 +241,9 @@ std::vector<double> Ctmc::steady_state(const SteadyStateOptions& opts,
     span.set("cache", "miss");
   }
 
-  robust::RobustSteadyOptions robust_opts;
-  robust_opts.dense_primary = opts.dense_threshold;
-  robust_opts.dense_fallback =
-      std::max(opts.dense_threshold, opts.gth_fallback_threshold);
-  robust_opts.sor = opts.sor;
-  robust_opts.bicgstab = opts.bicgstab;
-  robust_opts.ncd = opts.ncd;
-  robust_opts.solver = opts.solver;
-  robust_opts.jobs = opts.jobs;
   robust::SteadyResult r = [&] {
     const TransposedGenerator g = transposed_generator();
-    return robust::robust_steady_state(g.qt, g.diag, robust_opts);
+    return robust::robust_steady_state(g.qt, g.diag, opts);
   }();
   // The generator and the solver's buffers are gone by now, so the key the
   // insert builds does not add to the solve's peak.
@@ -791,6 +781,13 @@ std::vector<double> birth_death_steady_state(const std::vector<double>& birth,
     prod *= birth[i] / death[i];
     pi[i + 1] = prod;
     total += prod;
+    // As in gth_steady_state: an exact rescale keeps pi within the double
+    // range when it grows along the chain.
+    if (prod > 0x1p512) {
+      for (std::size_t j = 0; j <= i + 1; ++j) pi[j] *= 0x1p-512;
+      prod *= 0x1p-512;
+      total *= 0x1p-512;
+    }
   }
   for (double& x : pi) x /= total;
   return pi;

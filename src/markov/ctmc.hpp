@@ -6,8 +6,8 @@
 //
 //   * steady-state     — the verified fallback chain of src/robust/ (dense
 //                        GTH first on small chains, then SOR, NCD
-//                        aggregation-disaggregation, BiCGSTAB, power
-//                        iteration, last-resort GTH), or one forced method
+//                        aggregation-disaggregation, BiCGSTAB, last-resort
+//                        GTH), or one forced method
 //   * transient        — uniformization with stable Poisson weights
 //   * cumulative       — expected total time per state in [0, t]
 //                        (uniformization integral form)
@@ -41,31 +41,11 @@ namespace relkit::markov {
 
 using StateId = std::size_t;
 
-/// Options controlling the stationary solver.
-struct SteadyStateOptions {
-  /// The chain starts with dense GTH when the state count is <= this, with
-  /// SOR otherwise.
-  std::size_t dense_threshold = 512;
-  SorOptions sor;
-  /// Krylov tier knobs (tolerance, preconditioner, RCM) for the fallback
-  /// chain's BiCGSTAB attempts and for `solver = kBicgstab`.
-  BicgstabOptions bicgstab;
-  /// NCD detection threshold + aggregation-disaggregation knobs.
-  robust::AdOptions ncd;
-  /// Force a single solver instead of the fallback chain: the chain is then
-  /// that method's entry alone, still verified, and its failure throws.
-  /// kAuto consults the thread/process ambient choice (CLI --solver,
-  /// relkit_serve per-request "solver"). The *effective* choice is part of
-  /// the solution-cache key.
-  robust::SolverChoice solver = robust::SolverChoice::kAuto;
-  /// Dense GTH is allowed as a *last resort* up to this size even when the
-  /// chain is above dense_threshold (O(n^3) beats no answer).
-  std::size_t gth_fallback_threshold = 2048;
-  /// Parallelism degree for the state-space kernels (SOR residual
-  /// evaluation, power-iteration matvec, verification residual).
-  /// 0 = parallel::default_jobs(); 1 = force the sequential path. Never
-  /// part of the solution-cache key: every value gives the same bits.
-  unsigned jobs = 0;
+/// Options controlling the stationary solver: the verified chain's options
+/// (robust/robust.hpp) plus the solution cache. The *effective* solver
+/// choice is part of the cache key; `jobs` never is, since every value gives
+/// the same bits.
+struct SteadyStateOptions : robust::RobustSteadyOptions {
   /// Consult/populate the process-wide markov::SolutionCache. The cache can
   /// also be disabled globally (CLI --no-solver-cache).
   bool use_cache = true;

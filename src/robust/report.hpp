@@ -59,15 +59,16 @@ struct SolveReport {
     bool accepted = false;  ///< true for the attempt whose answer was used
   };
 
-  /// Method that produced the returned result ("gth", "sor", "power",
-  /// "uniformization", "fixed-point", "monte-carlo"); empty on failure.
+  /// Method that produced the returned result ("gth", "sor", "ad",
+  /// "bicgstab", "power", "uniformization", "fixed-point", "monte-carlo");
+  /// empty on failure.
   std::string method;
   /// Methods attempted, in order.
   std::vector<std::string> attempts;
   /// Per-attempt iteration counts / final residuals, parallel to
   /// `attempts` when the solver records them (the robust chain does).
   std::vector<AttemptDetail> attempt_details;
-  /// Fallback edges taken, e.g. "sor->power".
+  /// Fallback edges taken, e.g. "sor->bicgstab".
   std::vector<std::string> fallbacks;
   /// Non-fatal anomalies: renormalization drift, repaired values, budget
   /// stops, injected faults.

@@ -34,6 +34,16 @@ Matrix densify(const SparseMatrix& qt, const std::vector<double>& diag) {
   return q;
 }
 
+/// A candidate pi is accepted when max|pi Q| <= kVerifyTol * max(1, rate
+/// scale). Looser than the kernels' tolerances on purpose: this is the "is
+/// the answer usable at all" bar, not the convergence target.
+constexpr double kVerifyTol = 1e-6;
+
+/// The auto chain tries A/D only when the NCD detector's decomposability
+/// parameter is at or below this (and it found >= 2 blocks, each small
+/// enough for its dense censored solve).
+constexpr double kNcdAutoCoupling = 0.2;
+
 /// Clamps negative entries to 0 and rescales to sum 1. False when no
 /// probability mass is left.
 bool clamp_normalize(std::vector<double>& v) {
@@ -223,7 +233,7 @@ SteadyResult robust_steady_state(const SparseMatrix& qt,
                                         }
                                         return worst;
                                       }()});
-  const double accept_res = opts.verify_tol * rate_scale;
+  const double accept_res = kVerifyTol * rate_scale;
 
   // Best (lowest-residual) candidate across all attempts, for the partial
   // result of a total failure.
@@ -348,26 +358,20 @@ SteadyResult robust_steady_state(const SparseMatrix& qt,
   };
 
   // ---- the entries ---------------------------------------------------------
-  // Each method's options inherit the chain's jobs. Dense Q, the
-  // uniformized P and the NCD partition are built only when their entry
-  // runs.
+  // Each method's options inherit the chain's jobs; forced power takes its
+  // defaults. Dense Q, the uniformized P and the NCD partition are built
+  // only when their entry runs.
   const auto inherit = [&](auto o) {
     if (o.jobs == 0) o.jobs = opts.jobs;
     return o;
   };
   const SorOptions sor_opts = inherit(opts.sor);
-  // Plain Gauss-Seidel: stiff chains sometimes tolerate no omega > 1 at
-  // all, and the adaptive probe can have burned sweeps before settling.
-  SorOptions reset_opts = sor_opts;
-  reset_opts.omega = 1.0;
-  reset_opts.adaptive_omega = false;
   const BicgstabOptions bicgstab_opts = inherit(opts.bicgstab);
-  // ILU0 can be a poor factor for chains with wildly unbalanced rates;
-  // plain diagonal scaling sometimes still converges.
-  BicgstabOptions jacobi_opts = bicgstab_opts;
-  jacobi_opts.precond = Preconditioner::kJacobi;
   const AdOptions ad_opts = inherit(opts.ncd);
-  const PowerOptions power_opts = inherit(opts.power);
+  const PowerOptions power_opts = inherit(PowerOptions{});
+  // Dense GTH's last-resort limit; the primary gate is dense_threshold.
+  const std::size_t dense_limit =
+      std::max(opts.dense_threshold, opts.gth_fallback_threshold);
   NcdPartition part;  // written by the A/D gate, read by its run
   const auto detect_ncd = [&] {
     part = detect_ncd_blocks(qt, diag, opts.ncd.coupling_threshold);
@@ -378,17 +382,10 @@ SteadyResult robust_steady_state(const SparseMatrix& qt,
   }};
   const Attempt sor{"sor", "sor", "sor", {},
                     [&] { return sor_steady_state(qt, diag, sor_opts); }};
-  const Attempt sor_reset{"sor(omega-reset)", "sor", "sor retry", {}, [&] {
-    return sor_steady_state(qt, diag, reset_opts);
-  }};
   const Attempt ad{"ad", "ad", "ad", {},
                    [&] { return ad_steady_state(qt, diag, part, ad_opts); }};
   const Attempt bicgstab{"bicgstab", "bicgstab", "bicgstab", {}, [&] {
     return bicgstab_steady_state(qt, diag, bicgstab_opts);
-  }};
-  const Attempt bicgstab_jacobi{"bicgstab(jacobi)", "bicgstab",
-                                "bicgstab retry", {}, [&] {
-    return bicgstab_steady_state(qt, diag, jacobi_opts);
   }};
   const Attempt power{"power", "power", "power", {}, [&] {
     return power_steady_state(uniformize(qt, diag).pt.transposed(),
@@ -401,7 +398,7 @@ SteadyResult robust_steady_state(const SparseMatrix& qt,
   // dense GTH gets a chance to produce its informative error.
   bool has_zero_diag = false;
   for (const double d : diag) has_zero_diag |= (d >= 0.0);
-  if (has_zero_diag && n > opts.dense_fallback) {
+  if (has_zero_diag && n > dense_limit) {
     // Too large to densify just to produce GTH's diagnosis.
     throw NumericalError(
         "robust_steady_state: chain has a state with no exit rate "
@@ -447,26 +444,20 @@ SteadyResult robust_steady_state(const SparseMatrix& qt,
     why = "chain has an absorbing state (reducible)";
   } else {
     chain = {
-        gth.gated([&] { return n <= opts.dense_primary; }),
+        gth.gated([&] { return n <= opts.dense_threshold; }),
         sor,
-        sor_reset.gated(
-            [&] { return opts.sor.omega != 1.0 || opts.sor.adaptive_omega; }),
         // A/D only when the detector finds a decomposition: >= 2 blocks,
         // coupling small enough that A/D converges in a few sweeps, and
         // every block small enough for its dense censored solve.
         ad.gated([&] {
           detect_ncd();
-          return part.blocks >= 2 && part.coupling <= opts.ncd_auto_coupling &&
-                 part.max_block_size <= opts.dense_fallback;
+          return part.blocks >= 2 && part.coupling <= kNcdAutoCoupling &&
+                 part.max_block_size <= dense_limit;
         }),
         bicgstab,
-        bicgstab_jacobi.gated(
-            [&] { return opts.bicgstab.precond == Preconditioner::kIlu0; }),
-        power,
         // Dense GTH as the last resort, unless it already ran first.
-        gth.gated([&] {
-          return n > opts.dense_primary && n <= opts.dense_fallback;
-        }),
+        gth.gated(
+            [&] { return n > opts.dense_threshold && n <= dense_limit; }),
     };
   }
 

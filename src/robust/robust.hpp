@@ -7,36 +7,34 @@
 // chain is a list of entries, each a {label, fault probe, gate, run}, walked
 // in order by one runner:
 //
-//   gth (dense, exact)            when n <= dense_primary
+//   gth (dense, exact)            when n <= dense_threshold
 //   sor                           symmetric Gauss-Seidel / SOR sweeps
-//   sor(omega-reset)              plain Gauss-Seidel retry if the first SOR
-//                                 attempt used over-relaxation
 //   ad                            Courtois/Takahashi aggregation-
 //                                 disaggregation, only when the NCD detector
-//                                 finds a decomposition with small coupling
-//   bicgstab                      preconditioned BiCGSTAB + RCM reordering
-//   bicgstab(jacobi)              diagonal-preconditioned retry after ILU0
-//   power                         damped power iteration on the uniformized
-//                                 DTMC P = I + Q/q
-//   gth (dense, last resort)      when dense_primary < n <= dense_fallback
+//                                 finds >= 2 blocks with coupling <= 0.2,
+//                                 each small enough for its dense solve
+//   bicgstab                      ILU0-preconditioned BiCGSTAB + RCM
+//   gth (dense, last resort)      when dense_threshold < n <=
+//                                 max(dense_threshold, gth_fallback_threshold)
 //
-// A gate runs only when the runner reaches its entry, so the NCD detector,
-// a dense Q or a uniformized P cost nothing when an earlier entry wins. The
-// runner owns everything the entries share: the attempt span, the fault
-// probe, ConvergenceError capture, best-partial tracking, verification and
-// the deadline check between entries. A new method is one more entry.
+// A gate runs only when the runner reaches its entry, so the NCD detector
+// or a dense Q cost nothing when an earlier entry wins. The runner owns
+// everything the entries share: the attempt span, the fault probe,
+// ConvergenceError capture, best-partial tracking, verification and the
+// deadline check between entries. A new method is one more entry.
 //
 // Every candidate result is *verified* (finite, renormalized, residual
-// below verify_tol x rate-scale) before being accepted; a method whose
-// answer fails verification is treated as failed, so no solver path can
-// return NaN/Inf or a wrong fixed point silently. On total failure a
+// below 1e-6 x rate-scale) before being accepted; a method whose answer
+// fails verification is treated as failed, so no solver path can return
+// NaN/Inf or a wrong fixed point silently. On total failure a
 // ConvergenceError carries the best (lowest-residual) iterate seen plus the
 // full SolveReport.
 //
 // A single method can be forced — per call (RobustSteadyOptions::solver),
 // per thread (ScopedSolverChoice, used by relkit_serve's per-request
 // "solver" field), or process-wide (set_default_solver, the CLI --solver
-// flag). The chain is then that method's entry alone, still verified.
+// flag). The chain is then that method's entry alone, still verified;
+// damped power iteration on the uniformized DTMC is reachable only so.
 #pragma once
 
 #include <cstddef>
@@ -97,31 +95,25 @@ class ScopedSolverChoice {
   SolverChoice prev_;
 };
 
-/// Options for the resilient steady-state solve.
+/// Options for the resilient steady-state solve. markov::SteadyStateOptions
+/// is these plus the solution-cache switch.
 struct RobustSteadyOptions {
-  /// Use dense GTH as the *primary* method at or below this size.
-  std::size_t dense_primary = 512;
-  /// Allow dense GTH as the *last-resort* fallback at or below this size
-  /// (dense O(n^3) is acceptable when the iterative methods have failed).
-  std::size_t dense_fallback = 2048;
+  /// Dense GTH is the *primary* method at or below this size; above it the
+  /// chain starts with SOR.
+  std::size_t dense_threshold = 512;
+  /// Dense GTH is also the *last resort* up to max(dense_threshold, this)
+  /// states (O(n^3) beats no answer once the iterative methods failed).
+  std::size_t gth_fallback_threshold = 2048;
   SorOptions sor;
-  PowerOptions power;
-  BicgstabOptions bicgstab;  ///< Krylov tier (precond is the first attempt)
+  BicgstabOptions bicgstab;  ///< Krylov tier (tolerance, cap, RCM)
   AdOptions ncd;             ///< NCD detection threshold + A/D solve knobs
-  /// In the kAuto chain, attempt A/D only when the detector reports a
-  /// decomposability parameter at or below this (and >= 2 blocks, each
-  /// small enough for its dense censored solve).
-  double ncd_auto_coupling = 0.2;
   /// kAuto consults the thread/process ambient solver (ScopedSolverChoice
   /// / set_default_solver); any other value forces that single method.
   SolverChoice solver = SolverChoice::kAuto;
-  /// A candidate pi is accepted when max|pi Q| <= verify_tol * max(1, rate
-  /// scale). Looser than the iterative tol on purpose: this is the "is the
-  /// answer usable at all" bar, not the convergence target.
-  double verify_tol = 1e-6;
   /// Parallelism degree passed through to every attempt (SOR residual
   /// evaluation, power-iteration matvec) and to the verification residual.
-  /// 0 = parallel::default_jobs(); 1 = force sequential.
+  /// 0 = parallel::default_jobs(); 1 = force sequential. Every value gives
+  /// the same bits.
   unsigned jobs = 0;
 };
 

@@ -337,6 +337,33 @@ TEST(Gth, DtmcStationary) {
   EXPECT_NEAR(pi[1], 1.0 / 6.0, 1e-13);
 }
 
+// A 400-state birth-death chain with birth rate 10 and death rate 1: pi
+// grows tenfold per state, so pi_{n-1-j} = 0.9 * 10^-j (to within 10^-400)
+// and state 0, where the back substitution starts, is the least probable.
+// Its ratio to the most probable state is far below the double range.
+TEST(Gth, StateZeroMayBeTheLeastProbable) {
+  const std::size_t n = 400;
+  Matrix q(n, n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    q(i, i + 1) = 10.0;
+    q(i + 1, i) = 1.0;
+    q(i, i) -= 10.0;
+    q(i + 1, i + 1) -= 1.0;
+  }
+  const auto pi = gth_steady_state(q);
+  ASSERT_EQ(pi.size(), n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double x = pi[n - 1 - j];
+    const double expect = 0.9 * std::pow(10.0, -static_cast<double>(j));
+    ASSERT_TRUE(std::isfinite(x)) << "state " << n - 1 - j;
+    if (expect > 1e-290) {
+      EXPECT_NEAR(x, expect, 1e-12 * expect) << "state " << n - 1 - j;
+    } else {
+      EXPECT_NEAR(x, expect, 1e-300) << "state " << n - 1 - j;
+    }
+  }
+}
+
 TEST(Sor, MatchesGthOnBirthDeath) {
   // M/M/1/K birth-death chain: arrival 1.2, service 2.0, K = 20.
   const std::size_t n = 21;

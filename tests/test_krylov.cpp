@@ -177,34 +177,26 @@ TEST(Reorder, InvertOrderingRoundTrips) {
 
 // 2000-state birth-death chain against the geometric closed form (mild
 // stiffness — lam/mu = 0.98, the availability regime): the kernel must
-// hit its 1e-10 verified-residual target and the returned report must
-// describe a converged solve. The diagonal preconditioner is exercised on
-// a shorter chain (Jacobi-BiCGSTAB stagnates on very stiff long chains —
-// that is exactly why ILU0 is the default).
+// hit its 1e-12 verified-residual target and the returned report must
+// describe a converged solve.
 TEST(Bicgstab, MatchesClosedFormOnLargeBirthDeath) {
-  for (const auto& [n, precond] :
-       {std::pair<std::size_t, Preconditioner>{2000, Preconditioner::kIlu0},
-        std::pair<std::size_t, Preconditioner>{300,
-                                               Preconditioner::kJacobi}}) {
-    SparseMatrix qt;
-    std::vector<double> diag;
-    birth_death_system(n, 1.0, 1.02, qt, diag);
-    const std::vector<double> expect = birth_death_closed_form(n, 1.0, 1.02);
-    BicgstabOptions opts;
-    opts.precond = precond;
-    opts.tol = 1e-12;
-    opts.jobs = 1;
-    const BicgstabResult r = bicgstab_steady_state(qt, diag, opts);
-    EXPECT_LT(r.residual, 1e-12) << preconditioner_name(precond);
-    EXPECT_TRUE(r.report.converged);
-    EXPECT_EQ(r.report.method, "bicgstab");
-    ASSERT_EQ(r.pi.size(), n);
-    // Pointwise agreement is looser than the residual: on a long chain the
-    // residual-to-solution amplification grows with the mixing time.
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(r.pi[i], expect[i], 1e-8)
-          << preconditioner_name(precond) << " state " << i;
-    }
+  const std::size_t n = 2000;
+  SparseMatrix qt;
+  std::vector<double> diag;
+  birth_death_system(n, 1.0, 1.02, qt, diag);
+  const std::vector<double> expect = birth_death_closed_form(n, 1.0, 1.02);
+  BicgstabOptions opts;
+  opts.tol = 1e-12;
+  opts.jobs = 1;
+  const BicgstabResult r = bicgstab_steady_state(qt, diag, opts);
+  EXPECT_LT(r.residual, 1e-12);
+  EXPECT_TRUE(r.report.converged);
+  EXPECT_EQ(r.report.method, "bicgstab");
+  ASSERT_EQ(r.pi.size(), n);
+  // Pointwise agreement is looser than the residual: on a long chain the
+  // residual-to-solution amplification grows with the mixing time.
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_NEAR(r.pi[i], expect[i], 1e-8) << "state " << i;
   }
 }
 
@@ -231,17 +223,16 @@ TEST(Bicgstab, RcmOnAndOffAgree) {
 // sample is recorded before the deadline check, so even the first
 // residual check's abort has history to show.
 TEST(Bicgstab, DeadlineMidKrylovCarriesPartialAndTrace) {
-  // Jacobi-preconditioned BiCGSTAB on a long stiff chain stagnates for
-  // tens of thousands of iterations (each ~100us at this size), so a 50ms
-  // deadline reliably fires mid-iteration — no luck involved.
-  const std::size_t n = 20000;
+  // At tol 0 BiCGSTAB on the 240 x 240 grid (57,600 states, about a
+  // millisecond per iteration) never stops on its own, so a 50ms deadline
+  // reliably fires mid-iteration — no luck involved.
   SparseMatrix qt;
   std::vector<double> diag;
-  birth_death_system(n, 1.0, 1.3, qt, diag);
+  grid_system(240, qt, diag);
+  const std::size_t n = qt.rows();
 
   BicgstabOptions opts;
-  opts.precond = Preconditioner::kJacobi;
-  opts.tol = 1e-10;
+  opts.tol = 0.0;
   opts.jobs = 1;
   const robust::ScopedDeadline deadline(robust::Deadline::after_seconds(0.05));
   try {
@@ -286,20 +277,20 @@ TEST(Bicgstab, PreExpiredDeadlineStillPopulatesTrace) {
 }
 
 // Iteration-cap exhaustion (max_iters) throws with the best iterate rather
-// than discarding the work.
+// than discarding the work. ILU0 is exact on a tridiagonal chain, so the
+// chain is a grid.
 TEST(Bicgstab, IterationCapThrowsWithBestIterate) {
-  const std::size_t n = 400;
   SparseMatrix qt;
   std::vector<double> diag;
-  birth_death_system(n, 1.0, 1.01, qt, diag);
+  grid_system(20, qt, diag);
+  const std::size_t n = qt.rows();
   BicgstabOptions opts;
-  opts.precond = Preconditioner::kJacobi;  // ILU0 is exact on a tridiagonal
   opts.tol = 1e-15;
   opts.jobs = 1;
   opts.max_iters = 2;
   try {
     bicgstab_steady_state(qt, diag, opts);
-    FAIL() << "2 Jacobi iterations cannot reach 1e-15";
+    FAIL() << "2 iterations on a grid cannot reach 1e-15";
   } catch (const robust::ConvergenceError& e) {
     EXPECT_EQ(e.partial_result().size(), n);
     EXPECT_FALSE(e.report().converged);
@@ -308,19 +299,18 @@ TEST(Bicgstab, IterationCapThrowsWithBestIterate) {
 }
 
 // A solve that runs to its cap files its final verified check under the
-// iterations its loop ran and reports that count. Jacobi needs about 500
-// iterations on this drifted chain (see DriftedBirthDeath below).
+// iterations its loop ran and reports that count. The 100 x 100 grid needs
+// 126 iterations (its row in ForcedOutcomesArePinnedBitForBit below).
 TEST(Bicgstab, CappedSolveEndsTrajectoryAtItsIterations) {
   SparseMatrix qt;
   std::vector<double> diag;
-  birth_death_system(210, 0.7, 1.1, qt, diag);
+  grid_system(100, qt, diag);
   BicgstabOptions opts;
-  opts.precond = Preconditioner::kJacobi;
   opts.max_iters = 100;
   opts.jobs = 1;
   try {
     bicgstab_steady_state(qt, diag, opts);
-    FAIL() << "the drifted chain does not converge in 100 iterations";
+    FAIL() << "the 100 x 100 grid does not converge in 100 iterations";
   } catch (const robust::ConvergenceError& e) {
     const auto samples = e.report().convergence.samples();
     ASSERT_FALSE(samples.empty());
@@ -554,12 +544,11 @@ TEST(Residual, KernelResidualIsTheVerificationResidual) {
 // ---- the drifted birth-death family ----------------------------------------
 
 // Fifteen drifted birth-death chains (mu = 1.1) on which forced BiCGSTAB
-// misbehaves: Jacobi fails the five with 907 states, and ILU0 failed five
-// until it chose its orientation per chain (the normalization row on the
-// state at the heavy end of the band). The verified
-// auto chain must still answer every one within 1e-10 of the closed form
-// at any worker count (GTH up to 400 states, SOR at 907). Forced BiCGSTAB's
-// outcomes on them, failures included, are pinned bit for bit by
+// misbehaved: ILU0 failed five until it chose its orientation per chain
+// (the normalization row on the state at the heavy end of the band). The
+// verified auto chain must still answer every one within 1e-10 of the
+// closed form at any worker count (GTH up to 400 states, SOR at 907).
+// Forced BiCGSTAB's outcomes on them are pinned bit for bit by
 // Bicgstab.ForcedOutcomesArePinnedBitForBit below.
 TEST(DriftedBirthDeath, AutoChainMatchesClosedForm) {
   const double mu = 1.1;
@@ -705,18 +694,18 @@ void PrintTo(const Outcome& o, std::ostream* os) { *os << as_row(o); }
 
 }  // namespace
 
-// Forced BiCGSTAB on the 40x40 and 100x100 grids with ILU0, the 40x40 grid
-// with Jacobi, the fifteen drifted birth-death chains above with each
-// preconditioner, and their fifteen mirrors (birth rate 1.1, death rate
-// lam) with ILU0, at max_iters 2000. ILU0 factors the grids in RCM order,
-// the drifted chains reversed and the mirrors unreversed, so both
-// orientations are pinned; all 30 chains converge in one iteration. A last
-// solve repeats the first drifted chain with its residual check probed to
-// read 1. Of the 49 solves, 6 throw: 5 at the cap (Jacobi at 907 states)
-// and the probed one on an omega breakdown, so both failure paths are
-// pinned with their partials. The triangular solves, the products on the
-// factor's remainder and the dot products run sequentially at any worker
-// count, so jobs 1, 2 and 4 must agree exactly everywhere.
+// Forced BiCGSTAB on the 40x40 and 100x100 grids, the 100x100 grid again
+// capped at 100 iterations, the fifteen drifted birth-death chains above
+// and their fifteen mirrors (birth rate 1.1, death rate lam), at max_iters
+// 2000. ILU0 factors the grids in RCM order, the drifted chains reversed
+// and the mirrors unreversed, so both orientations are pinned; all 30
+// chains converge in one iteration. A last solve repeats the first drifted
+// chain with its residual check probed to read 1. Of the 34 solves, 2
+// throw: the capped grid at its cap and the probed one on an omega
+// breakdown, so both failure paths are pinned with their partials. The
+// triangular solves, the products on the factor's remainder and the dot
+// products run sequentially at any worker count, so jobs 1, 2 and 4 must
+// agree exactly everywhere.
 // The literals were recorded on x86-64, where without -march the compiler
 // emits no fused multiply-add; on other targets contraction may change
 // last bits, so only the agreement across jobs is checked there.
@@ -730,29 +719,20 @@ TEST(Bicgstab, ForcedOutcomesArePinnedBitForBit) {
     std::vector<double> diag;
     for (const std::size_t k : {40u, 100u}) {
       grid_system(k, qt, diag);
-      opts.precond = Preconditioner::kIlu0;
       outcomes.push_back(forced_bicgstab("ilu0 grid " + std::to_string(k), qt,
                                          diag, opts));
-      if (k == 40) {
-        opts.precond = Preconditioner::kJacobi;
-        outcomes.push_back(forced_bicgstab("jacobi grid 40", qt, diag, opts));
-      }
     }
+    opts.max_iters = 100;
+    outcomes.push_back(forced_bicgstab("ilu0 grid 100 cap 100", qt, diag, opts));
     opts.max_iters = 2000;
     for (const std::size_t n : {210u, 400u, 907u}) {
       for (const double lam : {0.4, 0.45, 0.5, 0.6, 0.7}) {
         birth_death_system(n, lam, 1.1, qt, diag);
         char chain[64];
-        std::snprintf(chain, sizeof chain, " n %zu lam %.2f", n, lam);
-        for (const Preconditioner p :
-             {Preconditioner::kIlu0, Preconditioner::kJacobi}) {
-          opts.precond = p;
-          outcomes.push_back(forced_bicgstab(
-              std::string(preconditioner_name(p)) + chain, qt, diag, opts));
-        }
+        std::snprintf(chain, sizeof chain, "ilu0 n %zu lam %.2f", n, lam);
+        outcomes.push_back(forced_bicgstab(chain, qt, diag, opts));
       }
     }
-    opts.precond = Preconditioner::kIlu0;
     for (const std::size_t n : {210u, 400u, 907u}) {
       for (const double lam : {0.4, 0.45, 0.5, 0.6, 0.7}) {
         birth_death_system(n, 1.1, lam, qt, diag);
@@ -780,80 +760,42 @@ TEST(Bicgstab, ForcedOutcomesArePinnedBitForBit) {
   const std::vector<Outcome> pinned = {
       {"ilu0 grid 40", 0xa1fae513ea500c6eull, 32,
        0x1.d16ebcp-38, ""},
-      {"jacobi grid 40", 0x68b6051d015150edull, 423,
-       0x1.678359864d2ecp-34, ""},
       {"ilu0 grid 100", 0xd98652f9ce3f3c88ull, 126,
        0x1.f1f3a8348f6c2p-35, ""},
+      {"ilu0 grid 100 cap 100", 0x7d150fed6e12f6dbull, 100,
+       0x1.3e0868d0335dep-21,
+       "bicgstab_steady_state: no convergence after 100 iterations "
+       "(best residual 0.000001)"},
       {"ilu0 n 210 lam 0.40", 0x516c7aee69ecb81aull, 1,
        0x1.8p-55, ""},
-      {"jacobi n 210 lam 0.40", 0x7c1fe5d5a34dc374ull, 441,
-       0x1.d4684ab847e2p-35, ""},
       {"ilu0 n 210 lam 0.45", 0x59c0f88f83f6dfb1ull, 1,
        0x1p-53, ""},
-      {"jacobi n 210 lam 0.45", 0xa4d3be80838cd69bull, 508,
-       0x1.144e2bfe6d313p-34, ""},
       {"ilu0 n 210 lam 0.50", 0x7cc1a8dca2a9e1dfull, 1,
        0x1.4p-54, ""},
-      {"jacobi n 210 lam 0.50", 0x1697bb04c512b511ull, 468,
-       0x1.13e8989389e3p-35, ""},
       {"ilu0 n 210 lam 0.60", 0xb4550443f724077eull, 1,
        0x1.8p-53, ""},
-      {"jacobi n 210 lam 0.60", 0xa2f2a1d712f173e6ull, 413,
-       0x1.e2edcbaec6c1cp-37, ""},
       {"ilu0 n 210 lam 0.70", 0x3ea0b64edb1577e6ull, 1,
        0x1p-52, ""},
-      {"jacobi n 210 lam 0.70", 0x8a08fae87c95e2a3ull, 502,
-       0x1.328a69996c02p-34, ""},
       {"ilu0 n 400 lam 0.40", 0x8e3c6ab4f330947aull, 1,
        0x1.8p-53, ""},
-      {"jacobi n 400 lam 0.40", 0x61c8b43f70924e0bull, 1172,
-       0x1.7f8d68868107p-35, ""},
       {"ilu0 n 400 lam 0.45", 0xdea2f0a3875ed5eaull, 1,
        0x1p-56, ""},
-      {"jacobi n 400 lam 0.45", 0x71c3988e322e49daull, 1272,
-       0x1.298f77e80c44p-34, ""},
       {"ilu0 n 400 lam 0.50", 0x627273029f3665f7ull, 1,
        0x1p-52, ""},
-      {"jacobi n 400 lam 0.50", 0x9f06560f008d463dull, 1183,
-       0x1.11afc014722b6p-38, ""},
       {"ilu0 n 400 lam 0.60", 0x77d8862c89ba65e7ull, 1,
        0x1p-54, ""},
-      {"jacobi n 400 lam 0.60", 0xfe583bbb0ff6b68cull, 984,
-       0x1.9c34b91592466p-34, ""},
       {"ilu0 n 400 lam 0.70", 0x41c135b28edab844ull, 1,
        0x1.8p-53, ""},
-      {"jacobi n 400 lam 0.70", 0x171c12f256a0280eull, 960,
-       0x1.56df8ab81e7cp-34, ""},
       {"ilu0 n 907 lam 0.40", 0x35001ea30bf24e15ull, 1,
        0x1.8p-54, ""},
-      {"jacobi n 907 lam 0.40", 0xeb33c9956c6c160full, 2000,
-       0x1.7b0e30d9af999p-22,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000000)"},
       {"ilu0 n 907 lam 0.45", 0x384f1bb52fb52407ull, 1,
        0x1p-56, ""},
-      {"jacobi n 907 lam 0.45", 0xfd1e240772819914ull, 2000,
-       0x1.5fbe085b5fd67p-22,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000000)"},
       {"ilu0 n 907 lam 0.50", 0xcdcec91188bd3755ull, 1,
        0x1.cp-54, ""},
-      {"jacobi n 907 lam 0.50", 0x2d23e966793dc0e6ull, 2000,
-       0x1.82038288636c1p-22,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000000)"},
       {"ilu0 n 907 lam 0.60", 0x6295a1b8ab2453f7ull, 1,
        0x1.cp-52, ""},
-      {"jacobi n 907 lam 0.60", 0x147cd27cf66994bdull, 2000,
-       0x1.0751e9ce57615p-23,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000000)"},
       {"ilu0 n 907 lam 0.70", 0x2c8711f0520c4c32ull, 1,
        0x1p-55, ""},
-      {"jacobi n 907 lam 0.70", 0xbb8253dbca0ad240ull, 2000,
-       0x1.6cad46c16c483p-22,
-       "bicgstab_steady_state: no convergence after 2000 iterations "
-       "(best residual 0.000000)"},
       {"ilu0 mirrored n 210 lam 0.40", 0xad3d3fe52a9fcac2ull, 1,
        0x1p-54, ""},
       {"ilu0 mirrored n 210 lam 0.45", 0xcfdc7f63ea5fc73eull, 1,

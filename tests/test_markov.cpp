@@ -570,6 +570,27 @@ TEST(BirthDeath, ValidatesInput) {
   EXPECT_THROW(birth_death_steady_state({0.0}, {1.0}), InvalidArgument);
 }
 
+// The closed form starts from pi_0 = 1 like GTH's back substitution, so it
+// must keep pi in range when pi grows along the chain: birth rate 10, death
+// rate 1, 400 states, pi_{n-1-j} = 0.9 * 10^-j (Gth.StateZeroMayBeTheLeast-
+// Probable in test_common is the same chain).
+TEST(BirthDeath, StateZeroMayBeTheLeastProbable) {
+  const std::size_t n = 400;
+  const auto pi = birth_death_steady_state(std::vector<double>(n - 1, 10.0),
+                                           std::vector<double>(n - 1, 1.0));
+  ASSERT_EQ(pi.size(), n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double x = pi[n - 1 - j];
+    const double expect = 0.9 * std::pow(10.0, -static_cast<double>(j));
+    ASSERT_TRUE(std::isfinite(x)) << "state " << n - 1 - j;
+    if (expect > 1e-290) {
+      EXPECT_NEAR(x, expect, 1e-12 * expect) << "state " << n - 1 - j;
+    } else {
+      EXPECT_NEAR(x, expect, 1e-300) << "state " << n - 1 - j;
+    }
+  }
+}
+
 // Property: transient distribution converges to the stationary one.
 class ConvergenceSweep : public ::testing::TestWithParam<double> {};
 

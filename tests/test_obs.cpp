@@ -230,7 +230,7 @@ TEST(Integration, FallbackChainProducesAttemptSpanTree) {
   markov::SteadyStateOptions opts;
   opts.dense_threshold = 0;         // no primary GTH
   opts.gth_fallback_threshold = 0;  // no last-resort GTH
-  opts.sor.adaptive_omega = false;  // single sor attempt, then bicgstab
+  opts.sor.adaptive_omega = false;  // plain Gauss-Seidel, failed by the probe
   robust::SolveReport report;
   const auto pi = chain.steady_state(opts, &report);
   ASSERT_EQ(pi.size(), 12u);

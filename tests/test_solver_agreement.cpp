@@ -221,11 +221,9 @@ std::vector<double> solve_power(const markov::Ctmc& c, unsigned jobs) {
 }
 
 std::vector<double> solve_bicgstab(const markov::Ctmc& c, unsigned jobs,
-                                   bool use_cache, Preconditioner precond,
-                                   bool use_rcm = true) {
+                                   bool use_cache, bool use_rcm = true) {
   markov::SteadyStateOptions opts;
   opts.solver = robust::SolverChoice::kBicgstab;  // forced, still verified
-  opts.bicgstab.precond = precond;
   opts.bicgstab.use_rcm = use_rcm;
   opts.bicgstab.tol = 1e-11;
   opts.jobs = jobs;
@@ -439,19 +437,15 @@ TEST(SolverAgreement, DeadlineMidSolveAtJobsFourReturnsPartial) {
   }
 }
 
-// 200 chains through forced BiCGSTAB (ILU0 with RCM; every third chain
-// also through the diagonal preconditioner) at jobs = 1, cache off.
+// 200 chains through forced BiCGSTAB (ILU0 with RCM) at jobs = 1, cache
+// off.
 TEST(SolverAgreement, BicgstabMatchesGthSequential) {
   const CacheOffGuard guard;
   for (std::size_t chain = 0; chain < 200; ++chain) {
     const markov::Ctmc c = make_chain(chain);
     const std::vector<double> ref = solve_gth(c);
-    expect_agree(ref, solve_bicgstab(c, 1, false, Preconditioner::kIlu0),
-                 "bicgstab(ilu0,jobs=1)", chain);
-    if (chain % 3 == 0) {
-      expect_agree(ref, solve_bicgstab(c, 1, false, Preconditioner::kJacobi),
-                   "bicgstab(jacobi,jobs=1)", chain);
-    }
+    expect_agree(ref, solve_bicgstab(c, 1, false), "bicgstab(ilu0,jobs=1)",
+                 chain);
   }
 }
 
@@ -462,7 +456,7 @@ TEST(SolverAgreement, BicgstabParallelJobsFourMatchesGth) {
   for (std::size_t chain = 0; chain < 200; chain += 5) {
     const markov::Ctmc c = make_chain(chain);
     const std::vector<double> ref = solve_gth(c);
-    expect_agree(ref, solve_bicgstab(c, 4, false, Preconditioner::kIlu0),
+    expect_agree(ref, solve_bicgstab(c, 4, false),
                  "bicgstab(ilu0,jobs=4)", chain);
   }
 }
@@ -478,10 +472,10 @@ TEST(SolverAgreement, BicgstabCacheOnAgreesAndHits) {
     const markov::Ctmc c = make_chain(chain);
     const std::vector<double> ref = solve_gth(c);
     const std::vector<double> first =
-        solve_bicgstab(c, 1, true, Preconditioner::kIlu0);
+        solve_bicgstab(c, 1, true);
     const std::uint64_t hits_before = cache.hits();
     const std::vector<double> second =
-        solve_bicgstab(c, 1, true, Preconditioner::kIlu0);
+        solve_bicgstab(c, 1, true);
     EXPECT_EQ(cache.hits(), hits_before + 1) << "chain " << chain;
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i) {

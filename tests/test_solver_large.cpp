@@ -103,8 +103,8 @@ TEST(SolverLarge, Ad100kStatesNcd) {
 
 // The auto fallback chain at 10^5 states: with SOR's sweep budget capped
 // (its natural convergence on a chain this long takes minutes — exactly
-// the largeness problem), the chain must fall through sor ->
-// sor(omega-reset) -> bicgstab and land on a verified Krylov answer.
+// the largeness problem), the chain must fall through sor -> bicgstab and
+// land on a verified Krylov answer.
 TEST(SolverLarge, AutoChainFallsThroughToBicgstabAt100kStates) {
   const std::size_t n = 100000;
   const markov::Ctmc c = alternating_banded(n);
