@@ -23,9 +23,9 @@ using namespace relkit;
 namespace {
 
 /// Threads column: wall time and speedup of the 20k-replication duplex
-/// availability estimate for jobs = 1/2/4. The jobs >= 2 estimates are
-/// identical by the determinism contract (docs/parallelism.md); jobs = 1
-/// is the historical sequential path bit for bit. Restores `restore_jobs`
+/// availability estimate for jobs = 1/2/4. Every row prints the same
+/// estimate, the historical sequential loop's, by the determinism contract
+/// (docs/parallelism.md). Restores `restore_jobs`
 /// (the --jobs flag) afterwards so the microbenchmarks run as requested.
 void print_threads_table(unsigned restore_jobs) {
   std::printf("Parallel scaling (duplex availability_at, 20000 reps):\n");

@@ -183,6 +183,14 @@ NodeRef Manager::dual(NodeRef f) {
   return memo.at(f);
 }
 
+bool Manager::evaluate(NodeRef f, std::uint64_t bits) const {
+  while (!is_terminal(f)) {
+    const std::uint32_t lv = level(f);
+    f = lv < 64 && (bits >> lv & 1) ? high(f) : low(f);
+  }
+  return f == one();
+}
+
 double Manager::prob(NodeRef f, std::span<const double> p) const {
   static obs::Counter& evals = obs::counter("bdd.prob_evals");
   evals.add();

@@ -71,6 +71,11 @@ class Manager {
   /// p.size() must cover every level appearing in f.
   double prob(NodeRef f, std::span<const double> p) const;
 
+  /// f under one 0/1 assignment: x_level = bit `level` of `bits` (levels
+  /// >= 64 read 0). One walk from f to a terminal; allocates nothing and
+  /// is safe to call concurrently.
+  bool evaluate(NodeRef f, std::uint64_t bits) const;
+
   /// Birnbaum importance dP[f]/dp_level = P(f|x=1) - P(f|x=0).
   double birnbaum(NodeRef f, std::span<const double> p, std::uint32_t level);
 

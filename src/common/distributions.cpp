@@ -147,7 +147,7 @@ double Erlang::cdf(double t) const {
 double Erlang::pdf(double t) const {
   if (t <= 0.0) return 0.0;
   return std::exp(k_ * std::log(rate_) + (k_ - 1.0) * std::log(t) - rate_ * t -
-                  std::lgamma(k_));
+                  log_gamma(k_));
 }
 double Erlang::sample(Rng& rng) const {
   double acc = 0.0;
@@ -174,7 +174,7 @@ double Gamma::cdf(double t) const {
 double Gamma::pdf(double t) const {
   if (t <= 0.0) return 0.0;
   return std::exp(shape_ * std::log(rate_) + (shape_ - 1.0) * std::log(t) -
-                  rate_ * t - std::lgamma(shape_));
+                  rate_ * t - log_gamma(shape_));
 }
 double Gamma::sample(Rng& rng) const {
   // Marsaglia & Tsang (2000); the shape < 1 case uses the boost
@@ -220,7 +220,7 @@ double Beta::cdf(double t) const {
 double Beta::pdf(double t) const {
   if (t <= 0.0 || t >= 1.0) return 0.0;
   return std::exp((a_ - 1.0) * std::log(t) + (b_ - 1.0) * std::log1p(-t) +
-                  std::lgamma(a_ + b_) - std::lgamma(a_) - std::lgamma(b_));
+                  log_gamma(a_ + b_) - log_gamma(a_) - log_gamma(b_));
 }
 double Beta::variance() const {
   const double s = a_ + b_;

@@ -269,7 +269,7 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
   // equation of the state ordered LAST, so its dense row of ones sits at
   // the bottom of the factored pattern instead of wrecking the band.
   std::vector<std::size_t> perm;
-  if (opts.use_rcm && n > 2) {
+  if (n > 2) {
     perm = rcm_ordering(qt);
   } else {
     perm.resize(n);
@@ -292,9 +292,7 @@ robust::SteadyResult bicgstab_steady_state(const SparseMatrix& qt,
   }
   span.set("bandwidth_before", band_before);
   span.set("bandwidth", band_after);
-  if (opts.use_rcm) {
-    obs::gauge("markov.rcm.bandwidth").set(static_cast<double>(band_after));
-  }
+  obs::gauge("markov.rcm.bandwidth").set(static_cast<double>(band_after));
 
   // A x = b: rows 0..n-2 are the permuted equations (pi Q)_i = 0 (row i of
   // qt *is* equation i: A(i, j) = Q(j, i)); the last row is sum(pi) = 1.

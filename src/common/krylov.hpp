@@ -54,9 +54,6 @@ struct BicgstabOptions {
   /// same verified residual the robust layer accepts on).
   double tol = 1e-10;
   std::size_t max_iters = 50000;
-  /// Apply the RCM bandwidth-reducing permutation before solving (inverted
-  /// on the result; pure locality/ILU-quality, never changes the answer).
-  bool use_rcm = true;
   /// Parallelism degree for the verified residual checks over Q^T. 0 = the
   /// process-wide parallel::default_jobs(); 1 = the calling thread only.
   /// The products, triangular solves and dot products run on the calling

@@ -1,11 +1,18 @@
 #include "common/special.hpp"
 
+#include <math.h>  // lgamma_r
+
 #include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
 
 namespace relkit {
+
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
 
 namespace {
 
@@ -23,7 +30,7 @@ double gamma_p_series(double a, double x) {
     del *= x / ap;
     sum += del;
     if (std::abs(del) < std::abs(sum) * kEps) {
-      return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+      return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
     }
   }
   throw NumericalError("gamma_p: series did not converge");
@@ -47,7 +54,7 @@ double gamma_q_cf(double a, double x) {
     const double del = d * c;
     h *= del;
     if (std::abs(del - 1.0) < kEps) {
-      return std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
+      return std::exp(-x + a * std::log(x) - log_gamma(a)) * h;
     }
   }
   throw NumericalError("gamma_q: continued fraction did not converge");
@@ -106,8 +113,8 @@ double beta_inc(double a, double b, double x) {
   detail::require(x >= 0.0 && x <= 1.0, "beta_inc: require x in [0,1]");
   if (x == 0.0) return 0.0;
   if (x == 1.0) return 1.0;
-  const double ln_front = std::lgamma(a + b) - std::lgamma(a) -
-                          std::lgamma(b) + a * std::log(x) +
+  const double ln_front = log_gamma(a + b) - log_gamma(a) -
+                          log_gamma(b) + a * std::log(x) +
                           b * std::log1p(-x);
   const double front = std::exp(ln_front);
   if (x < (a + 1.0) / (a + b + 2.0)) {

@@ -7,6 +7,11 @@
 
 namespace relkit {
 
+/// ln|Gamma(x)|, the value std::lgamma returns. Safe to call from several
+/// threads at once: std::lgamma also writes the sign of Gamma(x) to the
+/// global `signgam`, a data race when pool workers evaluate a cdf.
+double log_gamma(double x);
+
 /// Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a),
 /// for a > 0, x >= 0. P is the cdf of a Gamma(shape=a, rate=1) variate.
 double gamma_p(double a, double x);

@@ -21,22 +21,6 @@ void OnlineStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * nb / (na + nb);
-  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-  n_ += other.n_;
-}
-
 double OnlineStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);

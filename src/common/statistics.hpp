@@ -7,17 +7,13 @@
 
 namespace relkit {
 
-/// Welford online mean/variance accumulator.
+/// Welford online mean/variance accumulator. It has no merge: the parallel
+/// simulator and uncertainty paths add their values in item order after
+/// the fan-out, which keeps their jobs-1 bits at every worker count.
 class OnlineStats {
  public:
   /// Adds one observation.
   void add(double x);
-
-  /// Folds another accumulator in (Chan et al. parallel combine). Used by
-  /// the parallel simulator / uncertainty paths to merge per-chunk
-  /// accumulators; merging in a fixed chunk order keeps the result
-  /// deterministic for any worker count.
-  void merge(const OnlineStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return mean_; }
@@ -44,8 +40,8 @@ class OnlineStats {
 /// Paired Welford accumulator for ratio estimators E[X]/E[Y] (regenerative
 /// simulation: X = per-cycle reward, Y = per-cycle length). Tracks means,
 /// second moments and the cross moment so the delta-method variance of the
-/// ratio is available online; merge() combines per-chunk accumulators
-/// deterministically (Chan et al.), mirroring OnlineStats.
+/// ratio is available online; merge() combines the rare-event engine's
+/// per-chunk accumulators deterministically (Chan et al.).
 class BivariateStats {
  public:
   /// Adds one (x, y) pair.

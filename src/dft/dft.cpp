@@ -65,8 +65,8 @@ NodePtr Node::spare_gate(std::string gate_name, std::vector<NodePtr> children,
 
 CtmcLifetime::CtmcLifetime(markov::Ctmc chain, std::vector<double> initial,
                            std::vector<bool> fired)
-    : chain_(std::move(chain)), initial_(std::move(initial)),
-      fired_(std::move(fired)) {
+    : chain_(std::move(chain)), generator_(chain_.sparse_generator()),
+      initial_(std::move(initial)), fired_(std::move(fired)) {
   detail::require(initial_.size() == chain_.state_count() &&
                       fired_.size() == chain_.state_count(),
                   "CtmcLifetime: size mismatch");
@@ -148,7 +148,7 @@ double CtmcLifetime::pdf(double t) const {
   // Flow rate into firing states: sum over transient states of
   // pi_s(t) * rate(s -> fired).
   const auto pi = chain_.transient(initial_, t);
-  const SparseMatrix q = chain_.sparse_generator();
+  const SparseMatrix& q = generator_;
   double flow = 0.0;
   for (std::size_t s = 0; s < fired_.size(); ++s) {
     if (fired_[s] || pi[s] == 0.0) continue;
@@ -168,7 +168,7 @@ double CtmcLifetime::variance() const {
 
 double CtmcLifetime::sample(Rng& rng) const {
   // Token game until absorption; defective paths return +infinity.
-  const SparseMatrix q = chain_.sparse_generator();
+  const SparseMatrix& q = generator_;
   // Choose start state.
   double u = rng.uniform();
   std::size_t state = 0;

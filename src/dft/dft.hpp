@@ -98,6 +98,7 @@ class CtmcLifetime final : public Distribution {
 
  private:
   markov::Ctmc chain_;
+  SparseMatrix generator_;  // chain_'s, built once for sample() and pdf()
   std::vector<double> initial_;
   std::vector<bool> fired_;
   double fire_prob_ = 1.0;

@@ -175,7 +175,6 @@ std::vector<std::uint64_t> steady_option_words(
   key.add(opts.sor.adaptive_omega);
   key.add(opts.bicgstab.tol);
   key.add(opts.bicgstab.max_iters);
-  key.add(opts.bicgstab.use_rcm);
   key.add(opts.ncd.coupling_threshold);
   key.add(opts.ncd.tol);
   key.add(opts.ncd.max_sweeps);

@@ -17,10 +17,12 @@
 //     merges per-chunk accumulators in chunk-index order, so a reduction's
 //     result is a pure function of (inputs, n, chunk) — the worker count
 //     can change only the wall-clock time, not the answer. Stochastic
-//     fan-outs (simulator replications, rare-event cycles and their
-//     RESTART split branches) extend the same idea to randomness: streams
-//     are pre-split from the master seed in item order (and branch streams
-//     from the parent stream in spawn order) before any chunk runs. See
+//     fan-outs (simulator replications, uncertainty samples, rare-event
+//     cycles and their RESTART split branches) extend the same idea to
+//     randomness: the caller's thread splits the streams (or draws the
+//     numbers) in item order before the chunks that use them run, and
+//     branch streams split from the parent stream in spawn order. Every
+//     fan-out therefore returns its jobs-1 bits at every worker count; see
 //     docs/parallelism.md for the full determinism contract.
 //   * Cooperative cancellation: an optional cancel() predicate (typically
 //     a test of the caller's copy of robust::ambient_deadline(), which is
@@ -42,7 +44,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -119,10 +120,9 @@ Acc reduce_chunks(ThreadPool& pool, std::size_t n, std::size_t chunk,
 // ---- process-wide default pool ---------------------------------------------
 
 /// The process-wide parallelism degree used by sim::*, uncertainty::* and
-/// the CLI when no explicit pool is given. The LIBRARY default is 1
-/// (fully sequential, bit-identical to historical behavior); opting into
-/// parallelism is an entry-point decision (relkit_cli --jobs, bench --jobs,
-/// or an explicit set_default_jobs call).
+/// the CLI when no explicit pool is given. The LIBRARY default is 1 (no
+/// threads at all); opting into parallelism is an entry-point decision
+/// (relkit_cli --jobs, bench --jobs, or an explicit set_default_jobs call).
 unsigned default_jobs();
 
 /// Sets the process-wide degree; 0 means hardware concurrency. Must not be
@@ -137,34 +137,29 @@ ThreadPool& global_pool();
 
 /// Resolves a `jobs` request (the convention every solver option struct
 /// uses: 0 = default_jobs(), 1 = force sequential, N = N threads) to a pool
-/// for the duration of one solve. When the requested degree matches the
-/// process-wide default the shared global_pool() is used; otherwise a
-/// private pool is spun up and torn down with the lease, so an explicit
-/// per-solve `jobs` never perturbs the global pool other callers may be
-/// using concurrently.
+/// for the duration of one solve. A degree above 1 that matches the
+/// process-wide default uses the shared global_pool(); any other degree
+/// gets a pool held in the lease, so an explicit per-solve `jobs` never
+/// perturbs the global pool other callers may be using concurrently. At
+/// degree 1 that pool is a ThreadPool(1): it spawns no thread and runs
+/// every chunk inline on the caller, so one code path serves every degree.
 class PoolLease {
  public:
-  explicit PoolLease(unsigned jobs) {
-    jobs_ = jobs != 0 ? jobs : default_jobs();
-    if (jobs_ <= 1) return;
-    if (jobs_ == default_jobs()) {
-      pool_ = &global_pool();
-    } else {
-      owned_ = std::make_unique<ThreadPool>(jobs_);
-      pool_ = owned_.get();
-    }
+  explicit PoolLease(unsigned jobs)
+      : jobs_(jobs != 0 ? jobs : default_jobs()),
+        pool_(jobs_ > 1 && jobs_ == default_jobs() ? &global_pool()
+                                                   : &owned_.emplace(jobs_)) {
   }
 
-  /// The pool to run on, or nullptr when the solve should stay on the
-  /// caller's thread (the bit-identical historical sequential path).
+  /// The pool to run on; never nullptr.
   ThreadPool* get() const { return pool_; }
   /// Effective parallelism degree (>= 1).
   unsigned jobs() const { return jobs_; }
 
  private:
-  unsigned jobs_ = 1;
-  ThreadPool* pool_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_;
+  unsigned jobs_;
+  std::optional<ThreadPool> owned_;
+  ThreadPool* pool_;
 };
 
 }  // namespace relkit::parallel

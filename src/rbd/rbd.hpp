@@ -130,6 +130,11 @@ class Rbd {
   /// Size of the success BDD in nodes.
   std::size_t bdd_node_count() const;
 
+  /// The BDD, and its failure function over "component i down" variables
+  /// (level i is component i), as FaultTree exposes its top event.
+  const bdd::Manager& manager() const { return mgr_; }
+  bdd::NodeRef failure_ref() const { return failure_; }
+
  private:
   mutable bdd::Manager mgr_;
   bdd::NodeRef success_ = bdd::Manager::zero();

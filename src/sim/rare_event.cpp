@@ -188,8 +188,7 @@ class CycleWalker {
         levels_.begin());
   }
 
-  /// splits^-region, by repeated division so jobs=1 stays bit-identical to
-  /// the pool path (no libm involved).
+  /// splits^-region, by repeated division (no libm involved).
   double region_weight(std::size_t region) const {
     double w = 1.0;
     for (std::size_t i = 0; i < region; ++i) {
@@ -374,9 +373,9 @@ class CycleWalker {
 
 /// Shared driver: runs regenerative cycles in deterministic batches until
 /// the relative-error target, the cycle cap, or the ambient deadline stops
-/// the run. Mirrors run_replications' partial-estimate semantics, but merges
-/// identically for EVERY jobs value (the sequential path uses the same
-/// chunk decomposition and fold as the pool path).
+/// the run. Mirrors run_replications' partial-estimate semantics; the
+/// per-chunk accumulators fold in chunk order, so every jobs value returns
+/// the same bits.
 Estimate run_rare(const char* what, const RareEventModel& model, bool mttf,
                   std::uint64_t seed, const RareEventOptions& opts) {
   detail::require(opts.bias > 0.0 && opts.bias < 1.0,
@@ -451,31 +450,20 @@ Estimate run_rare(const char* what, const RareEventModel& model, bool mttf,
       cycle_counter.add(end - begin);
       return local;
     };
-    const auto merge_fn = [](BivariateStats& acc,
-                             const BivariateStats& part) { acc.merge(part); };
-    BivariateStats batch_stats;
-    if (lease.get() == nullptr) {
-      // Sequential path: same chunk decomposition, same fold order as the
-      // pool path, so the result is bit-identical for every jobs value.
-      for (std::size_t b = 0; b < n; b += chunk) {
-        if (deadline.expired()) {
+    // The chunks fold in chunk order at every jobs value, inline on the
+    // caller at jobs 1. The cancel predicate tests the caller's copy:
+    // for_chunks polls it from whichever thread claims a chunk, and the
+    // ambient slot is unset on workers.
+    stats.merge(parallel::reduce_chunks<BivariateStats>(
+        *lease.get(), n, chunk, BivariateStats{}, chunk_fn,
+        [](BivariateStats& acc, const BivariateStats& part) {
+          acc.merge(part);
+        },
+        [&] {
+          if (!deadline.expired()) return false;
           deadline_hit.store(true, std::memory_order_relaxed);
-          break;
-        }
-        merge_fn(batch_stats, chunk_fn(b, std::min(b + chunk, n)));
-      }
-    } else {
-      // The cancel predicate tests the caller's copy: for_chunks polls it
-      // from whichever thread claims a chunk, and the ambient slot is unset
-      // on workers.
-      batch_stats = parallel::reduce_chunks<BivariateStats>(
-          *lease.get(), n, chunk, BivariateStats{}, chunk_fn, merge_fn, [&] {
-            if (!deadline.expired()) return false;
-            deadline_hit.store(true, std::memory_order_relaxed);
-            return true;
-          });
-    }
-    stats.merge(batch_stats);
+          return true;
+        }));
     if (deadline_hit.load(std::memory_order_relaxed)) {
       stopped = true;
       stop_reason = "deadline expired";

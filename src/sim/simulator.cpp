@@ -6,8 +6,7 @@
 #include <limits>
 #include <queue>
 #include <string>
-
-#include <atomic>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/obs.hpp"
@@ -43,20 +42,23 @@ Estimate summarize(const OnlineStats& stats) {
   return e;
 }
 
+/// Replications per batch: the streams and values held at once. A
+/// constant, so the batches never depend on the worker count.
+constexpr std::size_t kBatch = 4096;
+
 /// Runs up to `replications` independent replications of `one_rep` until
 /// the ambient deadline; each replication gets its own RNG stream split
-/// from `seed` in replication order, regardless of how many workers run
-/// them. A deadline stop with >= 2 completed replications returns the
-/// partial estimate (budget_stopped set, warning recorded); with fewer it
-/// throws robust::ConvergenceError carrying the partial mean.
+/// from `seed` in replication order. A deadline stop with >= 2 completed
+/// replications returns the partial estimate (budget_stopped set, warning
+/// recorded); with fewer it throws robust::ConvergenceError carrying the
+/// partial mean.
 ///
-/// Determinism contract (docs/parallelism.md): with
-/// parallel::default_jobs() == 1 this is the historical sequential loop,
-/// bit for bit. With jobs > 1, replications are farmed out in chunks whose
-/// boundaries depend only on the replication count; per-chunk accumulators
-/// merge in chunk order, so the estimate is identical for ANY worker count
-/// >= 2 (and differs from the sequential result only in floating-point
-/// summation order, never in the sampled values).
+/// Determinism contract (docs/parallelism.md): replications run in batches
+/// of kBatch on a pool of parallel::default_jobs() workers. The caller's
+/// thread splits a batch's streams in replication order, each chunk writes
+/// its values at their indices, and the values are added in replication
+/// order, so every worker count returns the bits of one sequential loop
+/// over the replications.
 Estimate run_replications(const char* what, std::size_t replications,
                           std::uint64_t seed,
                           const std::function<double(Rng&)>& one_rep) {
@@ -66,57 +68,47 @@ Estimate run_replications(const char* what, std::size_t replications,
   const auto start = std::chrono::steady_clock::now();
   const std::size_t target = injector.cap("sim.replications", replications);
   const robust::Deadline deadline = robust::ambient_deadline();
-  const unsigned jobs = parallel::default_jobs();
+  const parallel::PoolLease lease(0);
 
   obs::Span span("sim.estimate");
   span.set("what", what);
   span.set("target", target);
-  span.set("jobs", static_cast<std::uint64_t>(jobs));
+  span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
   static obs::Counter& rep_counter = obs::counter("sim.replications");
 
   Rng master(seed);
   OnlineStats stats;
   bool stopped = false;
   std::string stop_reason;
-  if (jobs <= 1) {
-    for (std::size_t r = 0; r < target; ++r) {
-      if (deadline.expired()) {
-        stopped = true;
-        stop_reason = "deadline expired";
-        break;
-      }
-      Rng stream = master.split();
-      stats.add(one_rep(stream));
-      rep_counter.add();
-    }
-  } else {
-    // Pre-split every replication's stream in replication order — the same
-    // split() sequence the sequential path consumes, so sample values do
-    // not depend on the worker count.
-    std::vector<Rng> streams;
-    streams.reserve(target);
-    for (std::size_t r = 0; r < target; ++r) streams.push_back(master.split());
-    std::atomic<bool> deadline_hit{false};
-    stats = parallel::reduce_chunks<OnlineStats>(
-        parallel::global_pool(), target, parallel::default_chunk(target),
-        OnlineStats{},
+  std::vector<Rng> streams;
+  std::vector<double> values;
+  std::vector<char> ran;  // per chunk; char, so chunks write distinct bytes
+  std::size_t launched = 0;
+  while (launched < target && !stopped) {
+    const std::size_t n = std::min(kBatch, target - launched);
+    launched += n;
+    streams.clear();
+    for (std::size_t r = 0; r < n; ++r) streams.push_back(master.split());
+    values.resize(n);
+    const std::size_t chunk = parallel::default_chunk(n);
+    ran.assign((n + chunk - 1) / chunk, 0);
+    // The cancel predicate tests the caller's copy: for_chunks polls it
+    // from whichever thread claims a chunk, and the ambient slot is unset
+    // on workers.
+    const std::size_t executed = lease.get()->for_chunks(
+        n, chunk,
         [&](std::size_t begin, std::size_t end) {
-          OnlineStats local;
           for (std::size_t r = begin; r < end; ++r) {
-            local.add(one_rep(streams[r]));
+            values[r] = one_rep(streams[r]);
           }
+          ran[begin / chunk] = 1;
           rep_counter.add(end - begin);
-          return local;
         },
-        [](OnlineStats& acc, const OnlineStats& chunk) { acc.merge(chunk); },
-        // Tests the caller's copy: for_chunks polls this from whichever
-        // thread claims a chunk, and the ambient slot is unset on workers.
-        [&] {
-          if (!deadline.expired()) return false;
-          deadline_hit.store(true, std::memory_order_relaxed);
-          return true;
-        });
-    if (deadline_hit.load() && stats.count() < target) {
+        [&] { return deadline.expired(); });
+    for (std::size_t r = 0; r < n; ++r) {
+      if (ran[r / chunk]) stats.add(values[r]);
+    }
+    if (executed < ran.size()) {
       stopped = true;
       stop_reason = "deadline expired";
     }

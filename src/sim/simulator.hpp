@@ -13,15 +13,15 @@
 //     (exponential timed transitions raced by sampling, immediates resolved
 //     by priority/weight) and estimates transient and accumulated rewards.
 //
-// Replications are driven by independent RNG streams split from one seed,
-// so results are reproducible. When parallel::default_jobs() > 1 the
-// replications fan out across the process-wide thread pool: streams are
-// still split in replication order and per-chunk accumulators merge in a
-// fixed chunk order, so for a given seed the estimate is identical for any
-// worker count >= 2, and jobs == 1 remains bit-identical to the historical
-// sequential loop (determinism contract: docs/parallelism.md). The
-// ambient deadline (robust::ScopedDeadline), copied on the caller's thread,
-// is polled between chunks, so cancellation keeps working.
+// Replications are driven by independent RNG streams split from one seed
+// in replication order, so results are reproducible. They run in fixed
+// batches on a pool of parallel::default_jobs() workers (inline on the
+// caller at jobs 1); each value lands at its index and the values are
+// added in replication order, so for a given seed every worker count
+// returns the bits of one sequential loop over the replications
+// (determinism contract: docs/parallelism.md). The ambient deadline
+// (robust::ScopedDeadline), copied on the caller's thread, is polled
+// between chunks, so cancellation keeps working.
 #pragma once
 
 #include <functional>

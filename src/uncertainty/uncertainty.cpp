@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/error.hpp"
 #include "common/statistics.hpp"
@@ -36,13 +35,13 @@ UncertaintyResult propagate(const std::vector<ParamSpec>& params,
     }
     detail::require(!p.name.empty(), "propagate: empty parameter name");
   }
-  if (jobs == 0) jobs = parallel::default_jobs();
 
   const std::size_t k = params.size();
+  const bool lhs = sampling == Sampling::kLatinHypercube;
 
   // For LHS: per-parameter random permutation of strata.
   std::vector<std::vector<std::size_t>> strata;
-  if (sampling == Sampling::kLatinHypercube) {
+  if (lhs) {
     strata.assign(k, {});
     for (std::size_t j = 0; j < k; ++j) {
       strata[j].resize(n);
@@ -54,89 +53,53 @@ UncertaintyResult propagate(const std::vector<ParamSpec>& params,
     }
   }
 
-  UncertaintyResult out;
-  OnlineStats stats;
-  if (jobs <= 1) {
-    out.samples.reserve(n);
-    std::map<std::string, double> assignment;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < k; ++j) {
-        double draw;
-        if (sampling == Sampling::kLatinHypercube) {
-          // Uniform within the assigned stratum, inverse-cdf transform.
-          const double u =
-              (static_cast<double>(strata[j][i]) + rng.uniform()) /
-              static_cast<double>(n);
-          const double clamped = std::min(std::max(u, 1e-12), 1.0 - 1e-12);
-          draw = params[j].dist->quantile(clamped);
-        } else {
-          draw = params[j].dist->sample(rng);
-        }
-        assignment[params[j].name] = draw;
+  // Every random number is drawn here, on the caller's thread, sample by
+  // sample and parameter by parameter. Gamma and Beta sample by rejection,
+  // so their draws cannot be split across threads. LHS keeps the uniform
+  // within the assigned stratum; its inverse CDF runs with the model below.
+  std::vector<double> draws(n * k);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      if (lhs) {
+        const double u = (static_cast<double>(strata[j][i]) + rng.uniform()) /
+                         static_cast<double>(n);
+        draws[i * k + j] = std::min(std::max(u, 1e-12), 1.0 - 1e-12);
+      } else {
+        draws[i * k + j] = params[j].dist->sample(rng);
       }
-      const double y = model(assignment);
-      detail::require(std::isfinite(y),
-                      "propagate: model returned a non-finite value");
-      out.samples.push_back(y);
-      stats.add(y);
     }
-  } else {
-    // Parallel path: each sample draws from its own sub-stream split from
-    // `rng` in sample order, so sample i's parameter values depend only on
-    // the seed and i — never on the worker count. Sample outputs land at
-    // their index, and per-chunk moment accumulators merge in chunk order
-    // (see docs/parallelism.md for the determinism contract).
-    obs::Span span("uncertainty.propagate");
-    span.set("samples", n);
-    span.set("jobs", static_cast<std::uint64_t>(jobs));
-    std::vector<Rng> streams;
-    streams.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) streams.push_back(rng.split());
-    out.samples.assign(n, 0.0);
-    // Reuse the process-wide pool when it matches; a caller asking for a
-    // different explicit degree gets a pool of its own for this call.
-    std::unique_ptr<parallel::ThreadPool> local_pool;
-    if (jobs != parallel::default_jobs()) {
-      local_pool = std::make_unique<parallel::ThreadPool>(
-          static_cast<unsigned>(jobs));
-    }
-    parallel::ThreadPool& pool =
-        local_pool ? *local_pool : parallel::global_pool();
-    // The ambient slot is unset on pool workers: each chunk installs the
-    // caller's deadline, so a solve inside `model` stops at it on any thread.
-    const robust::Deadline deadline = robust::ambient_deadline();
-    stats = parallel::reduce_chunks<OnlineStats>(
-        pool, n, parallel::default_chunk(n), OnlineStats{},
-        [&](std::size_t begin, std::size_t end) {
-          const robust::ScopedDeadline scoped(deadline);
-          OnlineStats local;
-          std::map<std::string, double> assignment;
-          for (std::size_t i = begin; i < end; ++i) {
-            for (std::size_t j = 0; j < k; ++j) {
-              double draw;
-              if (sampling == Sampling::kLatinHypercube) {
-                const double u =
-                    (static_cast<double>(strata[j][i]) +
-                     streams[i].uniform()) /
-                    static_cast<double>(n);
-                const double clamped =
-                    std::min(std::max(u, 1e-12), 1.0 - 1e-12);
-                draw = params[j].dist->quantile(clamped);
-              } else {
-                draw = params[j].dist->sample(streams[i]);
-              }
-              assignment[params[j].name] = draw;
-            }
-            const double y = model(assignment);
-            detail::require(std::isfinite(y),
-                            "propagate: model returned a non-finite value");
-            out.samples[i] = y;
-            local.add(y);
-          }
-          return local;
-        },
-        [](OnlineStats& acc, const OnlineStats& chunk) { acc.merge(chunk); });
   }
+
+  // The model runs in chunks on the pool; each output lands at its index
+  // and the outputs are added in sample order, so every worker count
+  // returns the jobs-1 bits (docs/parallelism.md).
+  const parallel::PoolLease lease(static_cast<unsigned>(jobs));
+  obs::Span span("uncertainty.propagate");
+  span.set("samples", n);
+  span.set("jobs", static_cast<std::uint64_t>(lease.jobs()));
+  UncertaintyResult out;
+  out.samples.assign(n, 0.0);
+  // The ambient slot is unset on pool workers: each chunk installs the
+  // caller's deadline, so a solve inside `model` stops at it on any thread.
+  const robust::Deadline deadline = robust::ambient_deadline();
+  lease.get()->for_chunks(
+      n, parallel::default_chunk(n), [&](std::size_t begin, std::size_t end) {
+        const robust::ScopedDeadline scoped(deadline);
+        std::map<std::string, double> assignment;
+        for (std::size_t i = begin; i < end; ++i) {
+          for (std::size_t j = 0; j < k; ++j) {
+            const double draw = draws[i * k + j];
+            assignment[params[j].name] =
+                lhs ? params[j].dist->quantile(draw) : draw;
+          }
+          const double y = model(assignment);
+          detail::require(std::isfinite(y),
+                          "propagate: model returned a non-finite value");
+          out.samples[i] = y;
+        }
+      });
+  OnlineStats stats;
+  for (const double y : out.samples) stats.add(y);
   out.mean = stats.mean();
   out.stddev = stats.stddev();
   return out;

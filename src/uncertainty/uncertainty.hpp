@@ -52,18 +52,15 @@ struct UncertaintyResult {
 
 /// Propagates parameter uncertainty through `model` with `n` samples.
 ///
-/// `jobs` controls fan-out across the process-wide thread pool
-/// (parallel::global_pool): 0 = use parallel::default_jobs() (library
-/// default 1 = sequential), 1 = the historical sequential path bit for
-/// bit, > 1 = samples are evaluated in parallel chunks. In parallel mode
-/// every sample draws from its own RNG sub-stream split from `rng` in
-/// sample order, so the result is deterministic for a given seed and
-/// identical for ANY worker count >= 2 — but it is a different (equally
-/// valid) random sequence than the sequential path's, which draws all
-/// parameters from `rng` directly. The model function is called
+/// `jobs` is the number of threads that evaluate the model (a
+/// parallel::PoolLease): 0 = parallel::default_jobs() (library default 1),
+/// 1 = the calling thread only. Every parameter value is drawn from `rng`
+/// on the calling thread in sample order, and the outputs are accumulated
+/// in sample order, so the result and `rng`'s state afterwards are the
+/// same bits at every `jobs` value. The model function is called
 /// concurrently and must be thread-safe when jobs > 1 (every RelKit
-/// solver is; capture-by-reference state in a caller's lambda may not be).
-/// See docs/parallelism.md.
+/// solver is; capture-by-reference state in a caller's lambda may not be);
+/// each call sees the caller's ambient deadline. See docs/parallelism.md.
 UncertaintyResult propagate(const std::vector<ParamSpec>& params,
                             const ModelFn& model, std::size_t n, Rng& rng,
                             Sampling sampling = Sampling::kLatinHypercube,

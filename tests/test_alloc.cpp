@@ -5,12 +5,14 @@
 // make none, adding states must not allocate per state, adding transitions
 // or triplets may only grow their vectors geometrically, and validating a
 // chain's rows or evaluating a BDD must not build a message per state or
-// node, and neither a uniformization step nor a BiCGSTAB iteration may
-// allocate. Timing tests on a shared host cannot catch a regression here; a
-// count can.
+// node, walking a BDD for one assignment or sampling a CTMC lifetime must
+// not allocate at all, and neither a uniformization step nor a BiCGSTAB
+// iteration may allocate. Timing tests on a shared host cannot catch a
+// regression here; a count can.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -19,7 +21,9 @@
 #include "bdd/bdd.hpp"
 #include "common/error.hpp"
 #include "common/krylov.hpp"
+#include "common/rng.hpp"
 #include "common/sparse.hpp"
+#include "dft/dft.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/dtmc.hpp"
 #include "markov/solution_cache.hpp"
@@ -160,6 +164,42 @@ TEST(AllocGuard, BddProbAllocatesOnlyItsMemo) {
     EXPECT_STREQ(e.what(),
                  "prob: probability vector does not cover variable level 3");
   }
+}
+
+TEST(AllocGuard, BddEvaluateDoesNotAllocate) {
+  bdd::Manager m;
+  std::vector<bdd::NodeRef> vars;
+  for (std::uint32_t i = 0; i < 64; ++i) vars.push_back(m.var(i));
+  const bdd::NodeRef f = m.at_least(32, vars);
+  std::uint64_t bits = 0x9e3779b97f4a7c15ULL;
+  std::size_t mismatches = 0;
+  const std::size_t n = allocations_during([&] {
+    for (int i = 0; i < 1000; ++i) {
+      bits = bits * 6364136223846793005ULL + 1442695040888963407ULL;
+      if (m.evaluate(f, bits) != (std::popcount(bits) >= 32)) ++mismatches;
+    }
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(AllocGuard, CtmcLifetimeSampleDoesNotAllocate) {
+  // The cold-spare chain of CtmcLifetimeTest.SamplingMatchesMoments.
+  markov::Ctmc chain;
+  const auto primary = chain.add_state("primary");
+  const auto spare = chain.add_state("spare");
+  const auto fired = chain.add_state("fired");
+  chain.add_transition(primary, spare, 0.1);
+  chain.add_transition(spare, fired, 0.1);
+  const dft::CtmcLifetime life(std::move(chain), {1.0, 0.0, 0.0},
+                               {false, false, true});
+  Rng rng(13);
+  double sum = 0.0;
+  const std::size_t n = allocations_during([&] {
+    for (int i = 0; i < 1000; ++i) sum += life.sample(rng);
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_NEAR(sum / 1000.0, 20.0, 2.0);  // mean 20, sd 14.1 per sample
 }
 
 TEST(AllocGuard, DtmcRowValidationDoesNotAllocatePerState) {

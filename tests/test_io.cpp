@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <map>
+#include <string>
 
 #include "common/error.hpp"
 #include "io/graphviz.hpp"
@@ -282,6 +285,45 @@ TEST(ParseFiles, ShippedExamplesParse) {
   const auto rb = parse_model_file(find_model("examples/models/raid.rbd"));
   ASSERT_NE(rb.rbd, nullptr);
   EXPECT_GT(rb.rbd->reliability(1000.0), 0.9);
+}
+
+// relkit_cli --rare-event evaluates the structure function by one BDD walk
+// over a mask of down components; on every state of two shipped models the
+// walk must agree with the probability pass on the same 0/1 probabilities.
+TEST(ParseFiles, BddWalkMatchesProbabilityPassOnEveryState) {
+  const auto rb =
+      parse_model_file(find_model("examples/models/sip_cluster.rbd"));
+  ASSERT_NE(rb.rbd, nullptr);
+  const auto& components = rb.rbd->component_names();
+  ASSERT_EQ(components.size(), 8u);
+  for (std::uint64_t down = 0; down < 256; ++down) {
+    std::map<std::string, double> p_up;
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      p_up[components[i]] = (down >> i & 1) ? 0.0 : 1.0;
+    }
+    const double up = rb.rbd->prob_up(p_up);
+    ASSERT_TRUE(up == 0.0 || up == 1.0) << "mask " << down;
+    EXPECT_EQ(rb.rbd->manager().evaluate(rb.rbd->failure_ref(), down),
+              up == 0.0)
+        << "mask " << down;
+  }
+
+  const auto ft =
+      parse_model_file(find_model("examples/models/webservice.ftree"));
+  ASSERT_NE(ft.fault_tree, nullptr);
+  const auto& events = ft.fault_tree->event_names();
+  ASSERT_EQ(events.size(), 3u);
+  for (std::uint64_t down = 0; down < 8; ++down) {
+    std::map<std::string, double> q;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      q[events[i]] = (down >> i & 1) ? 1.0 : 0.0;
+    }
+    const double top = ft.fault_tree->top_probability(q);
+    ASSERT_TRUE(top == 0.0 || top == 1.0) << "mask " << down;
+    EXPECT_EQ(ft.fault_tree->manager().evaluate(ft.fault_tree->top_ref(), down),
+              top == 1.0)
+        << "mask " << down;
+  }
 }
 
 TEST(ParseRelgraph, BridgeMatchesClosedForm) {

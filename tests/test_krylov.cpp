@@ -200,23 +200,6 @@ TEST(Bicgstab, MatchesClosedFormOnLargeBirthDeath) {
   }
 }
 
-// Disabling RCM must not change the answer, only (possibly) the work.
-TEST(Bicgstab, RcmOnAndOffAgree) {
-  const std::size_t n = 500;
-  SparseMatrix qt;
-  std::vector<double> diag;
-  birth_death_system(n, 1.0, 1.05, qt, diag);
-  BicgstabOptions with;
-  with.jobs = 1;
-  BicgstabOptions without = with;
-  without.use_rcm = false;
-  const std::vector<double> a = bicgstab_steady_state(qt, diag, with).pi;
-  const std::vector<double> b = bicgstab_steady_state(qt, diag, without).pi;
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_NEAR(a[i], b[i], 1e-12) << "state " << i;
-  }
-}
-
 // The deadline-mid-Krylov contract: a deadline that fires inside the
 // iteration must surface as ConvergenceError carrying the best normalized
 // iterate of the right size AND a populated ConvergenceTrace — the trace

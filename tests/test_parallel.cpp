@@ -14,8 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/distributions.hpp"
 #include "common/rng.hpp"
-#include "common/statistics.hpp"
 #include "obs/obs.hpp"
 #include "parallel/pool.hpp"
 #include "parallel/queue.hpp"
@@ -23,11 +23,11 @@
 #include "robust/fault_injection.hpp"
 #include "robust/robust.hpp"
 #include "sim/simulator.hpp"
+#include "spn/srn.hpp"
 #include "uncertainty/uncertainty.hpp"
 
 namespace {
 
-using relkit::OnlineStats;
 using relkit::Rng;
 namespace parallel = relkit::parallel;
 namespace sim = relkit::sim;
@@ -221,28 +221,6 @@ TEST(BoundedQueue, DepthGaugeStaysAccurateUnderConcurrency) {
   relkit::obs::Registry::instance().reset_values();
 }
 
-TEST(OnlineStatsMerge, MatchesSequentialAccumulation) {
-  Rng rng(42);
-  std::vector<double> xs(997);
-  for (auto& x : xs) x = rng.uniform() * 10.0 - 3.0;
-  OnlineStats whole;
-  for (double x : xs) whole.add(x);
-  OnlineStats a, b, merged;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i < 400 ? a : b).add(xs[i]);
-  }
-  merged.merge(a);
-  merged.merge(b);
-  EXPECT_EQ(merged.count(), whole.count());
-  EXPECT_NEAR(merged.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(merged.variance(), whole.variance(), 1e-10);
-  EXPECT_EQ(merged.min(), whole.min());
-  EXPECT_EQ(merged.max(), whole.max());
-  OnlineStats empty;
-  merged.merge(empty);  // merging empty is a no-op
-  EXPECT_EQ(merged.count(), whole.count());
-}
-
 // ---- parallel simulator ----------------------------------------------------
 
 sim::SystemSimulator duplex() {
@@ -258,41 +236,46 @@ TEST(ParallelSim, Jobs1IsBitIdenticalToTheHistoricalSequentialLoop) {
   const auto simulator = duplex();
   const auto est = simulator.availability_at(10.0, 4000, 7);
   // Golden values captured from the pre-parallel-layer sequential
-  // estimator (the jobs == 1 branch is that loop, verbatim); they pin the
-  // "--jobs 1 is bit-identical to the historical path" contract.
+  // estimator; they pin the "--jobs 1 is bit-identical to the historical
+  // path" contract.
   EXPECT_EQ(est.mean, 0.99249999999999894);
   EXPECT_EQ(est.half_width, 0.0026740423331980778);
   EXPECT_EQ(est.replications, 4000u);
 }
 
-TEST(ParallelSim, EstimateIdenticalForAnyWorkerCountAtLeastTwo) {
+// Every worker count returns the historical sequential loop's bits: the
+// literals above, a run of more than two 4,096-replication batches and an
+// SRN estimate, all captured from that loop.
+TEST(ParallelSim, EveryJobsCountReturnsTheHistoricalSequentialBits) {
   JobsGuard guard;
   const auto simulator = duplex();
-  parallel::set_default_jobs(2);
-  const auto two = simulator.availability_at(10.0, 4000, 7);
-  parallel::set_default_jobs(4);
-  const auto four = simulator.availability_at(10.0, 4000, 7);
-  parallel::set_default_jobs(8);
-  const auto eight = simulator.availability_at(10.0, 4000, 7);
-  EXPECT_EQ(two.mean, four.mean);
-  EXPECT_EQ(two.half_width, four.half_width);
-  EXPECT_EQ(two.mean, eight.mean);
-  EXPECT_EQ(two.half_width, eight.half_width);
-  EXPECT_EQ(two.replications, 4000u);
-  EXPECT_EQ(four.replications, 4000u);
-}
-
-TEST(ParallelSim, ParallelAgreesStatisticallyWithSequential) {
-  JobsGuard guard;
-  const auto simulator = duplex();
-  parallel::set_default_jobs(1);
-  const auto seq = simulator.availability_at(10.0, 4000, 7);
-  parallel::set_default_jobs(4);
-  const auto par = simulator.availability_at(10.0, 4000, 7);
-  // Same per-replication sample values, different summation order: the
-  // means must agree to floating-point noise, not just statistically.
-  EXPECT_NEAR(par.mean, seq.mean, 1e-12);
-  EXPECT_NEAR(par.half_width, seq.half_width, 1e-12);
+  relkit::spn::Srn net;
+  const auto up = net.add_place("up", 1);
+  const auto down = net.add_place("down", 0);
+  const auto fail = net.add_timed("fail", 0.2);
+  net.add_input_arc(fail, up);
+  net.add_output_arc(fail, down);
+  const auto repair = net.add_timed("repair", 2.0);
+  net.add_input_arc(repair, down);
+  net.add_output_arc(repair, up);
+  const sim::SrnSimulator srn(net);
+  const auto up_reward = [up](const relkit::spn::Marking& m) {
+    return m[up] == 1 ? 1.0 : 0.0;
+  };
+  for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
+    parallel::set_default_jobs(jobs);
+    const auto est = simulator.availability_at(10.0, 4000, 7);
+    EXPECT_EQ(est.mean, 0.99249999999999894) << "jobs " << jobs;
+    EXPECT_EQ(est.half_width, 0.0026740423331980778) << "jobs " << jobs;
+    EXPECT_EQ(est.replications, 4000u);
+    const auto longer = simulator.availability_at(10.0, 10000, 7);
+    EXPECT_EQ(longer.mean, 0.99159999999999737) << "jobs " << jobs;
+    EXPECT_EQ(longer.half_width, 0.0017888655846519694) << "jobs " << jobs;
+    EXPECT_EQ(longer.replications, 10000u);
+    const auto acc = srn.accumulated_reward(up_reward, 5.0, 4000, 12);
+    EXPECT_EQ(acc.mean, 4.5771076625263971) << "jobs " << jobs;
+    EXPECT_EQ(acc.half_width, 0.017700242117401219) << "jobs " << jobs;
+  }
 }
 
 TEST(ParallelSim, AllEstimatorsRunParallel) {
@@ -306,12 +289,15 @@ TEST(ParallelSim, AllEstimatorsRunParallel) {
 
 TEST(ParallelSim, ExpiredDeadlineStillThrowsConvergenceError) {
   JobsGuard guard;
-  parallel::set_default_jobs(4);
   const auto simulator = duplex();
   const relkit::robust::ScopedDeadline expired(
       relkit::robust::Deadline::after_seconds(-1.0));
-  EXPECT_THROW(simulator.availability_at(10.0, 1000, 9),
-               relkit::robust::ConvergenceError);
+  for (const unsigned jobs : {1u, 4u}) {
+    parallel::set_default_jobs(jobs);
+    EXPECT_THROW(simulator.availability_at(10.0, 1000, 9),
+                 relkit::robust::ConvergenceError)
+        << "jobs " << jobs;
+  }
 }
 
 TEST(ParallelSim, ReplicationCapReportsBudgetStop) {
@@ -333,23 +319,39 @@ double quadratic_model(const std::map<std::string, double>& p) {
   return a * a + 0.5 * b;
 }
 
-TEST(ParallelUncertainty, IdenticalForAnyWorkerCountAtLeastTwo) {
-  const std::vector<uncertainty::ParamSpec> params{
-      {"a", relkit::uniform(0.0, 1.0)}, {"b", relkit::uniform(1.0, 2.0)}};
-  Rng r2(5), r4(5), r8(5);
-  const auto two = uncertainty::propagate(params, quadratic_model, 2000, r2,
+// Gamma and Beta sample by rejection, so a worker that drew its own
+// parameters would consume another count of random numbers; propagate
+// draws them all on the caller's thread. The literals were captured from
+// the historical sequential loop.
+std::vector<uncertainty::ParamSpec> rejection_params() {
+  return {{"a", relkit::gamma_dist(2.0, 3.0)},
+          {"b", relkit::beta_dist(2.0, 5.0)},
+          {"c", relkit::uniform(1.0, 2.0)}};
+}
+
+double rejection_model(const std::map<std::string, double>& p) {
+  return p.at("a") * p.at("a") + 0.5 * p.at("b") + p.at("c");
+}
+
+TEST(ParallelUncertainty, MonteCarloReturnsTheJobs1BitsAtEveryJobsCount) {
+  Rng r1(5);
+  const auto one = uncertainty::propagate(rejection_params(), rejection_model,
+                                          2000, r1,
                                           uncertainty::Sampling::kMonteCarlo,
-                                          2);
-  const auto four = uncertainty::propagate(params, quadratic_model, 2000, r4,
-                                           uncertainty::Sampling::kMonteCarlo,
-                                           4);
-  const auto eight = uncertainty::propagate(
-      params, quadratic_model, 2000, r8, uncertainty::Sampling::kMonteCarlo,
-      8);
-  EXPECT_EQ(two.mean, four.mean);
-  EXPECT_EQ(two.stddev, four.stddev);
-  EXPECT_EQ(two.samples, four.samples);
-  EXPECT_EQ(two.samples, eight.samples);
+                                          1);
+  EXPECT_EQ(one.mean, 2.3403204565444549);
+  EXPECT_EQ(one.stddev, 1.1031866665809531);
+  EXPECT_EQ(r1(), 11273442983765281652ull);
+  for (const std::size_t jobs : {2, 4, 8}) {
+    Rng rng(5);
+    const auto out = uncertainty::propagate(
+        rejection_params(), rejection_model, 2000, rng,
+        uncertainty::Sampling::kMonteCarlo, jobs);
+    EXPECT_EQ(out.samples, one.samples) << "jobs " << jobs;
+    EXPECT_EQ(out.mean, one.mean) << "jobs " << jobs;
+    EXPECT_EQ(out.stddev, one.stddev) << "jobs " << jobs;
+    EXPECT_EQ(rng(), 11273442983765281652ull) << "jobs " << jobs;
+  }
 }
 
 TEST(ParallelUncertainty, Jobs1MatchesTheDefaultSequentialPath) {
@@ -364,19 +366,24 @@ TEST(ParallelUncertainty, Jobs1MatchesTheDefaultSequentialPath) {
   EXPECT_EQ(deflt.mean, one.mean);
 }
 
-TEST(ParallelUncertainty, ParallelLhsAgreesWithSequentialStatistically) {
-  const std::vector<uncertainty::ParamSpec> params{
-      {"a", relkit::uniform(0.0, 1.0)}, {"b", relkit::uniform(1.0, 2.0)}};
-  Rng ra(13), rb(13);
-  const auto seq = uncertainty::propagate(params, quadratic_model, 4000, ra,
-                                          uncertainty::Sampling::kLatinHypercube,
-                                          1);
-  const auto par = uncertainty::propagate(params, quadratic_model, 4000, rb,
-                                          uncertainty::Sampling::kLatinHypercube,
-                                          4);
-  // Different (equally valid) random sequences — agreement is statistical.
-  EXPECT_NEAR(par.mean, seq.mean, 5.0 * seq.stddev / std::sqrt(4000.0));
-  EXPECT_NEAR(par.stddev, seq.stddev, 0.1 * seq.stddev);
+TEST(ParallelUncertainty, LhsReturnsTheJobs1BitsAtEveryJobsCount) {
+  Rng r1(13);
+  const auto one = uncertainty::propagate(
+      rejection_params(), rejection_model, 4000, r1,
+      uncertainty::Sampling::kLatinHypercube, 1);
+  EXPECT_EQ(one.mean, 2.3086201150122263);
+  EXPECT_EQ(one.stddev, 1.0488933018577884);
+  EXPECT_EQ(r1(), 12617076131484918472ull);
+  for (const std::size_t jobs : {2, 4, 8}) {
+    Rng rng(13);
+    const auto out = uncertainty::propagate(
+        rejection_params(), rejection_model, 4000, rng,
+        uncertainty::Sampling::kLatinHypercube, jobs);
+    EXPECT_EQ(out.samples, one.samples) << "jobs " << jobs;
+    EXPECT_EQ(out.mean, one.mean) << "jobs " << jobs;
+    EXPECT_EQ(out.stddev, one.stddev) << "jobs " << jobs;
+    EXPECT_EQ(rng(), 12617076131484918472ull) << "jobs " << jobs;
+  }
 }
 
 // At jobs > 1 the model runs on pool workers, whose ambient deadline slot

@@ -221,10 +221,9 @@ std::vector<double> solve_power(const markov::Ctmc& c, unsigned jobs) {
 }
 
 std::vector<double> solve_bicgstab(const markov::Ctmc& c, unsigned jobs,
-                                   bool use_cache, bool use_rcm = true) {
+                                   bool use_cache) {
   markov::SteadyStateOptions opts;
   opts.solver = robust::SolverChoice::kBicgstab;  // forced, still verified
-  opts.bicgstab.use_rcm = use_rcm;
   opts.bicgstab.tol = 1e-11;
   opts.jobs = jobs;
   opts.use_cache = use_cache;

@@ -87,7 +87,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <memory>
 #include <mutex>
@@ -188,36 +187,23 @@ int run_rare_event(const relkit::io::ParsedModel& model,
                           relkit::exponential(specs[i].repair_rate)});
   }
 
-  // Structure function over 0/1 component states, evaluated through the
-  // model's own BDD. The BDD evaluators and their memo tables are not
-  // thread-safe, so the (mutex-guarded) mask cache also serializes the
-  // few cache-miss evaluations; with <= 64 components the visited-state
-  // set is tiny and up() is a cached map lookup on the hot path.
+  // Structure function over 0/1 component states: one walk down the
+  // model's BDD, whose level i is component i. A fault tree's top event and
+  // an RBD's failure function both read "component i down" variables.
+  // Components past the 64th read as up; unavailability_rare rejects such
+  // models itself.
   const auto* ft = model.fault_tree.get();
   const auto* rbd = model.rbd.get();
-  auto mu = std::make_shared<std::mutex>();
-  auto cache = std::make_shared<std::map<std::uint64_t, bool>>();
-  auto names_held = std::make_shared<std::vector<std::string>>(names);
-  sim::StructureFn system_up = [ft, rbd, mu, cache,
-                                names_held](const std::vector<bool>& state) {
-    std::uint64_t mask = 0;
-    for (std::size_t i = 0; i < state.size(); ++i) {
-      if (!state[i]) mask |= std::uint64_t{1} << i;
+  const relkit::bdd::Manager& bdd = ft != nullptr ? ft->manager()
+                                                  : rbd->manager();
+  const relkit::bdd::NodeRef down =
+      ft != nullptr ? ft->top_ref() : rbd->failure_ref();
+  sim::StructureFn system_up = [&bdd, down](const std::vector<bool>& state) {
+    std::uint64_t down_mask = 0;
+    for (std::size_t i = 0; i < state.size() && i < 64; ++i) {
+      if (!state[i]) down_mask |= std::uint64_t{1} << i;
     }
-    std::lock_guard<std::mutex> lock(*mu);
-    const auto it = cache->find(mask);
-    if (it != cache->end()) return it->second;
-    std::map<std::string, double> prob;
-    for (std::size_t i = 0; i < state.size(); ++i) {
-      // Fault-tree basic events are FAILURE indicators; RBD components
-      // are UP indicators.
-      prob[(*names_held)[i]] =
-          ft != nullptr ? (state[i] ? 0.0 : 1.0) : (state[i] ? 1.0 : 0.0);
-    }
-    const bool up = ft != nullptr ? ft->top_probability(prob) < 0.5
-                                  : rbd->prob_up(prob) > 0.5;
-    (*cache)[mask] = up;
-    return up;
+    return !bdd.evaluate(down, down_mask);
   };
 
   const double analytic = ft != nullptr ? ft->top_probability_limit()
