@@ -29,8 +29,8 @@ namespace {
 /// (the --jobs flag) afterwards so the microbenchmarks run as requested.
 void print_threads_table(unsigned restore_jobs) {
   std::printf("Parallel scaling (duplex availability_at, 20000 reps):\n");
-  std::printf("%-6s %-12s %-9s %-12s\n", "jobs", "wall (ms)", "speedup",
-              "mean");
+  std::printf("%-6s %-12s %-9s %s\n", "jobs", "wall (ms)", "speedup",
+              "mean (17 digits)");
   sim::SystemSimulator simulator(
       {{exponential(0.1), exponential(1.0)},
        {exponential(0.1), exponential(1.0)}},
@@ -44,8 +44,8 @@ void print_threads_table(unsigned restore_jobs) {
                           std::chrono::steady_clock::now() - start)
                           .count();
     if (jobs == 1) base_ms = ms;
-    std::printf("%-6u %-12.2f %-9.2f %-12.6f\n", jobs, ms,
-                base_ms / ms, est.mean);
+    std::printf("%-6u %-12.2f %-9.2f %.17g\n", jobs, ms, base_ms / ms,
+                est.mean);
   }
   parallel::set_default_jobs(restore_jobs);
   std::printf("\n");

@@ -69,8 +69,8 @@ void print_table() {
                 scale, 5 * scale, res.mean, lo, hi, hi - lo);
   }
   std::printf("\n(c) parallel scaling (LHS, 6400 samples, explicit jobs)\n");
-  std::printf("%-6s %-12s %-9s %-14s\n", "jobs", "wall (ms)", "speedup",
-              "mean A");
+  std::printf("%-6s %-12s %-9s %s\n", "jobs", "wall (ms)", "speedup",
+              "mean A (17 digits)");
   {
     double base_ms = 0.0;
     for (const std::size_t jobs : {1u, 2u, 4u}) {
@@ -83,7 +83,7 @@ void print_table() {
                             std::chrono::steady_clock::now() - start)
                             .count();
       if (jobs == 1) base_ms = ms;
-      std::printf("%-6zu %-12.2f %-9.2f %-14.8f\n", jobs, ms, base_ms / ms,
+      std::printf("%-6zu %-12.2f %-9.2f %.17g\n", jobs, ms, base_ms / ms,
                   res.mean);
     }
   }

@@ -99,13 +99,111 @@ double SparseMatrix::at(std::size_t r, std::size_t c) const {
 }
 
 SparseMatrix SparseMatrix::transposed() const {
-  SparseBuilder b(cols_, rows_);
+  // Rows are visited in ascending order, so every row of the transpose
+  // comes out sorted.
+  CsrAssembler a(cols_, rows_);
+  for (const std::size_t c : cols_idx_) a.count(c);
+  a.start();
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      b.add(cols_idx_[k], r, values_[k]);
+      a.put(cols_idx_[k], r, values_[k]);
     }
   }
-  return b.build();
+  return a.finish();
+}
+
+CsrAssembler::CsrAssembler(std::size_t rows, std::size_t cols) {
+  m_.rows_ = rows;
+  m_.cols_ = cols;
+  m_.row_ptr_.assign(rows + 1, 0);
+}
+
+void CsrAssembler::start() {
+  detail::require(phase_ == Phase::kCounting,
+                  "CsrAssembler::start: called twice or after finish()");
+  phase_ = Phase::kPutting;
+  // row_ptr_[r + 1] holds row r's count; the prefix sums make it row r's
+  // end, and row r's slots begin at row_ptr_[r].
+  for (std::size_t r = 0; r < m_.rows_; ++r) {
+    m_.row_ptr_[r + 1] += m_.row_ptr_[r];
+  }
+  next_.assign(m_.row_ptr_.begin(), m_.row_ptr_.end() - 1);
+  m_.cols_idx_.resize(m_.row_ptr_[m_.rows_]);
+  m_.values_.resize(m_.row_ptr_[m_.rows_]);
+}
+
+namespace {
+
+/// Sorts the k entries at (col, val) stably by column.
+void sort_row(std::size_t* col, double* val, std::size_t k,
+              std::vector<std::pair<std::size_t, double>>& wide) {
+  if (k <= CsrAssembler::kInsertionWidth) {
+    for (std::size_t i = 1; i < k; ++i) {
+      const std::size_t c = col[i];
+      const double v = val[i];
+      std::size_t j = i;
+      for (; j > 0 && col[j - 1] > c; --j) {
+        col[j] = col[j - 1];
+        val[j] = val[j - 1];
+      }
+      col[j] = c;
+      val[j] = v;
+    }
+    return;
+  }
+  wide.resize(k);
+  for (std::size_t i = 0; i < k; ++i) wide[i] = {col[i], val[i]};
+  std::stable_sort(wide.begin(), wide.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  for (std::size_t i = 0; i < k; ++i) {
+    col[i] = wide[i].first;
+    val[i] = wide[i].second;
+  }
+}
+
+}  // namespace
+
+SparseMatrix CsrAssembler::finish() {
+  detail::require(phase_ == Phase::kPutting,
+                  "CsrAssembler::finish: before start() or called twice");
+  phase_ = Phase::kSpent;
+  const std::size_t rows = m_.rows_;
+  std::size_t widest = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    detail::require(next_[r] == m_.row_ptr_[r + 1],
+                    "CsrAssembler::finish: a row has unput slots");
+    widest = std::max(widest, m_.row_ptr_[r + 1] - m_.row_ptr_[r]);
+  }
+  next_ = {};
+  std::vector<std::pair<std::size_t, double>> wide;
+  if (widest > kInsertionWidth) wide.reserve(widest);
+
+  // Row r is read from its slots [begin, end) and written, summed, from
+  // `out` on; out never passes begin, so the rows compact in place.
+  std::size_t* const col = m_.cols_idx_.data();
+  double* const val = m_.values_.data();
+  std::size_t begin = 0;
+  std::size_t out = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t end = m_.row_ptr_[r + 1];
+    sort_row(col + begin, val + begin, end - begin, wide);
+    for (std::size_t k = begin; k < end;) {
+      const std::size_t c = col[k];
+      double v = 0.0;
+      for (; k < end && col[k] == c; ++k) v += val[k];
+      if (v != 0.0) {
+        col[out] = c;
+        val[out] = v;
+        ++out;
+      }
+    }
+    m_.row_ptr_[r + 1] = out;
+    begin = end;
+  }
+  m_.cols_idx_.resize(out);
+  m_.values_.resize(out);
+  return std::move(m_);
 }
 
 void SparseBuilder::add(std::size_t r, std::size_t c, double value) {
@@ -115,47 +213,12 @@ void SparseBuilder::add(std::size_t r, std::size_t c, double value) {
 }
 
 SparseMatrix SparseBuilder::build() {
-  // Bucket the triplets by row (counting sort): start[r] .. start[r + 1]
-  // lists row r's triplet indices in insertion order.
-  const std::size_t nnz = triplets_.size();
-  std::vector<std::size_t> start(rows_ + 1, 0);
-  for (const Triplet& t : triplets_) ++start[t.r + 1];
-  for (std::size_t r = 0; r < rows_; ++r) start[r + 1] += start[r];
-  std::vector<std::size_t> order(nnz);
-  for (std::size_t i = 0; i < nnz; ++i) order[start[triplets_[i].r]++] = i;
-  // The scatter advanced start[r] to the old start[r + 1]; shift it back.
-  for (std::size_t r = rows_; r > 0; --r) start[r] = start[r - 1];
-  start[0] = 0;
-
-  SparseMatrix m;
-  m.rows_ = rows_;
-  m.cols_ = cols_;
-  m.row_ptr_.assign(rows_ + 1, 0);
-  m.cols_idx_.reserve(nnz);
-  m.values_.reserve(nnz);
-  // Columns ascend within a row; ties keep insertion order (indices are
-  // unique), so duplicates are summed in the order they were added.
-  const auto by_column = [this](std::size_t a, std::size_t b) {
-    return triplets_[a].c != triplets_[b].c ? triplets_[a].c < triplets_[b].c
-                                            : a < b;
-  };
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const auto first = order.begin() + static_cast<std::ptrdiff_t>(start[r]);
-    const auto last = order.begin() + static_cast<std::ptrdiff_t>(start[r + 1]);
-    std::sort(first, last, by_column);
-    for (auto it = first; it != last;) {
-      const std::size_t c = triplets_[*it].c;
-      double v = 0.0;
-      for (; it != last && triplets_[*it].c == c; ++it) v += triplets_[*it].v;
-      if (v != 0.0) {
-        m.cols_idx_.push_back(c);
-        m.values_.push_back(v);
-      }
-    }
-    m.row_ptr_[r + 1] = m.values_.size();
-  }
+  CsrAssembler a(rows_, cols_);
+  for (const Triplet& t : triplets_) a.count(t.r);
+  a.start();
+  for (const Triplet& t : triplets_) a.put(t.r, t.c, t.v);
   triplets_.clear();
-  return m;
+  return a.finish();
 }
 
 }  // namespace relkit

@@ -2,8 +2,14 @@
 //
 // State-space solvers (CTMC steady-state via SOR, transient via
 // uniformization) need only row-oriented access and matrix-vector products,
-// so RelKit uses a plain CSR representation, assembled from triplets or,
-// by a caller that writes its rows in order, adopted as checked CSR arrays.
+// so RelKit uses a plain CSR representation. It is assembled by one
+// counting sort, CsrAssembler: count each row's entries, scatter them
+// straight into the CSR arrays, then sort each row by column and sum its
+// duplicates in place. SparseBuilder stages its add() calls and hands them
+// to it; Ctmc's generators, transposed() and robust::uniformize, which can
+// walk their entries twice, feed it directly and stage nothing. A caller
+// that writes its rows sorted and unique (BiCGSTAB's normalized system)
+// adopts them as checked CSR arrays instead.
 //
 // There is one product, y = A x, row-chunked on an optional
 // parallel::ThreadPool: each y[r] sums its row in stored order in exactly
@@ -15,6 +21,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace relkit::parallel {
 class ThreadPool;
 }  // namespace relkit::parallel
@@ -23,9 +31,9 @@ namespace relkit {
 
 /// Compressed sparse row matrix of double.
 ///
-/// Build with SparseBuilder, or adopt CSR arrays through the checked
-/// constructor; either way, entries within a row are sorted by column and
-/// unique.
+/// Built by CsrAssembler, directly or through SparseBuilder, or adopted as
+/// CSR arrays through the checked constructor; either way, entries within a
+/// row are sorted by column and unique.
 class SparseMatrix {
  public:
   SparseMatrix() = default;
@@ -84,7 +92,7 @@ class SparseMatrix {
   double max_abs() const;
 
  private:
-  friend class SparseBuilder;
+  friend class CsrAssembler;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::size_t> row_ptr_;
@@ -92,7 +100,59 @@ class SparseMatrix {
   std::vector<double> values_;
 };
 
-/// Triplet assembler for SparseMatrix.
+/// Counting-sort CSR assembly, the one place the assembly rules live.
+///
+/// Call count(r) once per entry of row r (or count(r, k) for k of them),
+/// then start(), then put() exactly the counted entries in add order, then
+/// finish(). put() scatters each (column, value) straight to its row's next
+/// slot in the CSR arrays. finish() sorts every row stably by column
+/// (insertion sort up to kInsertionWidth entries, std::stable_sort above,
+/// so a row of k entries costs O(k log k) at worst), sums each column's
+/// duplicates from 0.0 in the order they were put, drops every sum equal to
+/// 0 and compacts the rows in place. A put of 0 changes no sum, so it is
+/// the same as leaving the entry out. The assembly is O(rows + nnz) plus
+/// the row sorts, and its result is a function of the put() sequence alone.
+/// A call out of that order throws InvalidArgument.
+class CsrAssembler {
+ public:
+  /// Rows up to this many entries are insertion-sorted.
+  static constexpr std::size_t kInsertionWidth = 32;
+
+  CsrAssembler(std::size_t rows, std::size_t cols);
+
+  /// Reserves k slots in row r.
+  void count(std::size_t r, std::size_t k = 1) {
+    detail::require(phase_ == Phase::kCounting && r < m_.rows_,
+                    "CsrAssembler::count: after start() or row out of range");
+    m_.row_ptr_[r + 1] += k;
+  }
+  /// Allocates the counted slots; puts may follow.
+  void start();
+  /// Writes (c, v) to row r's next slot. next_ has a slot per row only
+  /// between start() and finish().
+  void put(std::size_t r, std::size_t c, double v) {
+    detail::require(r < next_.size() && c < m_.cols_ &&
+                        next_[r] < m_.row_ptr_[r + 1],
+                    "CsrAssembler::put: out of range, past the row's count "
+                    "or outside start() .. finish()");
+    const std::size_t k = next_[r]++;
+    m_.cols_idx_[k] = c;
+    m_.values_[k] = v;
+  }
+  /// Sorts, sums and compacts the rows; every counted slot must have been
+  /// put. The assembler is spent afterwards.
+  SparseMatrix finish();
+
+ private:
+  enum class Phase { kCounting, kPutting, kSpent };
+  Phase phase_ = Phase::kCounting;
+  SparseMatrix m_;
+  /// next_[r]: row r's next free slot.
+  std::vector<std::size_t> next_;
+};
+
+/// Staging assembler for SparseMatrix: collects add() calls in any order
+/// and assembles them with CsrAssembler.
 class SparseBuilder {
  public:
   SparseBuilder(std::size_t rows, std::size_t cols)
@@ -107,13 +167,12 @@ class SparseBuilder {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  /// Builds the CSR matrix: triplets are bucketed by row (a counting sort,
-  /// O(nnz + rows)), then each row's k entries are comparison-sorted by
-  /// column (O(k log k) per row). Duplicates are summed in the order they
-  /// were added, so the result is a function of the add() sequence alone; a
-  /// matrix without duplicates does not depend on the order of add() calls
-  /// at all. Entries with |value| == 0 after summing are dropped. The
-  /// builder can be reused afterwards (it is left empty).
+  /// Builds the CSR matrix under CsrAssembler's rules: columns ascend in a
+  /// row, duplicates are summed in the order they were added, so the result
+  /// is a function of the add() sequence alone (a matrix without duplicates
+  /// does not depend on the order of add() calls at all), and entries whose
+  /// sum is 0 are dropped. The builder can be reused afterwards (it is left
+  /// empty).
   SparseMatrix build();
 
  private:

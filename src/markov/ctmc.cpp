@@ -115,30 +115,43 @@ Matrix Ctmc::dense_generator() const {
 }
 
 SparseMatrix Ctmc::sparse_generator() const {
+  // Row `from` takes each transition's rate at column `to`, then one
+  // diagonal entry: -rate summed in transition order from 0.0, the sum
+  // SparseBuilder gave its (from, from, -rate) adds. A row without
+  // transitions has no diagonal slot.
   const std::size_t n = state_count();
   auto& injector = testing::FaultInjector::instance();
-  SparseBuilder b(n, n);
-  b.reserve(2 * transitions_.size());
+  CsrAssembler a(n, n);
+  for (const auto& t : transitions_) a.count(t.from);
+  for (StateId s = 0; s < n; ++s) {
+    if (exit_rates_[s] != 0.0) a.count(s);
+  }
+  a.start();
+  std::vector<double> diag(n, 0.0);
   for (const auto& t : transitions_) {
     const double rate = injector.tap("ctmc.rate", t.rate);
-    b.add(t.from, t.to, rate);
-    b.add(t.from, t.from, -rate);
+    a.put(t.from, t.to, rate);
+    diag[t.from] += -rate;
   }
-  return b.build();
+  for (StateId s = 0; s < n; ++s) {
+    if (exit_rates_[s] != 0.0) a.put(s, s, diag[s]);
+  }
+  return a.finish();
 }
 
 Ctmc::TransposedGenerator Ctmc::transposed_generator() const {
   const std::size_t n = state_count();
   auto& injector = testing::FaultInjector::instance();
-  SparseBuilder bt(n, n);
-  bt.reserve(transitions_.size());
+  CsrAssembler a(n, n);
+  for (const auto& t : transitions_) a.count(t.to);
+  a.start();
   std::vector<double> diag(n, 0.0);
   for (const auto& t : transitions_) {
     const double rate = injector.tap("ctmc.rate", t.rate);
-    bt.add(t.to, t.from, rate);
+    a.put(t.to, t.from, rate);
     diag[t.from] -= rate;
   }
-  return {bt.build(), std::move(diag)};
+  return {a.finish(), std::move(diag)};
 }
 
 std::vector<double> Ctmc::point_mass(StateId s) const {

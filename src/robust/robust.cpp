@@ -142,14 +142,19 @@ Uniformized uniformize(const SparseMatrix& qt,
   double qmax = 0.0;
   for (const double d : diag) qmax = std::max(qmax, -d);
   const double q = qmax > 0.0 ? qmax * 1.02 : 1.0;
-  SparseBuilder bt(n, n);
+  // Row i of P^T: row i of Q^T over q, then the diagonal.
+  CsrAssembler a(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a.count(i, qt.row_end(i) - qt.row_begin(i) + 1);
+  }
+  a.start();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t k = qt.row_begin(i); k < qt.row_end(i); ++k) {
-      bt.add(i, qt.col(k), qt.value(k) / q);
+      a.put(i, qt.col(k), qt.value(k) / q);
     }
-    bt.add(i, i, 1.0 + diag[i] / q);
+    a.put(i, i, 1.0 + diag[i] / q);
   }
-  return {bt.build(), q};
+  return {a.finish(), q};
 }
 
 void repair_distribution(std::vector<double>& v, SolveReport& report,

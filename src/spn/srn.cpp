@@ -89,17 +89,19 @@ PlaceId Srn::place_index(const std::string& name) const {
   throw InvalidArgument("Srn::place_index: unknown place '" + name + "'");
 }
 
-bool Srn::enabled(TransId t, const Marking& m) const {
-  detail::require(t < transitions_.size(), "Srn::enabled: id out of range");
-  const Transition& tr = transitions_[t];
+inline bool Srn::enabled_in(const Transition& tr, const Marking& m) {
   for (const auto& [p, mult] : tr.inputs) {
     if (m[p] < mult) return false;
   }
   for (const auto& [p, mult] : tr.inhibitors) {
     if (m[p] >= mult) return false;
   }
-  if (tr.guard && !tr.guard(m)) return false;
-  return true;
+  return !tr.guard || tr.guard(m);
+}
+
+bool Srn::enabled(TransId t, const Marking& m) const {
+  detail::require(t < transitions_.size(), "Srn::enabled: id out of range");
+  return enabled_in(transitions_[t], m);
 }
 
 bool Srn::is_timed(TransId t) const {
@@ -182,11 +184,11 @@ class Srn::Reachability {
     for (std::size_t id = 0; id < out_.markings.size(); ++id) {
       m = out_.markings[id];  // a copy: interning may move the markings
       for (const TransId t : timed_) {
-        if (!net_.enabled(t, m)) continue;
-        const double rate = net_.transitions_[t].rate(m);
+        const Transition& tr = net_.transitions_[t];
+        if (!enabled_in(tr, m)) continue;
+        const double rate = tr.rate(m);
         if (!(rate > 0.0)) {
-          throw ModelError("Srn::generate: transition '" +
-                           net_.transitions_[t].name +
+          throw ModelError("Srn::generate: transition '" + tr.name +
                            "' enabled with non-positive rate");
         }
         net_.fire_into(t, m, path_[0]);
@@ -280,8 +282,9 @@ class Srn::Reachability {
     enabled_[depth].clear();
     unsigned best_priority = 0;
     for (const TransId t : immediates_) {
-      if (!net_.enabled(t, path_[depth])) continue;
-      const unsigned priority = net_.transitions_[t].priority;
+      const Transition& tr = net_.transitions_[t];
+      if (!enabled_in(tr, path_[depth])) continue;
+      const unsigned priority = tr.priority;
       if (priority > best_priority) {
         best_priority = priority;
         enabled_[depth].clear();

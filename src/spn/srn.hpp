@@ -137,6 +137,10 @@ class Srn {
     std::vector<std::pair<PlaceId, std::uint32_t>> inhibitors;
   };
 
+  /// enabled() without the id check, for generate()'s inner loops
+  /// (defined in srn.cpp, its only user).
+  static inline bool enabled_in(const Transition& tr, const Marking& m);
+
   std::vector<std::string> places_;
   std::map<std::string, PlaceId> place_index_;
   Marking initial_;

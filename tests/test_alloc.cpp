@@ -143,6 +143,35 @@ TEST(AllocGuard, SparseBuilderReserveTakesEveryAdd) {
   EXPECT_EQ(b.build().nnz(), kCalls);
 }
 
+TEST(AllocGuard, SparseGeneratorAllocatesIndependentlyOfTransitions) {
+  // Rings of 10^3 and 10^5 states, each state linked to both neighbours and
+  // to the state opposite: four entries a row, far below
+  // CsrAssembler::kInsertionWidth.
+  const auto ring = [](std::size_t n) {
+    markov::Ctmc chain;
+    chain.add_states(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      chain.add_transition(i, (i + 1) % n, 1.0);
+      chain.add_transition((i + 1) % n, i, 2.0);
+      chain.add_transition(i, (i + n / 2) % n, 0.5);
+    }
+    return chain;
+  };
+  const markov::Ctmc small = ring(1000);
+  const markov::Ctmc large = ring(100000);
+  SparseMatrix q_small = small.sparse_generator();  // warms the injector
+  SparseMatrix q_large;
+  const std::size_t n_small =
+      allocations_during([&] { q_small = small.sparse_generator(); });
+  const std::size_t n_large =
+      allocations_during([&] { q_large = large.sparse_generator(); });
+  // The row pointers, the row cursors, the columns, the values and the
+  // diagonal: no triplet vector and no sort index.
+  EXPECT_LE(n_small, 5u);
+  EXPECT_EQ(n_small, n_large);
+  EXPECT_EQ(q_large.nnz(), 4 * 100000u);
+}
+
 TEST(AllocGuard, BddProbAllocatesOnlyItsMemo) {
   bdd::Manager m;
   std::vector<bdd::NodeRef> vars;

@@ -2,7 +2,13 @@
 // special functions, Poisson weights, quadrature, statistics.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/interval.hpp"
@@ -214,6 +220,191 @@ TEST(Sparse, LongRowsKeepDuplicateOrder) {
       EXPECT_EQ(m.value(k), 1.0) << "row " << r << " col " << c;
     }
   }
+}
+
+// ---- CSR assembly -----------------------------------------------------------
+
+struct Add {
+  std::size_t r, c;
+  double v;
+};
+
+/// CSR arrays, for the reference below.
+struct Csr {
+  std::vector<std::size_t> ptr{0};
+  std::vector<std::size_t> col;
+  std::vector<double> val;
+};
+
+/// The assembly rules spelled out naively: one list of values per (row,
+/// column), zero adds left out, each list summed from 0.0 in add order,
+/// zero sums dropped.
+Csr reference_csr(std::size_t rows, const std::vector<Add>& adds) {
+  std::vector<std::map<std::size_t, std::vector<double>>> cells(rows);
+  for (const Add& a : adds) {
+    if (a.v != 0.0) cells[a.r][a.c].push_back(a.v);
+  }
+  Csr csr;
+  for (const auto& row : cells) {
+    for (const auto& [c, values] : row) {
+      double sum = 0.0;
+      for (const double v : values) sum += v;
+      if (sum != 0.0) {
+        csr.col.push_back(c);
+        csr.val.push_back(sum);
+      }
+    }
+    csr.ptr.push_back(csr.col.size());
+  }
+  return csr;
+}
+
+/// Same row pointers, columns and value bits.
+void expect_same_csr(const SparseMatrix& got, const Csr& want) {
+  ASSERT_EQ(got.rows() + 1, want.ptr.size());
+  ASSERT_EQ(got.nnz(), want.col.size());
+  for (std::size_t r = 0; r < got.rows(); ++r) {
+    ASSERT_EQ(got.row_end(r), want.ptr[r + 1]) << "row " << r;
+  }
+  for (std::size_t k = 0; k < want.col.size(); ++k) {
+    ASSERT_EQ(got.col(k), want.col[k]) << "entry " << k;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value(k)),
+              std::bit_cast<std::uint64_t>(want.val[k]))
+        << "entry " << k << ": " << got.value(k) << " vs " << want.val[k];
+  }
+}
+
+SparseMatrix build_with_builder(std::size_t rows, std::size_t cols,
+                                const std::vector<Add>& adds) {
+  SparseBuilder b(rows, cols);
+  for (const Add& a : adds) b.add(a.r, a.c, a.v);
+  return b.build();
+}
+
+SparseMatrix build_with_assembler(std::size_t rows, std::size_t cols,
+                                  const std::vector<Add>& adds) {
+  CsrAssembler a(rows, cols);
+  for (const Add& e : adds) a.count(e.r);
+  a.start();
+  for (const Add& e : adds) a.put(e.r, e.c, e.v);
+  return a.finish();
+}
+
+/// `count` adds in random rows and columns: duplicates (few columns),
+/// zero adds of both signs, values whose sum depends on the order they are
+/// added in, and pairs that cancel.
+std::vector<Add> random_adds(std::uint64_t seed, std::size_t rows,
+                             std::size_t cols, std::size_t count) {
+  constexpr double kValues[] = {1.0,  -1.0,  1e16,   -1e16, 0.5,
+                                3.0,  0.0,   -0.0,   1e-300, -2.5e-8};
+  Rng rng(seed);
+  std::vector<Add> adds;
+  while (adds.size() < count) {
+    const std::size_t r = rng.below(rows);
+    const std::size_t c = rng.below(cols);
+    const double v = rng.below(4) == 0 ? rng.uniform() - 0.5
+                                       : kValues[rng.below(std::size(kValues))];
+    adds.push_back({r, c, v});
+    if (rng.below(8) == 0) adds.push_back({r, c, -v});
+  }
+  return adds;
+}
+
+TEST(CsrAssembly, RandomAddSequencesMatchTheReferenceBitForBit) {
+  // Shapes with short rows (insertion sort) and with rows far wider than
+  // CsrAssembler::kInsertionWidth (stable sort).
+  struct Shape {
+    std::size_t rows, cols, adds;
+  };
+  for (const Shape& shape : {Shape{1, 1, 50}, Shape{40, 5, 200},
+                             Shape{40, 300, 400}, Shape{7, 60, 2000},
+                             Shape{3, 400, 3000}}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << shape.rows << "x" << shape.cols << ", " << shape.adds
+                   << " adds, seed " << seed);
+      const std::vector<Add> adds =
+          random_adds(seed, shape.rows, shape.cols, shape.adds);
+      const Csr want = reference_csr(shape.rows, adds);
+      const SparseMatrix built =
+          build_with_builder(shape.rows, shape.cols, adds);
+      expect_same_csr(built, want);
+      EXPECT_EQ(built.cols(), shape.cols);
+      // Puts of 0 change no sum, so the assembler fed every add directly
+      // gives the same matrix.
+      expect_same_csr(build_with_assembler(shape.rows, shape.cols, adds),
+                      want);
+      // The transpose of the sums is the sum of the swapped adds: each
+      // cell's values arrive in the same order.
+      std::vector<Add> swapped;
+      for (const Add& a : adds) swapped.push_back({a.c, a.r, a.v});
+      expect_same_csr(built.transposed(), reference_csr(shape.cols, swapped));
+    }
+  }
+}
+
+TEST(CsrAssembly, DescendingHubRowSortsInKLogK) {
+  // One row of 1e5 distinct columns added in descending order, then every
+  // other column again: an insertion sort would shift about 5e9 entries
+  // (seconds), the stable sort takes milliseconds.
+  constexpr std::size_t kWidth = 100000;
+  std::vector<Add> adds{{0, 3, 2.0}};
+  for (std::size_t i = 0; i < kWidth; ++i) {
+    adds.push_back({1, kWidth - 1 - i, 1.0 + static_cast<double>(i)});
+  }
+  for (std::size_t i = 0; i < kWidth; i += 2) {
+    adds.push_back({1, kWidth - 1 - i, -0.25});
+  }
+  adds.push_back({2, 0, -1.0});
+  SparseBuilder b(3, kWidth);
+  for (const Add& a : adds) b.add(a.r, a.c, a.v);
+  const auto begin = std::chrono::steady_clock::now();
+  const SparseMatrix m = b.build();
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - begin)
+                             .count();
+  EXPECT_LT(seconds, 1.0);
+  expect_same_csr(m, reference_csr(3, adds));
+  EXPECT_EQ(m.row_end(1) - m.row_begin(1), kWidth);
+}
+
+TEST(CsrAssembly, PutsMustMatchTheCounts) {
+  CsrAssembler over(2, 2);
+  over.count(0);
+  over.start();
+  over.put(0, 1, 1.0);
+  EXPECT_THROW(over.put(0, 0, 1.0), InvalidArgument);  // past row 0's count
+  EXPECT_THROW(over.put(1, 0, 1.0), InvalidArgument);  // row 1 counted none
+  CsrAssembler under(2, 2);
+  under.count(1, 2);
+  under.start();
+  under.put(1, 0, 1.0);
+  EXPECT_THROW(under.finish(), InvalidArgument);
+  CsrAssembler range(2, 3);
+  EXPECT_THROW(range.count(2), InvalidArgument);
+  range.count(1);
+  range.start();
+  EXPECT_THROW(range.put(1, 3, 1.0), InvalidArgument);
+  range.put(1, 2, 4.0);
+  const SparseMatrix m = range.finish();
+  EXPECT_EQ(m.nnz(), 1u);
+  EXPECT_EQ(m.at(1, 2), 4.0);
+}
+
+TEST(CsrAssembly, CallsOutOfOrderThrow) {
+  CsrAssembler a(2, 2);
+  a.count(0);
+  EXPECT_THROW(a.put(0, 0, 1.0), InvalidArgument);  // before start()
+  EXPECT_THROW(a.finish(), InvalidArgument);        // before start()
+  a.start();
+  EXPECT_THROW(a.count(1), InvalidArgument);  // counts are fixed by now
+  EXPECT_THROW(a.start(), InvalidArgument);
+  a.put(0, 1, 2.0);
+  EXPECT_EQ(a.finish().at(0, 1), 2.0);
+  EXPECT_THROW(a.count(0), InvalidArgument);  // spent
+  EXPECT_THROW(a.start(), InvalidArgument);
+  EXPECT_THROW(a.put(0, 1, 1.0), InvalidArgument);
+  EXPECT_THROW(a.finish(), InvalidArgument);
 }
 
 TEST(Sparse, OutOfRangeAddThrows) {

@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <string>
 
@@ -267,22 +266,17 @@ TEST(ParseErrors, MissingFile) {
   EXPECT_THROW(parse_model_file("/nonexistent/path.ftree"), InvalidArgument);
 }
 
-// Resolves a repo-relative path from common ctest working directories.
-std::string find_model(const std::string& rel) {
-  for (const char* prefix : {"", "../", "../../", "../../../"}) {
-    const std::string candidate = prefix + rel;
-    std::ifstream probe(candidate);
-    if (probe.good()) return candidate;
-  }
-  return rel;  // let the parser report the failure
+// A shipped model by its absolute path (RELKIT_EXAMPLES_DIR comes from
+// tests/CMakeLists.txt), so the binary passes from any working directory.
+std::string model_path(const char* name) {
+  return std::string(RELKIT_EXAMPLES_DIR) + "/" + name;
 }
 
 TEST(ParseFiles, ShippedExamplesParse) {
-  const auto ft =
-      parse_model_file(find_model("examples/models/webservice.ftree"));
+  const auto ft = parse_model_file(model_path("webservice.ftree"));
   ASSERT_NE(ft.fault_tree, nullptr);
   EXPECT_GT(ft.fault_tree->top_probability_limit(), 0.0);
-  const auto rb = parse_model_file(find_model("examples/models/raid.rbd"));
+  const auto rb = parse_model_file(model_path("raid.rbd"));
   ASSERT_NE(rb.rbd, nullptr);
   EXPECT_GT(rb.rbd->reliability(1000.0), 0.9);
 }
@@ -291,8 +285,7 @@ TEST(ParseFiles, ShippedExamplesParse) {
 // over a mask of down components; on every state of two shipped models the
 // walk must agree with the probability pass on the same 0/1 probabilities.
 TEST(ParseFiles, BddWalkMatchesProbabilityPassOnEveryState) {
-  const auto rb =
-      parse_model_file(find_model("examples/models/sip_cluster.rbd"));
+  const auto rb = parse_model_file(model_path("sip_cluster.rbd"));
   ASSERT_NE(rb.rbd, nullptr);
   const auto& components = rb.rbd->component_names();
   ASSERT_EQ(components.size(), 8u);
@@ -308,8 +301,7 @@ TEST(ParseFiles, BddWalkMatchesProbabilityPassOnEveryState) {
         << "mask " << down;
   }
 
-  const auto ft =
-      parse_model_file(find_model("examples/models/webservice.ftree"));
+  const auto ft = parse_model_file(model_path("webservice.ftree"));
   ASSERT_NE(ft.fault_tree, nullptr);
   const auto& events = ft.fault_tree->event_names();
   ASSERT_EQ(events.size(), 3u);
@@ -378,8 +370,7 @@ TEST(ParseRelgraph, Validation) {
 }
 
 TEST(ParseRelgraph, ShippedBridgeFileParses) {
-  const auto model =
-      parse_model_file(find_model("examples/models/bridge.relgraph"));
+  const auto model = parse_model_file(model_path("bridge.relgraph"));
   ASSERT_NE(model.graph, nullptr);
   EXPECT_EQ(model.graph->component_count(), 5u);
 }

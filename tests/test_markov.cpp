@@ -3,13 +3,18 @@
 // sensitivities, birth-death closed forms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "common/sparse.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/solution_cache.hpp"
 #include "robust/fault_injection.hpp"
@@ -111,6 +116,96 @@ TEST(CtmcNaming, DuplicateImpliedNamesThrowWhicheverCameFirst) {
     EXPECT_EQ(c.add_states(1), 4u);
     EXPECT_EQ(c.state_index("s3"), 0u);
     EXPECT_EQ(c.state_index("s4"), 4u);
+  }
+}
+
+struct Edge {
+  StateId from, to;
+  double rate;
+};
+
+/// CSR arrays of the reference below.
+struct Csr {
+  std::vector<std::size_t> ptr, col;
+  std::vector<double> val;
+};
+
+/// The generator as it was assembled through triplets: (from, to, rate) and
+/// (from, from, -rate) per transition, bucketed by row, each row's triplet
+/// indices sorted by (column, index), duplicates summed from 0.0 in add
+/// order, zero sums dropped.
+Csr triplet_generator(std::size_t n, const std::vector<Edge>& edges) {
+  struct Triplet {
+    std::size_t r, c;
+    double v;
+  };
+  std::vector<Triplet> t;
+  for (const Edge& e : edges) {
+    t.push_back({e.from, e.to, e.rate});
+    t.push_back({e.from, e.from, -e.rate});
+  }
+  std::vector<std::size_t> order(t.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (t[a].r != t[b].r) return t[a].r < t[b].r;
+    return t[a].c != t[b].c ? t[a].c < t[b].c : a < b;
+  });
+  Csr csr;
+  csr.ptr.assign(n + 1, 0);
+  for (std::size_t i = 0; i < order.size();) {
+    const Triplet& first = t[order[i]];
+    double v = 0.0;
+    for (; i < order.size() && t[order[i]].r == first.r &&
+           t[order[i]].c == first.c;
+         ++i) {
+      v += t[order[i]].v;
+    }
+    if (v != 0.0) {
+      csr.col.push_back(first.c);
+      csr.val.push_back(v);
+      ++csr.ptr[first.r + 1];
+    }
+  }
+  for (std::size_t r = 0; r < n; ++r) csr.ptr[r + 1] += csr.ptr[r];
+  return csr;
+}
+
+TEST(CtmcGenerator, SparseGeneratorEqualsTheTripletPath) {
+  // Random chains with parallel transitions (the same pair again at another
+  // rate), rates over twelve decades, a few absorbing states, and rows of
+  // up to a hundred entries.
+  for (const std::size_t n : {2u, 9u, 60u, 400u}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      SCOPED_TRACE(::testing::Message() << n << " states, seed " << seed);
+      Rng rng(seed * 7919 + n);
+      std::vector<Edge> edges;
+      const std::size_t count = 3 * n + rng.below(4 * n);
+      while (edges.size() < count) {
+        StateId from = rng.below(n);
+        if (n > 8 && from % 7 == 3) continue;  // absorbing
+        if (rng.below(16) == 0) from = 0;       // a wide row
+        const StateId to = rng.below(n);
+        if (to == from) continue;
+        const double rate = std::pow(10.0, 12.0 * rng.uniform() - 6.0);
+        edges.push_back({from, to, rate});
+        if (rng.below(5) == 0) edges.push_back({from, to, rate * 0.37});
+      }
+      Ctmc chain;
+      chain.add_states(n);
+      for (const Edge& e : edges) chain.add_transition(e.from, e.to, e.rate);
+      const SparseMatrix got = chain.sparse_generator();
+      const Csr want = triplet_generator(n, edges);
+      ASSERT_EQ(got.nnz(), want.col.size());
+      for (std::size_t r = 0; r < n; ++r) {
+        ASSERT_EQ(got.row_end(r), want.ptr[r + 1]) << "row " << r;
+      }
+      for (std::size_t k = 0; k < want.col.size(); ++k) {
+        ASSERT_EQ(got.col(k), want.col[k]) << "entry " << k;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value(k)),
+                  std::bit_cast<std::uint64_t>(want.val[k]))
+            << "entry " << k;
+      }
+    }
   }
 }
 

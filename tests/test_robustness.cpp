@@ -5,6 +5,7 @@
 // NaN/Inf silently.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -497,6 +498,82 @@ TEST(Uniformization, GeneratorNanDetectedAtSteadyState) {
     FAIL() << "expected NumericalError";
   } catch (const NumericalError& e) {
     EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos);
+  }
+}
+
+/// A 12-state chain with parallel transitions: each i -> i+1 twice (rates
+/// 1 and 0.25), each i+1 -> i once, and 0 -> 6 three times. Returns its
+/// transition count through `transitions`.
+markov::Ctmc parallel_transition_chain(std::size_t& transitions) {
+  markov::Ctmc chain;
+  chain.add_states(12);
+  transitions = 0;
+  for (std::size_t i = 0; i + 1 < 12; ++i) {
+    chain.add_transition(i, i + 1, 1.0);
+    chain.add_transition(i + 1, i, 2.0 + static_cast<double>(i));
+    chain.add_transition(i, i + 1, 0.25);
+    transitions += 3;
+  }
+  for (const double rate : {0.5, 0.125, 3.0}) {
+    chain.add_transition(0, 6, rate);
+    ++transitions;
+  }
+  return chain;
+}
+
+TEST(GeneratorTap, EveryBuilderVisitsCtmcRateOncePerTransition) {
+  std::size_t transitions = 0;
+  const auto chain = parallel_transition_chain(transitions);
+  FaultInjectionScope scope;
+  const auto hits_of = [&](const std::function<void()>& build) {
+    scope->reset();
+    scope->scale("ctmc.rate", 1.0);  // armed, numerically inert
+    build();
+    return scope->hits("ctmc.rate");
+  };
+  EXPECT_EQ(hits_of([&] { chain.sparse_generator(); }), transitions);
+  EXPECT_EQ(hits_of([&] { chain.dense_generator(); }), transitions);
+  // The transposed generator, through the steady-state solve (an armed
+  // injector bypasses the solution cache) and through uniformization.
+  EXPECT_EQ(hits_of([&] { chain.steady_state(); }), transitions);
+  EXPECT_EQ(hits_of([&] { chain.transient(chain.point_mass(0), 1.0); }),
+            transitions);
+}
+
+TEST(GeneratorTap, InjectedNanLandsOnItsTransitionsEntries) {
+  // A NaN at hit k replaces transition k's rate: its (from, to) entry and
+  // its row's diagonal turn NaN, and every other entry keeps its bits.
+  std::size_t transitions = 0;
+  const auto chain = parallel_transition_chain(transitions);
+  const SparseMatrix clean = chain.sparse_generator();
+  struct Hit {
+    std::size_t k, from, to;
+  };
+  // Hits 0 and 2 are the parallel pair 0 -> 1 and hit 1 is 1 -> 0; hit 31
+  // is 11 -> 10, hit 32 the second 10 -> 11, hits 33-35 the three 0 -> 6.
+  for (const Hit& hit : {Hit{0, 0, 1}, Hit{1, 1, 0}, Hit{2, 0, 1},
+                         Hit{31, 11, 10}, Hit{32, 10, 11}, Hit{33, 0, 6},
+                         Hit{35, 0, 6}}) {
+    SCOPED_TRACE(::testing::Message() << "hit " << hit.k);
+    FaultInjectionScope scope;
+    scope->inject_nan("ctmc.rate", hit.k);
+    const SparseMatrix q = chain.sparse_generator();
+    ASSERT_EQ(q.nnz(), clean.nnz());
+    for (std::size_t r = 0; r < clean.rows(); ++r) {
+      ASSERT_EQ(q.row_end(r), clean.row_end(r));
+      for (std::size_t k = clean.row_begin(r); k < clean.row_end(r); ++k) {
+        ASSERT_EQ(q.col(k), clean.col(k));
+        const bool hit_entry =
+            r == hit.from && (q.col(k) == hit.to || q.col(k) == hit.from);
+        if (hit_entry) {
+          EXPECT_TRUE(std::isnan(q.value(k))) << r << ", " << q.col(k);
+        } else {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(q.value(k)),
+                    std::bit_cast<std::uint64_t>(clean.value(k)))
+              << r << ", " << q.col(k);
+        }
+      }
+    }
   }
 }
 
